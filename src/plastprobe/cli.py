@@ -15,8 +15,6 @@ import time
 from dataclasses import asdict
 
 from . import evolution, probes, report, scenario as scn_mod
-from .constitutive import LocalSolverError
-from .evolution import GlobalSolverError
 from .report import ReportIOError
 from .scenario import BENCHMARKS, ScenarioError
 
@@ -59,7 +57,6 @@ def _solve(scenario, keep_history: bool):
     grid = scenario.grid()
     params = scenario.material()
     return evolution.run(grid, params, scenario.data, scenario.T, scenario.N,
-                         solver_method=scenario.solver,
                          keep_history=keep_history)
 
 
@@ -68,7 +65,7 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
         history, energy = _solve(scenario, keep_history=False)
-    except (GlobalSolverError, LocalSolverError) as exc:
+    except evolution.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     try:
@@ -87,7 +84,7 @@ def cmd_probe(args) -> int:
     t0 = time.perf_counter()
     try:
         history, energy = _solve(scenario, keep_history=True)
-    except (GlobalSolverError, LocalSolverError) as exc:
+    except evolution.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     probe_report = probes.run_probes(scenario, history)
@@ -115,7 +112,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     try:
         uniformity = probes.mu_sweep(scenario)
-    except (GlobalSolverError, LocalSolverError) as exc:
+    except evolution.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     try:

@@ -355,8 +355,9 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
                        updated: ConstitutiveState | None = None) -> np.ndarray:
     """d sigma+ / d deps, batched over leading axes of deps; shape (..., m, m).
 
-    Linearizes the implicit system at the converged state.  Points within
-    KINK_GUARD of the yield surface use the elastic branch (either
+    Linearizes the implicit system at the converged state: in closed
+    form when params.is_fast, by a batched linear solve otherwise.  Points
+    within KINK_GUARD of the yield surface use the elastic branch (either
     one-sided derivative keeps the global Newton convergent).
     """
     deps = np.asarray(deps, dtype=float)
@@ -388,8 +389,26 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     denom = np.where(b > 0, b, 1.0)
     nvec = beta / denom[:, None]
     nn = nvec[:, :, None] * nvec[:, None, :]
-    na = act.size
 
+    if params.is_fast:
+        # radial return: sigma = sigma_tr - (dt/a) q n, with a the
+        # deviatoric modulus of A, q = excess/mu affine in the trial
+        # radius |beta| + dt q c_tr, and n = beta/|beta|; differentiating
+        # gives d sigma/d deps = A^-1 - c1 P_dev - c2 n (x) n.
+        inv_a = 1.0 / params.elastic.dev_modulus
+        if params.model == KINEMATIC:
+            inv_h = 1.0 / params.hardening_tensor.dev_modulus
+            c_tr = inv_a + inv_h
+        else:
+            inv_h = 1.0 / params.hardening_modulus
+            c_tr = inv_a
+        q = excess[act] / params.mu
+        c1 = dt * inv_a**2 * q / (b + dt * q * c_tr)
+        c2 = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1
+        out_flat[act] -= c1[:, None, None] * Pd + c2[:, None, None] * nn
+        return out
+
+    na = act.size
     if params.model == KINEMATIC:
         kappa_over_b = params.kappa / denom
         KD = ((1.0 - kappa_over_b)[:, None, None] * Pd

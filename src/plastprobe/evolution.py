@@ -34,6 +34,12 @@ class GlobalSolverError(RuntimeError):
         self.residual = residual
 
 
+# every failure of the solvers inside run(): LinAlgError comes from a
+# singular elastic factorization or a CG solve that did not converge
+SOLVER_ERRORS = (GlobalSolverError, constitutive.LocalSolverError,
+                 np.linalg.LinAlgError)
+
+
 @dataclass
 class EnergyReport:
     """Discrete energy diagnostics along a trajectory.
@@ -136,25 +142,28 @@ def initial_ep_trace_defect(grid: Grid, params: MaterialParams, data) -> float:
 
 
 class _Stepper:
-    """Shared machinery for one Rothe step, with elastic-tangent caching."""
+    """Shared machinery for one Rothe step, with elastic-stiffness caching."""
 
-    def __init__(self, grid: Grid, params: MaterialParams, data,
-                 solver_method: str = "auto"):
+    def __init__(self, grid: Grid, params: MaterialParams, data):
         self.grid = grid
         self.params = params
         self.data = data
-        self.solver_method = solver_method
+        self._factor = None
         self._elastic_solver = None
 
     def _elastic_solve(self):
-        """Cached factorization of the (constant) elastic tangent."""
+        """Exact solver for the (constant) elastic stiffness, built once.
+
+        Its LU factors also precondition CG on the plastic tangents.
+        """
         if self._elastic_solver is None:
             grid, params = self.grid, self.params
             a_inv = np.linalg.inv(params.elastic.matrix)
             D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp,
                                         grid.m, grid.m))
             K = grid.assemble_tangent(np.ascontiguousarray(D))
-            self._elastic_solver = grid.make_solver(K, self.solver_method)
+            self._factor = grid.factorize(K)
+            self._elastic_solver = grid.make_solver(None, self._factor)
         return self._elastic_solver
 
     def step(self, u_n, state_n, t_n, dt, step_index=0):
@@ -184,13 +193,13 @@ class _Stepper:
         while rnorm > NEWTON_RTOL * scale and iters < NEWTON_MAX_ITER:
             elastic_step = float(yield_excess(upd, params).max()) \
                 <= constitutive.KINK_GUARD
-            if elastic_step:
-                solve = self._elastic_solve()
-            else:
+            solve = self._elastic_solve()
+            if not elastic_step:
                 D = consistent_tangent(state_n, deps, dt, params, updated=upd)
                 solve = grid.make_solver(grid.assemble_tangent(D),
-                                         self.solver_method)
+                                         self._factor)
             du = solve(-r).reshape(grid.nnodes, grid.d)
+            del solve           # free this tangent before the next is built
             alpha = 1.0
             while True:
                 r_try, deps_try, upd_try = residual_of(u + alpha * du)
@@ -204,6 +213,11 @@ class _Stepper:
             rnorm = rn_try
             iters += 1
 
+        if not (np.isfinite(rnorm) and np.isfinite(scale)):
+            raise GlobalSolverError(
+                f"non-finite residual at step {step_index} (t={t1:g}) "
+                f"after {iters} Newton iterations; check the data",
+                step_index=step_index, iterations=iters, residual=rnorm)
         if rnorm > NEWTON_RTOL * scale:
             raise GlobalSolverError(
                 f"Newton stalled at step {step_index} (t={t1:g}): "
@@ -256,7 +270,7 @@ def _energy_report(acc, times) -> EnergyReport:
 
 
 def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
-        solver_method: str = "auto", keep_history: bool = True):
+        keep_history: bool = True):
     """Execute N backward-Euler steps; returns (history | None, EnergyReport).
 
     keep_history=False drops the per-step fields (sweeps only need the
@@ -265,7 +279,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     """
     dt = T / N
     times = np.linspace(0.0, T, N + 1)
-    stepper = _Stepper(grid, params, data, solver_method)
+    stepper = _Stepper(grid, params, data)
     u, state = initial_state(grid, params, data)
 
     acc = {k: [] for k in ("e_pen", "overshoot_linf", "overshoot_l2",

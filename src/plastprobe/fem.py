@@ -25,7 +25,6 @@ from . import tensors
 
 MODES = ("mixed", "all-dirichlet", "all-neumann-bottom")
 
-DIRECT_SOLVE_MAX_N = 32   # direct factorization up to this resolution
 CG_RTOL = 1e-11
 
 
@@ -78,10 +77,12 @@ class Grid:
         self._build_quadrature()
         self._build_boundary()
 
-        # COO pattern for tangent assembly
+        # COO pattern for tangent assembly; int32 is the index type
+        # coo_matrix picks, so it uses these arrays without a copy
         ndc = self.cell_dofs.shape[1]
-        self._rows = np.repeat(self.cell_dofs, ndc, axis=1).ravel()
-        self._cols = np.tile(self.cell_dofs, (1, ndc)).ravel()
+        dofs32 = self.cell_dofs.astype(np.int32)
+        self._rows = np.repeat(dofs32, ndc, axis=1).ravel()
+        self._cols = np.tile(dofs32, (1, ndc)).ravel()
 
     # -- element operators -------------------------------------------------
 
@@ -266,51 +267,65 @@ class Grid:
                               shape=(ndof, ndof))
         return K.tocsr()
 
-    def make_solver(self, K: sparse.csr_matrix, method: str = "auto"):
-        """Reusable solver for K on the free dofs (full-size in/out vectors).
-
-        Direct sparse factorization for n <= 32, diagonal-preconditioned
-        CG (rtol 1e-11) above, unless overridden by method.
-        """
+    def factorize(self, K: sparse.csr_matrix):
+        """LU factors of the free block of the SPD matrix K (scipy SuperLU)."""
         free = self.free_dofs
         if free.size == 0:
             raise ValueError("no free unknowns (all-Dirichlet with zero dofs?)")
         Kff = K[free][:, free].tocsc()
-        if method == "auto":
-            method = "direct" if self.n <= DIRECT_SOLVE_MAX_N else "cg"
-        if method == "direct":
-            try:
-                # tangent is SPD: symmetric-mode ordering halves the factor time
-                lu = sparse_linalg.splu(Kff, permc_spec="MMD_AT_PLUS_A",
-                                        options=dict(SymmetricMode=True))
-            except RuntimeError as exc:   # singular factorization
-                raise np.linalg.LinAlgError(str(exc))
+        try:
+            # K is SPD: symmetric-mode ordering halves the factor time
+            return sparse_linalg.splu(Kff, permc_spec="MMD_AT_PLUS_A",
+                                      options=dict(SymmetricMode=True))
+        except RuntimeError as exc:   # singular factorization
+            raise np.linalg.LinAlgError(str(exc))
 
-            def solve(rhs):
-                out = np.zeros_like(rhs)
-                out[free] = lu.solve(rhs[free])
-                return out
-        else:
-            diag = Kff.diagonal()
-            if np.any(diag <= 0):
-                raise np.linalg.LinAlgError("tangent has non-positive diagonal")
-            M = sparse.diags(1.0 / diag)
+    def make_solver(self, K: sparse.csr_matrix | None, factor):
+        """Reusable solver on the free dofs (full-size in/out vectors).
 
-            def solve(rhs):
-                x, info = sparse_linalg.cg(Kff, rhs[free], rtol=CG_RTOL,
-                                           atol=0.0, M=M)
-                if info != 0:
-                    raise np.linalg.LinAlgError(
-                        f"CG failed to converge (info={info})")
-                out = np.zeros_like(rhs)
-                out[free] = x
-                return out
+        factor holds the LU factors (``factorize``) of an SPD matrix K0.
+        With K None the solver applies them, an exact solve with K0.
+        Otherwise CG (rtol CG_RTOL) solves with K, preconditioned by
+        factor.  A hardening tangent stays spectrally close to the
+        elastic stiffness, so with the elastic K0 as preconditioner CG
+        needs few iterations.
+        """
+        free = self.free_dofs
+
+        def apply_factor(rhs):
+            out = np.zeros_like(rhs)
+            out[free] = factor.solve(rhs[free])
+            return out
+
+        if K is None:
+            return apply_factor
+        fixed = self.dirichlet_dofs
+
+        def matvec(x):
+            # x vanishes on Dirichlet dofs; zeroing their rows too makes
+            # this the free block of K without copying it
+            y = K @ x
+            y[fixed] = 0.0
+            return y
+
+        shape = K.shape
+        A = sparse_linalg.LinearOperator(shape, matvec=matvec, dtype=float)
+        M = sparse_linalg.LinearOperator(shape, matvec=apply_factor,
+                                         dtype=float)
+
+        def solve(rhs):
+            b = rhs.copy()
+            b[fixed] = 0.0
+            x, info = sparse_linalg.cg(A, b, rtol=CG_RTOL, atol=0.0, M=M)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"CG failed to converge (info={info})")
+            return x
         return solve
 
-    def solve_free(self, K: sparse.csr_matrix, rhs: np.ndarray,
-                   method: str = "auto") -> np.ndarray:
-        """Solve K du = rhs on free dofs; returns a full-size vector."""
-        return self.make_solver(K, method)(rhs)
+    def solve_free(self, K: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+        """Solve K du = rhs exactly on free dofs; returns a full-size vector."""
+        return self.make_solver(None, self.factorize(K))(rhs)
 
 
 def build_grid(geometry: Geometry, n: int) -> Grid:

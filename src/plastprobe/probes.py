@@ -542,9 +542,8 @@ def mu_sweep(scenario, mus=None, keep_probe_fields: bool | None = None):
         try:
             history, report = evolution.run(
                 grid, params, scenario.data, scenario.T, scenario.N,
-                solver_method=scenario.solver,
                 keep_history=keep_probe_fields)
-        except evolution.GlobalSolverError as exc:
+        except evolution.SOLVER_ERRORS as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={},
                                       probe_summary=None, failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})

@@ -85,7 +85,13 @@ SCHEMA = {
             "time": {"type": "array", "minItems": 2, "maxItems": 2}}},
         "delta": {"type": "number", "exclusiveMinimum": 0,
                   "exclusiveMaximum": 0.3333333333333333},
-        "solver": {"enum": ["auto", "direct", "cg"]},
+        "solver": {
+            "enum": ["auto", "direct", "cg"],
+            "description": "kept for older scenario files; every value "
+                           "selects the same solver: the elastic stiffness "
+                           "is factorized once per run, elastic steps solve "
+                           "exactly with it and plastic steps run CG on the "
+                           "consistent tangent preconditioned with it"},
         "allow_coarse_dt": {"type": "boolean"},
     },
 }
@@ -192,10 +198,6 @@ class Scenario:
     @property
     def delta(self) -> float:
         return self.config["delta"]
-
-    @property
-    def solver(self) -> str:
-        return self.config["solver"]
 
     @property
     def probes(self) -> list[dict]:

@@ -34,7 +34,7 @@ def kinematic_probe_run():
     t0 = time.perf_counter()
     scn = load_benchmark("mixed-boundary-kinematic", n=48, N=200, mu=0.01)
     hist, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                 scn.T, scn.N, solver_method=scn.solver)
+                                 scn.T, scn.N)
     rep = probes.run_probes(scn, hist)
     return scn, hist, energy, rep, time.perf_counter() - t0
 
@@ -44,7 +44,7 @@ def isotropic_probe_run():
     t0 = time.perf_counter()
     scn = load_benchmark("mixed-boundary-isotropic", n=48, N=200, mu=0.01)
     hist, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                 scn.T, scn.N, solver_method=scn.solver)
+                                 scn.T, scn.N)
     rep = probes.run_probes(scn, hist)
     return scn, hist, energy, rep, time.perf_counter() - t0
 
@@ -54,7 +54,7 @@ def dirichlet_probe_run():
     t0 = time.perf_counter()
     scn = load_benchmark("dirichlet-isotropic", n=48, N=200, mu=0.01)
     hist, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                 scn.T, scn.N, solver_method=scn.solver)
+                                 scn.T, scn.N)
     rep = probes.run_probes(scn, hist)
     return scn, hist, energy, rep, time.perf_counter() - t0
 

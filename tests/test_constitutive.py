@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from plastprobe import tensors
-from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, ConstitutiveState,
-                                     MaterialParams, consistent_tangent,
-                                     kkt_residual, local_update)
+from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
+                                     ConstitutiveState, MaterialParams,
+                                     consistent_tangent, kkt_residual,
+                                     local_update, yield_excess)
 from plastprobe.tensors import Tensor4Sym, from_matrix, inner, norm
 
 from oracles import (fd_jacobian, oracle_local_update, oracle_radial_bisection,
@@ -208,6 +209,46 @@ def test_tangent_matches_finite_differences(model):
         np.testing.assert_allclose(tang, fd, rtol=1e-5, atol=1e-7)
         # symmetry from the potential structure of the local problem
         np.testing.assert_allclose(tang, tang.T, atol=1e-10)
+
+
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_tangent_matches_batched_solve(model, d):
+    # isotropic tensors take the closed form; the same matrices without
+    # their moduli take the batched solve of the linearized system
+    rng = np.random.default_rng(27 + d)
+    m = tensors.num_components(d)
+    elastic = Tensor4Sym.isotropic(d, dev_modulus=0.7, vol_modulus=0.4)
+    hardening = Tensor4Sym.isotropic(d, dev_modulus=1.3, vol_modulus=2.0)
+    fast = make_params(model, d, mu=0.05, elastic=elastic,
+                       hardening=hardening, H=1.3)
+    general = make_params(model, d, mu=0.05,
+                          elastic=Tensor4Sym.from_matrix(elastic.matrix),
+                          hardening=Tensor4Sym.from_matrix(hardening.matrix),
+                          H=1.3)
+    assert fast.is_fast and not general.is_fast
+    n_dir = tensors.dev(rng.standard_normal((8, m)))
+    n_dir /= norm(n_dir)[:, None]
+    for ratio in (1e-3, 1e-1, 1.0, 10.0, 500.0):
+        dt = ratio * fast.mu
+        state = ConstitutiveState.zeros(model, d, (40,))
+        state.sigma = 0.3 * rng.standard_normal((40, m))
+        deps = 2.0 * rng.standard_normal((40, m))
+        # from rest, trial excess g (1 + dt c / mu) leaves excess g:
+        # points just above KINK_GUARD
+        a = elastic.dev_modulus
+        c = 1.0 / a + 1.0 / 1.3
+        g = np.array([2e-10, 1e-9, 1e-8, 1e-6] * 2)[:, None]
+        near = ConstitutiveState.zeros(model, d, (8,))
+        near_deps = a * (fast.kappa + g * (1.0 + ratio * c)) * n_dir
+        for st, de in ((state, deps), (near, near_deps)):
+            upd = local_update(st, de, dt, fast)
+            ref = consistent_tangent(st, de, dt, general, updated=upd)
+            tang = consistent_tangent(st, de, dt, fast, updated=upd)
+            err = np.linalg.norm(tang - ref, axis=(-2, -1))
+            assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
+        excess = yield_excess(local_update(near, near_deps, dt, fast), fast)
+        assert np.all(excess > KINK_GUARD)
 
 
 def test_tangent_consistency_plastic_spec_example():

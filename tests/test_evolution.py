@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
-from plastprobe import evolution, tensors
+from plastprobe import evolution, fem, tensors
 from plastprobe.constitutive import ISOTROPIC, KINEMATIC
 from plastprobe.scenario import load_benchmark
 
@@ -139,6 +140,59 @@ def test_newton_error_reports_step(monkeypatch):
         evolution.run(scn.grid(), scn.material(), scn.data, scn.T, scn.N)
     assert err.value.step_index is not None
     assert err.value.residual is not None
+
+
+def test_nan_residual_is_not_accepted():
+    # a NaN load makes every residual comparison false: it must raise,
+    # not return the unequilibrated predictor
+    scn = load_benchmark("mixed-boundary-kinematic", n=4, N=2,
+                         allow_coarse_dt=True)
+
+    class NanBody:
+        def __getattr__(self, name):
+            return getattr(scn.data, name)
+
+        def body_force(self, t, x):
+            return np.full(x.shape, np.nan)
+
+    with pytest.raises(evolution.GlobalSolverError, match="non-finite") as err:
+        evolution.run(scn.grid(), scn.material(), NanBody(), scn.T, scn.N)
+    assert err.value.step_index == 0
+
+
+def _plastic_scenario(name):
+    return load_benchmark(name, n=8, N=6, mu=0.2, allow_coarse_dt=True)
+
+
+@pytest.mark.parametrize("name", ["mixed-boundary-kinematic",
+                                  "mixed-boundary-isotropic"])
+def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
+    # elastic-preconditioned CG against an exact sparse solve of every
+    # tangent: same Newton iterations per step, same trajectory
+    scn = _plastic_scenario(name)
+    params = scn.material()
+    hist, _ = evolution.run(scn.grid(), params, scn.data, scn.T, scn.N)
+    assert np.abs(hist.ep).max() > 0.0
+
+    real = fem.Grid.make_solver
+
+    def direct(grid, K, factor=None):
+        if K is None:
+            return real(grid, K, factor)
+        free = grid.free_dofs
+        Kff = K[free][:, free].tocsc()
+
+        def solve(rhs):
+            out = np.zeros_like(rhs)
+            out[free] = spsolve(Kff, rhs[free])
+            return out
+        return solve
+
+    monkeypatch.setattr(fem.Grid, "make_solver", direct)
+    ref, _ = evolution.run(scn.grid(), params, scn.data, scn.T, scn.N)
+    assert hist.newton_iters == ref.newton_iters
+    np.testing.assert_allclose(hist.u, ref.u, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(hist.sigma, ref.sigma, rtol=0, atol=1e-9)
 
 
 def test_safety_load_check_benchmarks():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from plastprobe import evolution, probes, tensors
+from plastprobe.constitutive import LocalSolverError
 from plastprobe.evolution import FieldHistory
 from plastprobe.fem import Geometry, build_grid, make_cutoff
 from plastprobe.probes import (SeminormTable, beta_lambda,
@@ -348,6 +349,24 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
     assert rep.failures[0]["mu"] == 0.001
     oks = [e for e in rep.entries if e.failure is None]
     assert len(oks) == 1 and oks[0].mu == 0.1
+
+
+@pytest.mark.parametrize("error", [
+    np.linalg.LinAlgError("CG failed to converge"),
+    LocalSolverError("local update failed to converge")])
+def test_mu_sweep_records_linear_and_local_failures(error, monkeypatch):
+    scn = load_benchmark("elastic-only", n=4, N=2)
+    real_run = evolution.run
+
+    def failing_run(grid, params, data, T, N, **kw):
+        if params.mu < 0.01:
+            raise error
+        return real_run(grid, params, data, T, N, **kw)
+
+    monkeypatch.setattr(evolution, "run", failing_run)
+    rep = mu_sweep(scn, mus=[0.1, 0.001], keep_probe_fields=False)
+    assert rep.failures == [{"mu": 0.001, "error": str(error)}]
+    assert [e.mu for e in rep.entries if e.failure is None] == [0.1]
 
 
 def test_seminorm_axes_3d_smoke():

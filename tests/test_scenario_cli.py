@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plastprobe import evolution, probes, report
+from plastprobe import evolution, fem, probes, report
 from plastprobe.cli import main as cli_main
 from plastprobe.scenario import (BENCHMARKS, ScenarioError, benchmark_path,
                                  load_benchmark, parse_scenario,
@@ -171,6 +171,29 @@ def test_cli_sweep(tmp_path):
     assert len(summary["entries"]) == 2
     assert (tmp_path / "s" / summary["entries"][0]["dir"] /
             "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "probe", "sweep"])
+def test_cli_linear_solver_failure_exits_3(command, tmp_path, monkeypatch,
+                                           capsys):
+    # a singular elastic factorization surfaces as LinAlgError
+    def singular(grid, K):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(fem.Grid, "factorize", singular)
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(minimal_config(mu=[0.1, 0.05], N=2)))
+    assert cli_main([command, str(scn_file), "--out",
+                     str(tmp_path / "o")]) == 3
+    if command == "sweep":
+        # the sweep records each failed mu and writes a partial report
+        summary = json.loads(
+            (tmp_path / "o" / "sweep_summary.json").read_text())
+        assert all("singular matrix" in e["failure"]
+                   for e in summary["entries"])
+        assert "partial" in capsys.readouterr().err
+    else:
+        assert "singular matrix" in capsys.readouterr().err
 
 
 def test_cli_targets_output(capsys):
