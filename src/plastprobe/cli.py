@@ -63,18 +63,10 @@ def _solve(scenario, keep_history: bool):
 def cmd_run(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
-    try:
-        history, energy = _solve(scenario, keep_history=False)
-    except evolution.SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        out = report.emit_run_report(args.out, scenario, energy,
-                                     reproducible=args.reproducible,
-                                     runtime_seconds=time.perf_counter() - t0)
-    except ReportIOError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _, energy = _solve(scenario, keep_history=False)
+    out = report.emit_run_report(args.out, scenario, energy,
+                                 reproducible=args.reproducible,
+                                 runtime_seconds=time.perf_counter() - t0)
     print(f"run complete: {out}")
     return EXIT_OK
 
@@ -82,21 +74,12 @@ def cmd_run(args) -> int:
 def cmd_probe(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
-    try:
-        history, energy = _solve(scenario, keep_history=True)
-    except evolution.SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    history, energy = _solve(scenario, keep_history=True)
     probe_report = probes.run_probes(scenario, history)
-    try:
-        out = report.emit_run_report(args.out, scenario, energy,
-                                     probe_report=probe_report,
-                                     history=history,
-                                     reproducible=args.reproducible,
-                                     runtime_seconds=time.perf_counter() - t0)
-    except ReportIOError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out = report.emit_run_report(args.out, scenario, energy,
+                                 probe_report=probe_report, history=history,
+                                 reproducible=args.reproducible,
+                                 runtime_seconds=time.perf_counter() - t0)
     for row in probe_report.summary():
         s = "id-regular" if row["identically_regular"] else (
             "n/a" if row["s_hat"] is None else f"{row['s_hat']:.3f}")
@@ -110,18 +93,10 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
-    try:
-        uniformity = probes.mu_sweep(scenario)
-    except evolution.SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        out = report.emit_sweep_report(args.out, scenario, uniformity,
-                                       reproducible=args.reproducible,
-                                       runtime_seconds=time.perf_counter() - t0)
-    except ReportIOError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    uniformity = probes.mu_sweep(scenario)
+    out = report.emit_sweep_report(args.out, scenario, uniformity,
+                                   reproducible=args.reproducible,
+                                   runtime_seconds=time.perf_counter() - t0)
     for key, spread in uniformity.spreads.items():
         print(f"spread[{key}] = {spread:.4g}")
     if uniformity.overshoot_l2_slope is not None:
@@ -175,12 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place failures become exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        return args.fn(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return code
+    except evolution.SOLVER_ERRORS as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ReportIOError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

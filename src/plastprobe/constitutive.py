@@ -17,7 +17,7 @@ through a damped Newton iteration on the full system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class MaterialParams:
         if self.model == ISOTROPIC:
             return True
         return self.hardening_tensor.is_isotropic
-
-    def with_mu(self, mu: float) -> "MaterialParams":
-        return replace(self, mu=mu)
 
     def default_c1(self) -> float:
         lam = self.elastic.eigenvalues()
@@ -287,7 +284,7 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
                 break
             alpha *= 0.5
         z, r, rn = z_new, r_new, rn_new
-    if rn > tol:
+    if not rn <= tol:                  # also a NaN residual
         raise LocalSolverError(
             f"local update failed to converge (residual {rn:.3e}, tol {tol:.3e}); "
             "dt/mu may be too extreme",

@@ -11,7 +11,7 @@ run so that mu-sweeps do not have to keep full field histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,15 +75,6 @@ class EnergyReport:
     def uniform_bound_lhs(self) -> float:
         """E_pen(T) + dissipation, the mu-uniform quantity of the estimates."""
         return float(self.e_pen[-1]) + self.dissipation_total
-
-    def as_table(self) -> dict:
-        return {
-            "times": self.times, "e_pen": self.e_pen,
-            "overshoot_linf": self.overshoot_linf,
-            "overshoot_l2": self.overshoot_l2,
-            "sigdot_l2": self.sigdot_l2, "xidot_l2": self.xidot_l2,
-            "udot_h1": self.udot_h1, "dissipation_cum": self.dissipation_cum,
-        }
 
 
 @dataclass
@@ -257,16 +248,14 @@ def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
         prev + dt * (acc["sigdot_l2"][-1] ** 2 + acc["xidot_l2"][-1] ** 2))
 
 
+def _new_accumulator() -> dict:
+    """Empty per-level/per-step lists, one per EnergyReport array but times."""
+    return {f.name: [] for f in fields(EnergyReport) if f.name != "times"}
+
+
 def _energy_report(acc, times) -> EnergyReport:
-    return EnergyReport(
-        times=np.asarray(times),
-        e_pen=np.asarray(acc["e_pen"]),
-        overshoot_linf=np.asarray(acc["overshoot_linf"]),
-        overshoot_l2=np.asarray(acc["overshoot_l2"]),
-        sigdot_l2=np.asarray(acc["sigdot_l2"]),
-        xidot_l2=np.asarray(acc["xidot_l2"]),
-        udot_h1=np.asarray(acc["udot_h1"]),
-        dissipation_cum=np.asarray(acc["dissipation_cum"]))
+    return EnergyReport(times=np.asarray(times),
+                        **{k: np.asarray(v) for k, v in acc.items()})
 
 
 def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
@@ -282,9 +271,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     stepper = _Stepper(grid, params, data)
     u, state = initial_state(grid, params, data)
 
-    acc = {k: [] for k in ("e_pen", "overshoot_linf", "overshoot_l2",
-                           "sigdot_l2", "xidot_l2", "udot_h1",
-                           "dissipation_cum")}
+    acc = _new_accumulator()
     _accumulate_energy(acc, grid, params, state)
 
     history = None
@@ -327,9 +314,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
 def energy_diagnostics(history: FieldHistory) -> EnergyReport:
     """Recompute the streamed diagnostics from a stored history."""
     grid, params = history.grid, history.params
-    acc = {k: [] for k in ("e_pen", "overshoot_linf", "overshoot_l2",
-                           "sigdot_l2", "xidot_l2", "udot_h1",
-                           "dissipation_cum")}
+    acc = _new_accumulator()
     _accumulate_energy(acc, grid, params, history.state_at(0))
     dt = history.dt
     for k in range(1, len(history.times)):
@@ -380,10 +365,9 @@ def weak_divergence_defect(grid: Grid, params: MaterialParams, data,
     """Relative free-dof residual of sigma0 against f: checks div sigma0."""
     sigma0 = data.sigma0(t, grid.qp_coords.reshape(-1, grid.d))
     sigma0 = sigma0.reshape(grid.ncells, grid.nqp, grid.m)
-    r = grid.assemble_residual(sigma0, body_fn=data.body_force,
-                               sigma0_fn=data.sigma0, t=t)
-    load = grid.load_vector(body_fn=data.body_force, sigma0_fn=data.sigma0, t=t)
-    scale = max(np.linalg.norm(load[grid.free_dofs]),
-                np.linalg.norm(grid.internal_force(sigma0)[grid.free_dofs]),
-                1e-12)
-    return float(np.linalg.norm(r[grid.free_dofs]) / scale)
+    free = grid.free_dofs
+    fint = grid.internal_force(sigma0)[free]
+    load = grid.load_vector(body_fn=data.body_force, sigma0_fn=data.sigma0,
+                            t=t)[free]
+    scale = max(np.linalg.norm(load), np.linalg.norm(fint), 1e-12)
+    return float(np.linalg.norm(fint - load) / scale)

@@ -177,10 +177,6 @@ class Grid:
 
     # -- fields ------------------------------------------------------------
 
-    def interpolate_nodal(self, fn, t=None) -> np.ndarray:
-        """Sample a callable fn(x) or fn(t, x) at the nodes."""
-        return fn(self.nodes) if t is None else fn(t, self.nodes)
-
     def sym_gradient(self, u: np.ndarray) -> np.ndarray:
         """Symmetric gradient of a nodal field, Mandel (ncells, nqp, m)."""
         u = np.asarray(u, dtype=float)
@@ -195,10 +191,6 @@ class Grid:
         return np.einsum("qaj,cai->cqij", self.shape_grads, u_cells,
                          optimize=True)
 
-    def qp_field_grid(self, qp_field: np.ndarray) -> np.ndarray:
-        """Reshape (ncells, nqp, ...) to structured (c1, ..., cd, nqp, ...)."""
-        return qp_field.reshape(self.cell_counts + qp_field.shape[1:])
-
     def integrate_qp(self, qp_scalar: np.ndarray) -> float:
         """Integral over the domain of a scalar quadrature-point field."""
         return float(qp_scalar.sum() * self.qp_weight)
@@ -212,12 +204,11 @@ class Grid:
         return np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
                            minlength=self.nnodes * self.d)
 
-    def load_vector(self, body_fn=None, traction_fn=None, t: float = 0.0,
+    def load_vector(self, body_fn=None, t: float = 0.0,
                     sigma0_fn=None) -> np.ndarray:
         """External load: int f . v plus the bottom-face traction integral.
 
-        traction_fn(t, x) must return the surface traction; alternatively
-        sigma0_fn(t, x) gives Neumann stress data and the traction is
+        sigma0_fn(t, x) gives the Neumann stress data; the traction is
         sigma0 . n with n the outward normal of the bottom face.
         """
         out = np.zeros(self.nnodes * self.d)
@@ -228,34 +219,18 @@ class Grid:
             fc *= self.qp_weight
             out += np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
                                minlength=self.nnodes * self.d)
-        if self.neumann_cells.size:
-            if traction_fn is not None:
-                gq = traction_fn(t, self.face_qp_coords.reshape(-1, self.d))
-                gq = np.asarray(gq).reshape(len(self.neumann_cells), -1, self.d)
-            elif sigma0_fn is not None:
-                s0 = sigma0_fn(t, self.face_qp_coords.reshape(-1, self.d))
-                mats = tensors.to_matrix(np.asarray(s0))
-                gq = (mats @ self.face_normal).reshape(
-                    len(self.neumann_cells), -1, self.d)
-            else:
-                gq = None
-            if gq is not None:
-                fc = np.einsum("qa,cqi->cai", self.face_shape_values, gq,
-                               optimize=True)
-                fc *= self.face_qp_weight
-                dofs = self.cell_dofs[self.neumann_cells]
-                out += np.bincount(dofs.ravel(), weights=fc.ravel(),
-                                   minlength=self.nnodes * self.d)
+        if self.neumann_cells.size and sigma0_fn is not None:
+            s0 = sigma0_fn(t, self.face_qp_coords.reshape(-1, self.d))
+            mats = tensors.to_matrix(np.asarray(s0))
+            gq = (mats @ self.face_normal).reshape(
+                len(self.neumann_cells), -1, self.d)
+            fc = np.einsum("qa,cqi->cai", self.face_shape_values, gq,
+                           optimize=True)
+            fc *= self.face_qp_weight
+            dofs = self.cell_dofs[self.neumann_cells]
+            out += np.bincount(dofs.ravel(), weights=fc.ravel(),
+                               minlength=self.nnodes * self.d)
         return out
-
-    def assemble_residual(self, sigma_qp: np.ndarray, body_fn=None,
-                          traction_fn=None, sigma0_fn=None,
-                          t: float = 0.0) -> np.ndarray:
-        """Equilibrium residual with Dirichlet rows zeroed."""
-        r = self.internal_force(sigma_qp) - self.load_vector(
-            body_fn=body_fn, traction_fn=traction_fn, sigma0_fn=sigma0_fn, t=t)
-        r[self.dirichlet_dofs] = 0.0
-        return r
 
     def assemble_tangent(self, D_qp: np.ndarray) -> sparse.csr_matrix:
         """Stiffness from a quadrature-point modulus field (ncells, nqp, m, m)."""
@@ -323,10 +298,6 @@ class Grid:
             return x
         return solve
 
-    def solve_free(self, K: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve K du = rhs exactly on free dofs; returns a full-size vector."""
-        return self.make_solver(None, self.factorize(K))(rhs)
-
 
 def build_grid(geometry: Geometry, n: int) -> Grid:
     return Grid(geometry, n)
@@ -349,7 +320,7 @@ def _bump(x, lo, hi, w):
 
 @dataclass
 class Cutoff:
-    """Smooth localization weight phi, sampled at nodes and quadrature points.
+    """Smooth localization weight phi, sampled at the quadrature points.
 
     phi vanishes within eps0 of the Dirichlet/Neumann interface line and
     of the outer faces (except the declared bottom portion), equals one
@@ -361,7 +332,6 @@ class Cutoff:
     side: str
     grid: Grid = field(repr=False)
     qp_values: np.ndarray = field(repr=False)
-    node_values: np.ndarray = field(repr=False)
     _axis_funcs: list = field(repr=False, default_factory=list)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -420,8 +390,6 @@ def make_cutoff(grid: Grid, eps0: float, h0: float,
     funcs.append(phi_d)
 
     cutoff = Cutoff(eps0=eps0, h0=h0, side=side, grid=grid,
-                    qp_values=np.empty(0), node_values=np.empty(0),
-                    _axis_funcs=funcs)
+                    qp_values=np.empty(0), _axis_funcs=funcs)
     cutoff.qp_values = cutoff(grid.qp_coords)
-    cutoff.node_values = cutoff(grid.nodes)
     return cutoff

@@ -102,8 +102,6 @@ class SeminormTable:
     values: np.ndarray
     base: float                # ladder base step (cell size or dt)
     cap: float                 # largest admissible h
-    weight: str = "phi"
-    times_span: float = 0.0
 
     def rows(self):
         return list(zip(self.h.tolist(), self.values.tolist()))
@@ -140,38 +138,27 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
     phi = cutoff.qp_values                      # (ncells, nqp)
 
     if axis == "time":
-        base, cap = dt, history.times[-1] - history.times[0]
-        ladder = _ladder(base, cap / 2.0)
-        weighted = arr * phi[None, :, :, None]
-        values = []
-        for h in ladder:
-            k = int(round(h / dt))
-            diff = weighted[k:] - weighted[:-k]
-            per_t = (diff**2).sum(axis=(1, 2, 3)) * grid.qp_weight
-            values.append(_aggregate(per_t, mode, dt))
-        return SeminormTable(axis=axis, field=field_name, mode=mode,
-                             h=ladder, values=np.asarray(values),
-                             base=base, cap=cap / 2.0)
-
-    ax = _space_axis(axis, grid.d)
-    extent = 1.0 if ax == grid.d - 1 else 2.0
-    base = grid.h
-    ladder = _ladder(base, min(0.5, extent - base))
-    cells = grid.cell_counts
-    shaped = arr.reshape((arr.shape[0],) + cells + arr.shape[2:])
-    phi_s = phi.reshape(cells + (grid.nqp,))
-    moved = np.moveaxis(shaped, 1 + ax, 1)
-    phi_m = np.moveaxis(phi_s, ax, 0)
+        base, cap = dt, (history.times[-1] - history.times[0]) / 2.0
+        arr = arr * phi[None, :, :, None]
+    else:
+        ax = _space_axis(axis, grid.d)
+        extent = 1.0 if ax == grid.d - 1 else 2.0
+        base = grid.h
+        cap = min(0.5, extent - base)
+        phi_s = phi.reshape(grid.cell_counts + (grid.nqp,))
+    ladder = _ladder(base, cap)
     values = []
     for h in ladder:
         k = int(round(h / base))
-        # phi applied at the unshifted point, outside the difference
-        diff = (moved[:, k:] - moved[:, :-k]) * phi_m[None, :-k][..., None]
+        diff = diff_quotient(arr, axis, k, grid)
+        if axis != "time":
+            # phi applied at the unshifted point, outside the difference
+            unshifted = (slice(None),) * ax + (slice(None, -k),)
+            diff = diff * phi_s[unshifted][None, ..., None]
         per_t = (diff**2).sum(axis=tuple(range(1, diff.ndim))) * grid.qp_weight
         values.append(_aggregate(per_t, mode, dt))
     return SeminormTable(axis=axis, field=field_name, mode=mode, h=ladder,
-                         values=np.asarray(values), base=base,
-                         cap=min(0.5, extent - base))
+                         values=np.asarray(values), base=base, cap=cap)
 
 
 # -- exponent fits ------------------------------------------------------------

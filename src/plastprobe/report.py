@@ -40,6 +40,14 @@ def _jsonify(obj):
     return obj
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ReportIOError(f"cannot create {path}: {exc}")
+    return path
+
+
 def _write_json(path: Path, payload: dict):
     try:
         with open(path, "w") as fh:
@@ -97,6 +105,15 @@ def write_table_csvs(out_dir: Path, probe_report: ProbeReport,
     return names
 
 
+def _write_meta(out: Path, reproducible: bool,
+                runtime_seconds: float | None):
+    _write_json(out / "meta.json", {
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "runtime_seconds": runtime_seconds,
+        "reproducible": reproducible,
+    })
+
+
 def run_report_payload(scenario, energy: EnergyReport,
                        probe_report: ProbeReport | None) -> dict:
     from .probes import energy_summary
@@ -126,11 +143,7 @@ def emit_run_report(out_dir: str | Path, scenario, energy: EnergyReport,
                     history=None, reproducible: bool = False,
                     runtime_seconds: float | None = None) -> Path:
     """Write report.json, energy.csv and any seminorm tables; returns the dir."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ReportIOError(f"cannot create {out}: {exc}")
+    out = _make_dir(Path(out_dir))
     payload = run_report_payload(scenario, energy, probe_report)
     if history is not None:
         payload["newton"] = {
@@ -142,11 +155,7 @@ def emit_run_report(out_dir: str | Path, scenario, energy: EnergyReport,
     write_energy_csv(out / "energy.csv", energy, reproducible)
     if probe_report is not None:
         write_table_csvs(out, probe_report, reproducible)
-    _write_json(out / "meta.json", {
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "runtime_seconds": runtime_seconds,
-        "reproducible": reproducible,
-    })
+    _write_meta(out, reproducible, runtime_seconds)
     return out
 
 
@@ -154,15 +163,10 @@ def emit_sweep_report(out_dir: str | Path, scenario,
                       uniformity: UniformityReport,
                       reproducible: bool = False,
                       runtime_seconds: float | None = None) -> Path:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ReportIOError(f"cannot create {out}: {exc}")
+    out = _make_dir(Path(out_dir))
     entries = []
     for entry in uniformity.entries:
-        sub = out / f"mu_{entry.mu:.3e}"
-        sub.mkdir(exist_ok=True)
+        sub = _make_dir(out / f"mu_{entry.mu:.3e}")
         _write_json(sub / "report.json", {
             "mu": entry.mu,
             "energy_summary": entry.energy_summary,
@@ -179,9 +183,5 @@ def emit_sweep_report(out_dir: str | Path, scenario,
         "overshoot_linf_slope": uniformity.overshoot_linf_slope,
         "failures": uniformity.failures,
     })
-    _write_json(out / "meta.json", {
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "runtime_seconds": runtime_seconds,
-        "reproducible": reproducible,
-    })
+    _write_meta(out, reproducible, runtime_seconds)
     return out

@@ -189,7 +189,7 @@ class Tensor4Sym:
         """Apply the map to components (..., m)."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape[-1] != self.matrix.shape[0]:
-            raise ValueError("component mismatch in apply4")
+            raise ValueError("component mismatch in Tensor4Sym.apply")
         if self.is_isotropic:
             return self.dev_modulus * dev(vec) + (
                 self.vol_modulus / self.d
@@ -221,10 +221,6 @@ class Tensor4Sym:
                     for kk, ll in {(k, l), (l, k)}:
                         full[ii, jj, kk, ll] = val
         return full
-
-
-def apply4(C: Tensor4Sym, vec: np.ndarray) -> np.ndarray:
-    return C.apply(vec)
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,21 @@ def test_nonconvergence_raises_with_trial_state():
             local_update(state, from_matrix(np.diag([5.0, -5.0])), 1.0, params)
 
 
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_nan_increment_raises_on_general_path(model):
+    # a NaN residual fails both "rn <= tol" and "rn > tol"; it must not
+    # come back as a converged state
+    from plastprobe.constitutive import LocalSolverError
+    rng = np.random.default_rng(28)
+    params = make_params(model=model, mu=0.1,
+                         elastic=random_spd_tensor4(rng, 2),
+                         hardening=random_spd_tensor4(rng, 2))
+    assert not params.is_fast
+    state = ConstitutiveState.zeros(model, 2, (1,))
+    with pytest.raises(LocalSolverError):
+        local_update(state, np.full((1, 3), np.nan), 0.1, params)
+
+
 def test_validate_flags_bad_hardening():
     params = MaterialParams(elastic=Tensor4Sym.identity_map(2), model=ISOTROPIC,
                             kappa=1.0, mu=0.1, hardening_modulus=0.1, c1=0.5)

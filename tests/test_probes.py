@@ -369,16 +369,35 @@ def test_mu_sweep_records_linear_and_local_failures(error, monkeypatch):
     assert [e.mu for e in rep.entries if e.failure is None] == [0.1]
 
 
-def test_seminorm_axes_3d_smoke():
-    grid = build_grid(Geometry(d=3, mode="mixed"), 4)
+@pytest.mark.parametrize("d, axis", [
+    (2, "time"), (2, "tangential-1"), (2, "normal"),
+    (3, "time"), (3, "tangential-1"), (3, "tangential-2"), (3, "normal")])
+def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
+    # every row is the phi-weighted L2 norm of diff_quotient output,
+    # phi taken at the unshifted point, aggregated as sup or left-rule
+    grid = build_grid(Geometry(d=d, mode="mixed"), 4)
     cutoff = make_cutoff(grid, eps0=0.15, h0=0.1)
     rng = np.random.default_rng(42)
-    sigma = rng.standard_normal((5, grid.ncells, grid.nqp, 6))
+    sigma = rng.standard_normal((5, grid.ncells, grid.nqp, grid.m))
     hist = _history(grid, sigma, np.linspace(0, 1, 5))
-    for axis in ("tangential-1", "tangential-2", "normal", "time"):
-        table = seminorm_table(hist, axis, "sigma", cutoff, "sup")
-        assert np.all(table.values >= 0)
-        assert table.h[0] == pytest.approx(
-            0.25 if axis != "time" else 0.25)
+    phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
+    for mode in ("sup", "integral"):
+        table = seminorm_table(hist, axis, "sigma", cutoff, mode)
+        assert table.h[0] == pytest.approx(0.25)
+        for h, value in table.rows():
+            k = int(round(h / table.base))
+            dq = diff_quotient(sigma, axis, k, grid)
+            if axis == "time":
+                w = phi
+            else:
+                ax = probes._space_axis(axis, d)
+                w = np.take(phi, np.arange(grid.cell_counts[ax] - k), axis=ax)
+            dq = dq.reshape(dq.shape[:1] + w.shape + dq.shape[-1:])
+            per_t = ((w[None, ..., None] * dq) ** 2).reshape(
+                dq.shape[0], -1).sum(axis=1) * grid.qp_weight
+            expected = (per_t.max() if mode == "sup"
+                        else per_t[:-1].sum() * hist.dt)
+            assert value > 0.0
+            assert value == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        seminorm_table(hist, "tangential-3", "sigma", cutoff, "sup")
+        seminorm_table(hist, f"tangential-{d}", "sigma", cutoff, "sup")

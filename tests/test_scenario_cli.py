@@ -193,7 +193,9 @@ def test_cli_linear_solver_failure_exits_3(command, tmp_path, monkeypatch,
                    for e in summary["entries"])
         assert "partial" in capsys.readouterr().err
     else:
-        assert "singular matrix" in capsys.readouterr().err
+        # raised out of the command, mapped to 3 by main
+        err = capsys.readouterr().err
+        assert "solver failure: singular matrix" in err
 
 
 def test_cli_targets_output(capsys):
@@ -203,12 +205,23 @@ def test_cli_targets_output(capsys):
     assert payload["sigma_normal"] == pytest.approx((-3 + np.sqrt(57)) / 8)
 
 
-def test_cli_io_failure(tmp_path):
+def test_cli_io_failure(tmp_path, capsys):
     scn_file = tmp_path / "scn.json"
     scn_file.write_text(json.dumps(minimal_config(N=2)))
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
     assert cli_main(["run", str(scn_file), "--out", str(target)]) == 4
+    assert "i/o failure: cannot create" in capsys.readouterr().err
+
+
+def test_cli_sweep_blocked_mu_directory_exits_4(tmp_path, capsys):
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(minimal_config(mu=[0.2, 0.1], N=2)))
+    out = tmp_path / "s"
+    out.mkdir()
+    (out / "mu_2.000e-01").write_text("a file, not a directory")
+    assert cli_main(["sweep", str(scn_file), "--out", str(out)]) == 4
+    assert "i/o failure: cannot create" in capsys.readouterr().err
 
 
 def test_console_script_help():
