@@ -272,7 +272,7 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
     r = residual(z)
     rn = np.linalg.norm(r)
     for _ in range(NEWTON_BUDGET):
-        if rn <= tol:
+        if rn <= tol or not np.isfinite(rn):   # no step cures a NaN
             break
         dz = np.linalg.solve(jacobian(z), -r)
         alpha = 1.0
@@ -280,7 +280,8 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
             z_new = z + alpha * dz
             r_new = residual(z_new)
             rn_new = np.linalg.norm(r_new)
-            if rn_new < rn * (1.0 - 1e-4 * alpha) or rn_new <= tol:
+            if rn_new < rn * (1.0 - 1e-4 * alpha) or rn_new <= tol \
+                    or not np.isfinite(rn_new):
                 break
             alpha *= 0.5
         z, r, rn = z_new, r_new, rn_new

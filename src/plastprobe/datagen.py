@@ -56,15 +56,27 @@ class SineProfile:
         # arg[..., i, j] = freq_ij x_j + phase_ij
         return self.freq * x[..., None, :] + self.phase
 
+    def _sin_prod(self, s, skip=()):
+        """prod_j s[..., :, j] over j not in skip, multiplied in order of j.
+
+        Bit-identical to ``np.prod`` over the kept columns; None if none
+        is kept (a factor of one, which is exact to leave out).
+        """
+        out = None
+        for j in range(self.d):
+            if j not in skip:
+                out = s[..., :, j] if out is None else out * s[..., :, j]
+        return out
+
     def value(self, x):
-        return self.amp * np.sin(self._args(x)).prod(axis=-1)
+        return self.amp * self._sin_prod(np.sin(self._args(x)))
 
     def grad(self, x):
         arg = self._args(x)
         s, c = np.sin(arg), np.cos(arg)
         out = np.empty(arg.shape)
         for j in range(self.d):
-            rest = np.prod(np.delete(s, j, axis=-1), axis=-1)
+            rest = self._sin_prod(s, skip=(j,))
             out[..., :, j] = self.amp * self.freq[:, j] * c[..., :, j] * rest
         return out
 
@@ -72,17 +84,18 @@ class SineProfile:
         arg = self._args(x)
         s, c = np.sin(arg), np.cos(arg)
         d = self.d
+        full = self._sin_prod(s)
         out = np.empty(arg.shape[:-1] + (d, d))
         for j in range(d):
             for k in range(j, d):
                 if j == k:
-                    val = -self.amp * self.freq[:, j] ** 2 * s.prod(axis=-1)
+                    val = -self.amp * self.freq[:, j] ** 2 * full
                 else:
-                    keep = [m for m in range(d) if m not in (j, k)]
-                    rest = (np.prod(s[..., :, keep], axis=-1)
-                            if keep else np.ones(arg.shape[:-1]))
                     val = (self.amp * self.freq[:, j] * self.freq[:, k]
-                           * c[..., :, j] * c[..., :, k] * rest)
+                           * c[..., :, j] * c[..., :, k])
+                    rest = self._sin_prod(s, skip=(j, k))
+                    if rest is not None:
+                        val = val * rest
                 out[..., :, j, k] = val
                 out[..., :, k, j] = val
         return out

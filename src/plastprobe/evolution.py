@@ -240,7 +240,9 @@ def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
     vals = grid.shape_values
     udot_qp = np.einsum("qa,cai->cqi", vals, udot[grid.cell_nodes],
                         optimize=True)
-    h1 = grid.integrate_qp((udot_qp**2).sum(axis=-1)
+    # (grad**2).sum over two axes groups its terms by grad's memory
+    # layout, which no fixed order of slices repeats bit for bit
+    h1 = grid.integrate_qp(tensors.inner(udot_qp, udot_qp)
                            + (grad**2).sum(axis=(-1, -2)))
     acc["udot_h1"].append(np.sqrt(h1))
     prev = acc["dissipation_cum"][-1] if acc["dissipation_cum"] else 0.0

@@ -11,6 +11,15 @@ equals the Frobenius double contraction of the full matrices, so norms,
 deviators and eigenvalue computations on the m x m representation of
 fourth-order tensors are exact.  All functions broadcast over leading
 axes; the last axis is always the component axis.
+
+The per-point kernels (tr, dev, inner and everything built on them) run
+on every quadrature point of every Newton iteration, so they take no
+reduction over the 2-to-6-long component axis: they add component
+slices in the order numpy's ``sum`` does, starting from +0.0, which
+makes them bit-identical to ``vec[..., :d].sum(-1)`` and
+``(a * b).sum(-1)`` (signed zeros and inf included; a nan stays a nan)
+at a fraction of the cost.  Keep that rule when editing them: a changed
+summation order moves the round-off of every stored trajectory.
 """
 
 from __future__ import annotations
@@ -80,26 +89,36 @@ def identity(d: int) -> np.ndarray:
 
 
 def tr(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec)
+    vec = np.asarray(vec, dtype=float)
     d = mandel_dim(vec.shape[-1])
-    return vec[..., :d].sum(axis=-1)
+    out = vec[..., 0] + vec[..., 1]
+    if d == 3:
+        out += vec[..., 2]
+    out += 0.0          # a sum starts from +0.0, so -0.0 + -0.0 gives +0.0
+    return out
 
 
 def dev(vec: np.ndarray) -> np.ndarray:
     """Deviator: vec minus (tr/d) * identity."""
     vec = np.asarray(vec, dtype=float)
     d = mandel_dim(vec.shape[-1])
+    mean = tr(vec) / d
     out = vec.copy()
-    out[..., :d] -= (tr(vec) / d)[..., None]
+    for i in range(d):
+        out[..., i] -= mean
     return out
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"component mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    return (a * b).sum(axis=-1)
+    out = a[..., 0] * b[..., 0]
+    out += 0.0          # see tr
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
 
 
 def norm(vec: np.ndarray) -> np.ndarray:

@@ -312,6 +312,34 @@ def test_nan_increment_raises_on_general_path(model):
         local_update(state, np.full((1, 3), np.nan), 0.1, params)
 
 
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_nan_increment_stops_after_one_residual(model, monkeypatch):
+    # the residual norm is the one np.linalg.norm call per evaluation of
+    # the residual; a NaN increment must not spend the Newton budget of
+    # 100 iterations of 20 line-search halvings
+    from plastprobe.constitutive import LocalSolverError
+    rng = np.random.default_rng(29)
+    params = make_params(model=model, mu=0.1,
+                         elastic=random_spd_tensor4(rng, 2),
+                         hardening=random_spd_tensor4(rng, 2))
+    real_norm = np.linalg.norm
+    calls = []
+
+    def counting_norm(*args, **kwargs):
+        calls.append(1)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    state = ConstitutiveState.zeros(model, 2, (1,))
+    with pytest.raises(LocalSolverError):
+        local_update(state, np.full((1, 3), np.nan), 0.1, params)
+    assert len(calls) == 1
+    calls.clear()
+    # a plastic point still converges through the damped Newton loop
+    local_update(state, np.array([[3.0, -3.0, 1.0]]), 0.1, params)
+    assert 2 <= len(calls) <= 50
+
+
 def test_validate_flags_bad_hardening():
     params = MaterialParams(elastic=Tensor4Sym.identity_map(2), model=ISOTROPIC,
                             kappa=1.0, mu=0.1, hardening_modulus=0.1, c1=0.5)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from plastprobe.constitutive import (ConstitutiveState, MaterialParams,
                                      consistent_tangent)
 from plastprobe.datagen import DataGenerator, PolyProfile, SineProfile
-from plastprobe.fem import Geometry, build_grid, make_cutoff
+from plastprobe.fem import MODES, Geometry, build_grid, make_cutoff
 from plastprobe.tensors import Tensor4Sym, from_matrix
 
 
@@ -238,6 +239,44 @@ def test_korn_coercivity_small_grids():
             K = g.assemble_tangent(D)
             Kff = K[g.free_dofs][:, g.free_dofs].toarray()
             assert np.linalg.eigvalsh(Kff)[0] > 1e-10
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
+def test_assemble_tangent_bit_identical_to_coo_tocsr(d, n, mode):
+    # the fixed-pattern scatter must repeat coo_matrix.tocsr's summation
+    # order exactly; element (c, a, i, b, j) couples dofs[c, a*d+i] and
+    # dofs[c, b*d+j]
+    g = build_grid(Geometry(d=d, mode=mode), n)
+    m = g.m
+    rng = np.random.default_rng(60 + d)
+    ndc = g.cell_dofs.shape[1]
+    dofs = g.cell_dofs.astype(np.int32)       # the index type tocsr picks
+    rows = np.repeat(dofs, ndc, axis=1).ravel()
+    cols = np.tile(dofs, (1, ndc)).ravel()
+    elastic = np.ascontiguousarray(np.broadcast_to(
+        np.linalg.inv(Tensor4Sym.isotropic(d, 1.3, 0.7).matrix),
+        (g.ncells, g.nqp, m, m)))
+    R = rng.standard_normal((g.ncells, g.nqp, m, m))
+    fields = [elastic, R + np.swapaxes(R, -1, -2),
+              # strided and transposed inputs change the einsum's layout
+              np.swapaxes(R + np.swapaxes(R, -1, -2), -1, -2)[::-1],
+              np.zeros((g.ncells, g.nqp, m, m))]
+    built = []
+    for D in fields:
+        K = g.assemble_tangent(D)
+        Kc = np.einsum("qmai,cqmn,qnbj->caibj", g.B, D, g.B, optimize=True)
+        Kc *= g.qp_weight
+        ref = sparse.coo_matrix((Kc.ravel(), (rows, cols)),
+                                shape=K.shape).tocsr()
+        assert K.data.tobytes() == ref.data.tobytes()
+        np.testing.assert_array_equal(K.indices, ref.indices)
+        np.testing.assert_array_equal(K.indptr, ref.indptr)
+        assert K.has_canonical_format
+        built.append(K)
+    for i, K in enumerate(built):
+        for other in built[i + 1:]:
+            assert not np.shares_memory(K.data, other.data)
 
 
 def test_singular_tangent_raises():

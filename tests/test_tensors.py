@@ -211,3 +211,123 @@ def test_spd_sandwich_on_random_maps():
             quad = inner(C.apply(v), v)
             nv = inner(v, v)
             assert 0.5 * nv - 1e-12 <= quad <= 2.0 * nv + 1e-12
+
+
+# -- bit identity of the unrolled component kernels -------------------------
+#
+# tr, dev and inner add component slices instead of reducing over the
+# component axis; they must give the very bits of numpy's reductions.
+# Where two NaNs of opposite sign meet, numpy's own reduction picks the
+# result's sign by array shape, so NaN results are compared as NaN.
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300,
+                    5e-324, 1.0, -1.0, 1e16, -3.0])
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    nan = np.isnan(ref)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+def ref_tr(vec, d):
+    return vec[..., :d].sum(-1)
+
+
+def ref_dev(vec, d):
+    out = vec.copy()
+    out[..., :d] -= (vec[..., :d].sum(-1) / d)[..., None]
+    return out
+
+
+def ref_inner(a, b):
+    return (a * b).sum(-1)
+
+
+def component_samples(rng, m):
+    """Arrays (..., m): random, special values, broadcast-ready and strided."""
+    yield rng.standard_normal((64, m)) * 10.0 ** rng.integers(-8, 17, (64, m))
+    yield rng.choice(SPECIAL, size=(300, m))
+    yield rng.choice(SPECIAL, size=(3, 5, m))
+    yield np.full((4, m), -0.0)
+    yield rng.standard_normal(m)                         # a single tensor
+    yield rng.standard_normal((6, 2 * m))[:, ::2]        # strided components
+    yield rng.standard_normal((m, 9)).T                  # component axis first
+    yield rng.standard_normal((5, 7, m))[::2, ::-3]      # strided leading axes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_component_kernels_bit_identical_to_reductions(d):
+    rng = np.random.default_rng(40 + d)
+    m = tensors.num_components(d)
+    with np.errstate(all="ignore"):
+        for vec in component_samples(rng, m):
+            assert_same_bits(tr(vec), ref_tr(vec, d))
+            assert_same_bits(dev(vec), ref_dev(vec, d))
+            for other in component_samples(rng, m):
+                try:
+                    np.broadcast_shapes(vec.shape, other.shape)
+                except ValueError:
+                    continue
+                assert_same_bits(inner(vec, other), ref_inner(vec, other))
+            assert_same_bits(norm(vec), np.sqrt(ref_inner(vec, vec)))
+            # broadcast against one tensor and across leading axes
+            one = rng.choice(SPECIAL, size=m)
+            assert_same_bits(inner(vec, one), ref_inner(vec, one))
+            col = rng.standard_normal((2,) + (1,) * (vec.ndim - 1) + (m,))
+            assert_same_bits(inner(col, vec), ref_inner(col, vec))
+
+
+def test_component_kernels_keep_scalar_results_scalar():
+    v = np.array([1.0, 2.0, 3.0])
+    assert type(tr(v)) is type(ref_tr(v, 2))
+    assert type(inner(v, v)) is type(ref_inner(v, v))
+
+
+def _sine_value_ref(p, x):
+    return p.amp * np.sin(p._args(x)).prod(axis=-1)
+
+
+def _sine_grad_ref(p, x):
+    arg = p._args(x)
+    s, c = np.sin(arg), np.cos(arg)
+    out = np.empty(arg.shape)
+    for j in range(p.d):
+        rest = np.prod(np.delete(s, j, axis=-1), axis=-1)
+        out[..., :, j] = p.amp * p.freq[:, j] * c[..., :, j] * rest
+    return out
+
+
+def _sine_hess_ref(p, x):
+    arg = p._args(x)
+    s, c = np.sin(arg), np.cos(arg)
+    d = p.d
+    out = np.empty(arg.shape[:-1] + (d, d))
+    for j in range(d):
+        for k in range(j, d):
+            if j == k:
+                val = -p.amp * p.freq[:, j] ** 2 * s.prod(axis=-1)
+            else:
+                keep = [m for m in range(d) if m not in (j, k)]
+                rest = (np.prod(s[..., :, keep], axis=-1)
+                        if keep else np.ones(arg.shape[:-1]))
+                val = (p.amp * p.freq[:, j] * p.freq[:, k]
+                       * c[..., :, j] * c[..., :, k] * rest)
+            out[..., :, j, k] = val
+            out[..., :, k, j] = val
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sine_profile_bit_identical_to_prod_forms(d):
+    from plastprobe.datagen import SineProfile
+    rng = np.random.default_rng(50 + d)
+    prof = SineProfile(d, rng.standard_normal(d), 3 * rng.standard_normal((d, d)),
+                       rng.standard_normal((d, d)))
+    for x in (rng.uniform(-1.0, 1.0, (257, d)), rng.uniform(-1.0, 1.0, d),
+              np.zeros((3, d)), rng.uniform(-1.0, 1.0, (4, 2 * d))[:, ::2]):
+        assert_same_bits(prof.value(x), _sine_value_ref(prof, x))
+        assert_same_bits(prof.grad(x), _sine_grad_ref(prof, x))
+        assert_same_bits(prof.hess(x), _sine_hess_ref(prof, x))
