@@ -191,16 +191,45 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
     return ConstitutiveState(sigma=sigma, xi=xi, ep=ep)
 
 
-def _penalty_and_jac(beta: np.ndarray, kappa: float, mu: float):
-    """P(beta) and dP/dbeta for a single point (beta shape (m,))."""
-    m = beta.shape[-1]
-    b = float(norm(beta))
-    if b <= kappa or b == 0.0:
-        return np.zeros(m), np.zeros((m, m))
-    n = beta / b
-    p = (b - kappa) / mu * n
-    jac = ((1.0 - kappa / b) * np.eye(m) + (kappa / b) * np.outer(n, n)) / mu
-    return p, jac
+def _local_jacobian(sigma, xi, dt, params):
+    """Jacobian of the general local system in (sigma, xi), batched over points.
+
+    sigma is (n, m); xi is (n, m) for the kinematic and (n,) for the
+    isotropic model.  Returns (n, 2m, 2m) resp. (n, m+1, m+1).  Points on
+    or inside the yield surface get the elastic block diag(A, H).
+    """
+    m = params.m
+    Pd = dev_projector(params.d)
+    kinematic = params.model == KINEMATIC
+    beta = dev(sigma) - dev(xi) if kinematic else dev(sigma)
+    b = norm(beta)
+    denom = np.where(b > 0.0, b, 1.0)
+    nvec = beta / denom[:, None]
+    nn = nvec[:, :, None] * nvec[:, None, :]
+    k = m if kinematic else 1
+    J = np.zeros((b.size, m + k, m + k))
+    J[:, :m, :m] = params.elastic.matrix
+    if kinematic:
+        # dP/dbeta restricted to deviators; P = mu^-1 (|beta| - kappa)_+ n
+        act = np.flatnonzero(b > params.kappa)
+        kb = (params.kappa / denom[act])[:, None, None]
+        dP = ((1.0 - kb) * Pd + kb * nn[act]) / params.mu
+        J[:, m:, m:] = params.hardening_tensor.matrix
+        cross = -dt * dP
+        J[act, m:, m:] += dt * dP
+    else:
+        # b = |dev sigma|; g = |dev sigma| - kappa - xi drives xi
+        g = b - params.kappa - xi
+        act = np.flatnonzero((b > 0.0) & (g > 0.0))
+        dP = (nn[act] + (g[act] / denom[act])[:, None, None]
+              * (Pd - nn[act])) / params.mu
+        J[:, m, m] = params.hardening_modulus
+        cross = (-dt / params.mu * nvec[act])[:, :, None]
+        J[act, m, m] += dt / params.mu
+    J[act, :m, :m] += dt * dP
+    J[act, :m, m:] = cross
+    J[act, m:, :m] = cross.transpose(0, 2, 1)
+    return J
 
 
 def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
@@ -208,7 +237,6 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
     m = params.m
     A = params.elastic.matrix
     a_inv = np.linalg.inv(A)
-    Pd = dev_projector(params.d)
     kinematic = params.model == KINEMATIC
     if kinematic:
         H = params.hardening_tensor.matrix
@@ -224,13 +252,12 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
         sig = zv[:m]
         if kinematic:
             xi = zv[m:]
-            beta = Pd @ (sig - xi)
-            p, _ = _penalty_and_jac(beta, params.kappa, params.mu)
+            p = tensors.penalty(dev(sig) - dev(xi), params.kappa, params.mu)
             r1 = A @ (sig - sigma0) + dt * p - deps
             r2 = H @ (xi - xi0) - dt * p
             return np.concatenate([r1, r2])
         xi = zv[m]
-        sd = Pd @ sig
+        sd = dev(sig)
         s = float(norm(sd))
         g = max(s - params.kappa - xi, 0.0)
         nvec = sd / s if s > 0 else np.zeros(m)
@@ -238,43 +265,13 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
         r2 = H * (xi - xi0) - dt * g / params.mu
         return np.concatenate([r1, [r2]])
 
-    def jacobian(zv):
-        sig = zv[:m]
-        if kinematic:
-            xi = zv[m:]
-            beta = Pd @ (sig - xi)
-            _, K = _penalty_and_jac(beta, params.kappa, params.mu)
-            KD = K @ Pd
-            J = np.zeros((2 * m, 2 * m))
-            J[:m, :m] = A + dt * KD
-            J[:m, m:] = -dt * KD
-            J[m:, :m] = -dt * KD
-            J[m:, m:] = H + dt * KD
-            return J
-        xi = zv[m]
-        sd = Pd @ sig
-        s = float(norm(sd))
-        J = np.zeros((m + 1, m + 1))
-        g = s - params.kappa - xi
-        if s > 0 and g > 0:
-            nvec = sd / s
-            dP = (np.outer(nvec, nvec)
-                  + (g / s) * (Pd - np.outer(nvec, nvec))) / params.mu
-            J[:m, :m] = A + dt * dP
-            J[:m, m] = -dt / params.mu * nvec
-            J[m, :m] = -dt / params.mu * nvec
-            J[m, m] = H + dt / params.mu
-        else:
-            J[:m, :m] = A
-            J[m, m] = H
-        return J
-
     r = residual(z)
     rn = np.linalg.norm(r)
     for _ in range(NEWTON_BUDGET):
         if rn <= tol or not np.isfinite(rn):   # no step cures a NaN
             break
-        dz = np.linalg.solve(jacobian(z), -r)
+        xi = z[None, m:] if kinematic else z[m:]
+        dz = np.linalg.solve(_local_jacobian(z[None, :m], xi, dt, params)[0], -r)
         alpha = 1.0
         while alpha > 1e-6:
             z_new = z + alpha * dz
@@ -359,82 +356,47 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     one-sided derivative keeps the global Newton convergent).
     """
     deps = np.asarray(deps, dtype=float)
-    if deps.ndim == 1:
-        if updated is not None:
-            xi_up = (np.atleast_2d(updated.xi) if params.model == KINEMATIC
-                     else np.atleast_1d(updated.xi))
-            updated = ConstitutiveState(np.atleast_2d(updated.sigma), xi_up,
-                                        np.atleast_2d(updated.ep))
-        return consistent_tangent(state, deps[None, :], dt, params,
-                                  updated=updated)[0]
     if updated is None:
         updated = local_update(state, deps, dt, params)
     m = params.m
-    batch = deps.shape[:-1]
-    A = params.elastic.matrix
-    a_inv_mat = np.linalg.inv(A)
-    Pd = dev_projector(params.d)
-
     excess = np.asarray(yield_excess(updated, params)).ravel()
     act = np.flatnonzero(excess > KINK_GUARD)
-    out = np.broadcast_to(a_inv_mat, batch + (m, m)).copy()
+    out = np.broadcast_to(np.linalg.inv(params.elastic.matrix),
+                          deps.shape[:-1] + (m, m)).copy()
     if act.size == 0:
         return out
     out_flat = out.reshape(-1, m, m)
 
-    beta = np.asarray(beta_of(updated, params)).reshape(-1, m)[act]
-    b = norm(beta)
-    denom = np.where(b > 0, b, 1.0)
-    nvec = beta / denom[:, None]
-    nn = nvec[:, :, None] * nvec[:, None, :]
-
-    if params.is_fast:
-        # radial return: sigma = sigma_tr - (dt/a) q n, with a the
-        # deviatoric modulus of A, q = excess/mu affine in the trial
-        # radius |beta| + dt q c_tr, and n = beta/|beta|; differentiating
-        # gives d sigma/d deps = A^-1 - c1 P_dev - c2 n (x) n.
-        inv_a = 1.0 / params.elastic.dev_modulus
-        if params.model == KINEMATIC:
-            inv_h = 1.0 / params.hardening_tensor.dev_modulus
-            c_tr = inv_a + inv_h
-        else:
-            inv_h = 1.0 / params.hardening_modulus
-            c_tr = inv_a
-        q = excess[act] / params.mu
-        c1 = dt * inv_a**2 * q / (b + dt * q * c_tr)
-        c2 = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1
-        out_flat[act] -= c1[:, None, None] * Pd + c2[:, None, None] * nn
+    if not params.is_fast:
+        xi = np.reshape(updated.xi, (-1, m) if params.model == KINEMATIC else -1)
+        J = _local_jacobian(np.reshape(updated.sigma, (-1, m))[act], xi[act],
+                            dt, params)
+        # d(sigma, xi)/d deps solves J X = (I, 0)
+        rhs = np.broadcast_to(np.eye(J.shape[-1], m), J.shape[:-1] + (m,))
+        out_flat[act] = np.linalg.solve(J, rhs)[:, :m]
         return out
 
-    na = act.size
+    # radial return: sigma = sigma_tr - (dt/a) q n, with a the deviatoric
+    # modulus of A, q = excess/mu affine in the trial radius
+    # |beta| + dt q c_tr, and n = beta/|beta|; differentiating gives
+    # d sigma/d deps = A^-1 - c1 P_dev - c2 n (x) n.
+    beta = np.asarray(beta_of(updated, params)).reshape(-1, m)[act]
+    b = norm(beta)
+    nvec = beta / np.where(b > 0, b, 1.0)[:, None]
+    nn = nvec[:, :, None] * nvec[:, None, :]
+    inv_a = 1.0 / params.elastic.dev_modulus
     if params.model == KINEMATIC:
-        kappa_over_b = params.kappa / denom
-        KD = ((1.0 - kappa_over_b)[:, None, None] * Pd
-              + kappa_over_b[:, None, None] * nn) / params.mu
-        J = np.zeros((na, 2 * m, 2 * m))
-        Hm = params.hardening_tensor.matrix
-        J[:, :m, :m] = A + dt * KD
-        J[:, :m, m:] = -dt * KD
-        J[:, m:, :m] = -dt * KD
-        J[:, m:, m:] = Hm + dt * KD
-        rhs = np.zeros((2 * m, m))
-        rhs[:m, :] = np.eye(m)
-        sol = np.linalg.solve(J, np.broadcast_to(rhs, (na, 2 * m, m)))
+        inv_h = 1.0 / params.hardening_tensor.dev_modulus
+        c_tr = inv_a + inv_h
     else:
-        # b = |dev sigma| here; excess = (b - kappa - xi)_+
-        g_over_s = excess[act] / denom
-        dP = (nn + g_over_s[:, None, None] * (Pd - nn)) / params.mu
-        J = np.zeros((na, m + 1, m + 1))
-        J[:, :m, :m] = A + dt * dP
-        J[:, :m, m] = -dt / params.mu * nvec
-        J[:, m, :m] = -dt / params.mu * nvec
-        J[:, m, m] = params.hardening_modulus + dt / params.mu
-        rhs = np.zeros((m + 1, m))
-        rhs[:m, :] = np.eye(m)
-        sol = np.linalg.solve(J, np.broadcast_to(rhs, (na, m + 1, m)))
-
-    out_flat[act] = sol[:, :m, :]
-    return out_flat.reshape(batch + (m, m))
+        inv_h = 1.0 / params.hardening_modulus
+        c_tr = inv_a
+    q = excess[act] / params.mu
+    c1 = dt * inv_a**2 * q / (b + dt * q * c_tr)
+    c2 = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1
+    out_flat[act] -= (c1[:, None, None] * dev_projector(params.d)
+                      + c2[:, None, None] * nn)
+    return out
 
 
 def kkt_residual(state: ConstitutiveState, rate_ep: np.ndarray,

@@ -18,83 +18,14 @@ from pathlib import Path
 import numpy as np
 import jsonschema
 
-from .constitutive import ISOTROPIC, KINEMATIC, MaterialParams
+from .constitutive import KINEMATIC, MaterialParams
 from .datagen import DataGenerator, PolyProfile, SineProfile
 from .fem import Geometry, Grid, build_grid, make_cutoff
 from .tensors import Tensor4Sym
 from . import evolution
 
-SCHEMA = {
-    "type": "object",
-    "required": ["model", "d", "n", "T", "N", "mu", "kappa", "elastic",
-                 "hardening", "boundary_mode", "data"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "model": {"enum": [KINEMATIC, ISOTROPIC]},
-        "d": {"enum": [2, 3]},
-        "n": {"type": "integer", "minimum": 2},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "N": {"type": "integer", "minimum": 1},
-        "mu": {"anyOf": [
-            {"type": "number", "exclusiveMinimum": 0},
-            {"type": "array", "minItems": 1,
-             "items": {"type": "number", "exclusiveMinimum": 0}}]},
-        "kappa": {"type": "number", "exclusiveMinimum": 0},
-        "c1": {"type": "number", "exclusiveMinimum": 0},
-        "elastic": {
-            "type": "object", "required": ["type"],
-            "properties": {
-                "type": {"enum": ["identity", "isotropic"]},
-                "dev_modulus": {"type": "number", "exclusiveMinimum": 0},
-                "vol_modulus": {"type": "number", "exclusiveMinimum": 0}},
-        },
-        "hardening": {
-            "type": "object", "required": ["type"],
-            "properties": {
-                "type": {"enum": ["identity", "isotropic", "modulus"]},
-                "dev_modulus": {"type": "number", "exclusiveMinimum": 0},
-                "vol_modulus": {"type": "number", "exclusiveMinimum": 0},
-                "H": {"type": "number", "exclusiveMinimum": 0}},
-        },
-        "boundary_mode": {"enum": ["mixed", "all-dirichlet",
-                                   "all-neumann-bottom"]},
-        "data": {
-            "type": "object", "required": ["generator", "terms"],
-            "properties": {
-                "generator": {"enum": ["poly", "sine"]},
-                "terms": {"type": "array", "minItems": 1}},
-        },
-        "cutoff": {
-            "type": "object",
-            "properties": {
-                "eps0": {"type": "number"}, "h0": {"type": "number"},
-                "side": {"enum": ["neumann", "dirichlet"]}},
-        },
-        "probes": {"type": "array", "items": {
-            "type": "object", "required": ["axis", "field", "mode"],
-            "properties": {
-                "axis": {"enum": ["time", "tangential-1", "tangential-2",
-                                  "normal"]},
-                "field": {"enum": ["sigma", "xi", "sigma_dot", "xi_dot",
-                                   "grad_u_dot"]},
-                "mode": {"enum": ["sup", "integral"]}},
-        }},
-        "fit_window": {"type": "object", "properties": {
-            "space": {"type": "array", "minItems": 2, "maxItems": 2},
-            "time": {"type": "array", "minItems": 2, "maxItems": 2}}},
-        "delta": {"type": "number", "exclusiveMinimum": 0,
-                  "exclusiveMaximum": 0.3333333333333333},
-        "solver": {
-            "enum": ["auto", "direct", "cg"],
-            "description": "kept for older scenario files; every value "
-                           "selects the same solver: the elastic stiffness "
-                           "is factorized once per run, elastic steps solve "
-                           "exactly with it and plastic steps run CG on the "
-                           "consistent tangent preconditioned with it"},
-        "allow_coarse_dt": {"type": "boolean"},
-    },
-}
+SCHEMA = json.loads(resources.files("plastprobe")
+                    .joinpath("scenario.schema.json").read_text())
 
 DEFAULTS = {
     "name": "unnamed",
@@ -296,8 +227,7 @@ def validate(scenario: Scenario) -> list[str]:
         violations.append(f"cutoff: {exc}")
 
     grid = scenario.grid()
-    safety = evolution.safety_load_check(grid, params, scenario.data,
-                                         scenario.times)
+    safety = evolution.safety_load_check(grid, params, scenario.data)
     if not safety.passed:
         violations.append(
             f"safety load violated: ||dev sigma0(0)||_inf margin "

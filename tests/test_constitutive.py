@@ -10,8 +10,8 @@ from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
                                      local_update, yield_excess)
 from plastprobe.tensors import Tensor4Sym, from_matrix, inner, norm
 
-from oracles import (fd_jacobian, oracle_local_update, oracle_radial_bisection,
-                     random_spd_tensor4)
+from oracles import (fd_jacobian, local_system_residual, oracle_local_update,
+                     oracle_radial_bisection, random_spd_tensor4)
 
 
 def make_params(model=KINEMATIC, d=2, kappa=1.0, mu=1.0, elastic=None,
@@ -249,6 +249,79 @@ def test_closed_form_tangent_matches_batched_solve(model, d):
             assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
         excess = yield_excess(local_update(near, near_deps, dt, fast), fast)
         assert np.all(excess > KINK_GUARD)
+
+
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_jacobian_matches_oracle_residual(model, d):
+    # the one linearization behind the damped Newton and the general
+    # tangent, against finite differences of the independent residual
+    from plastprobe.constitutive import _local_jacobian
+    rng = np.random.default_rng(30 + d)
+    m = tensors.num_components(d)
+    params = make_params(model, d, mu=0.3, elastic=random_spd_tensor4(rng, d),
+                         hardening=random_spd_tensor4(rng, d), H=1.3)
+    dt = 0.7
+    sigmas, xis = [], []
+    for radius in (2.5, 0.4, 1.8, 0.2):      # plastic / elastic, off the kink
+        sigma = rng.standard_normal(m)
+        if model == KINEMATIC:
+            xi = rng.standard_normal(m)
+            beta = tensors.dev(sigma) - tensors.dev(xi)
+            sigma = sigma + (radius * params.kappa / norm(beta) - 1.0) * beta
+        else:
+            # yield excess |dev sigma| - kappa - xi = radius - 1
+            xi = float(norm(tensors.dev(sigma))) - params.kappa - (radius - 1.0)
+        sigmas.append(sigma)
+        xis.append(xi)
+        z = np.concatenate([sigma, np.atleast_1d(xi)])
+        J = _local_jacobian(sigma[None], np.asarray(xi)[None], dt, params)[0]
+        fd = fd_jacobian(lambda zv: local_system_residual(
+            zv, sigma, xi, np.zeros(m), dt, params), z)
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-7)
+        if radius < 1.0:
+            k = z.size - m
+            H = (params.hardening_tensor.matrix if model == KINEMATIC
+                 else np.array([[params.hardening_modulus]]))
+            np.testing.assert_array_equal(J[:m, :m], params.elastic.matrix)
+            np.testing.assert_array_equal(J[m:, m:], H)
+            np.testing.assert_array_equal(J[:m, m:], np.zeros((m, k)))
+    batched = _local_jacobian(np.array(sigmas), np.array(xis), dt, params)
+    stacked = [_local_jacobian(s[None], np.asarray(x)[None], dt, params)[0]
+               for s, x in zip(sigmas, xis)]
+    np.testing.assert_array_equal(batched, np.array(stacked))
+
+
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_single_point_tangent_equals_batched_row(model):
+    rng = np.random.default_rng(31)
+    d, m = 2, 3
+    fast = make_params(model, d, mu=0.05,
+                       elastic=Tensor4Sym.isotropic(d, 0.7, 0.4),
+                       hardening=Tensor4Sym.isotropic(d, 1.3, 2.0), H=1.3)
+    general = make_params(model, d, mu=0.05,
+                          elastic=random_spd_tensor4(rng, d),
+                          hardening=random_spd_tensor4(rng, d), H=1.3)
+    state = ConstitutiveState.zeros(model, d)
+    state.sigma = 0.3 * rng.standard_normal(m)
+    for params in (fast, general):
+        a_inv = np.linalg.inv(params.elastic.matrix)
+        for deps, plastic in ((from_matrix(np.diag([2.0, -2.0])), True),
+                              (0.01 * rng.standard_normal(m), False)):
+            upd = local_update(state, deps, 0.1, params)
+            upd_row = local_update(state, deps[None], 0.1, params)
+            row = consistent_tangent(state, deps[None], 0.1, params,
+                                     updated=upd_row)[0]
+            assert plastic != np.allclose(row, a_inv)
+            for one in (consistent_tangent(state, deps, 0.1, params),
+                        consistent_tangent(state, deps, 0.1, params,
+                                           updated=upd)):
+                assert one.shape == (m, m)
+                if params.is_fast:
+                    np.testing.assert_array_equal(one, row)
+                else:
+                    np.testing.assert_allclose(
+                        one, row, rtol=0, atol=1e-14 * np.abs(row).max())
 
 
 def test_tangent_consistency_plastic_spec_example():

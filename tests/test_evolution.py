@@ -198,11 +198,9 @@ def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
 def test_safety_load_check_benchmarks():
     scn = load_benchmark("mixed-boundary-kinematic", n=4, N=8,
                          allow_coarse_dt=True)
-    rep = evolution.safety_load_check(scn.grid(), scn.material(), scn.data,
-                                      scn.times)
+    rep = evolution.safety_load_check(scn.grid(), scn.material(), scn.data)
     assert rep.passed
     assert rep.margin == pytest.approx(1.0)        # sigma0(0) = 0
-    assert rep.sup_gap_kinematic == pytest.approx(0.0, abs=1e-12)
 
 
 def test_safety_load_margin_scan_oracle():
@@ -214,8 +212,7 @@ def test_safety_load_margin_scan_oracle():
     from plastprobe.scenario import parse_scenario_dict
     scn = parse_scenario_dict(scn.config)
     grid = scn.grid()
-    rep = evolution.safety_load_check(grid, scn.material(), scn.data,
-                                      scn.times)
+    rep = evolution.safety_load_check(grid, scn.material(), scn.data)
     fine = build_grid(Geometry(d=2, mode="mixed"), 4 * grid.n)
     s0 = scn.data.sigma0(0.0, fine.qp_coords.reshape(-1, 2))
     margin_fine = scn.material().kappa - tensors.norm(tensors.dev(s0)).max()
@@ -234,9 +231,40 @@ def test_safety_load_fails_at_equality():
     peak = tensors.norm(tensors.dev(s0)).max()
     scn.config["kappa"] = float(peak)
     scn2 = parse_scenario_dict(scn.config)
-    rep = evolution.safety_load_check(grid, scn2.material(), scn2.data,
-                                      scn2.times)
+    rep = evolution.safety_load_check(grid, scn2.material(), scn2.data)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_safety_margin_is_translated_pair_gap_at_every_time(model):
+    # the check reads sigma0 at t = 0 only: with the translated pair the
+    # feasibility gap at every time level equals its value at t = 0
+    from plastprobe.scenario import parse_scenario_dict
+    scn = load_benchmark("elastic-only", n=8)
+    scn.config["data"]["terms"][0]["tpoly"] = [0.4, 1.0]
+    scn.config["model"] = model
+    if model == ISOTROPIC:
+        scn.config["hardening"] = {"type": "modulus", "H": 1.0}
+    scn = parse_scenario_dict(scn.config)
+    grid, params = scn.grid(), scn.material()
+    x = grid.qp_coords.reshape(-1, 2)
+    s0 = scn.data.sigma0(0.0, x)
+    dev0 = tensors.norm(tensors.dev(s0))
+    assert dev0.max() > 0.0
+    gap = 0.0
+    for t in scn.times:
+        st = scn.data.sigma0(float(t), x)
+        if model == KINEMATIC:
+            xi0 = st - s0
+            g = tensors.norm(tensors.dev(st) - tensors.dev(xi0))
+        else:
+            mag = tensors.norm(tensors.dev(st))
+            xi0 = mag - dev0
+            g = mag - xi0
+        gap = max(gap, float(g.max()))
+    rep = evolution.safety_load_check(grid, params, scn.data)
+    assert rep.passed
+    assert gap == pytest.approx(params.kappa - rep.margin, rel=1e-12)
 
 
 def test_weak_divergence_defect_small_for_generators():

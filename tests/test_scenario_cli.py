@@ -231,12 +231,19 @@ def test_console_script_help():
     assert "validate" in out.stdout
 
 
-def test_schema_file_in_docs_matches_module():
-    from plastprobe.scenario import SCHEMA
-    shipped = json.loads(
-        (Path(__file__).resolve().parents[1] / "docs"
-         / "scenario.schema.json").read_text())
-    assert shipped == SCHEMA
+def test_package_data_ships_every_resource():
+    # an installed package reads these files through importlib.resources;
+    # without the schema even "import plastprobe" fails
+    import fnmatch
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"][
+            "plastprobe"]
+    for rel in ["scenario.schema.json"] + [f"benchmarks/{name}.json"
+                                           for name in BENCHMARKS]:
+        assert (root / "src" / "plastprobe" / rel).is_file(), rel
+        assert any(fnmatch.fnmatch(rel, g) for g in globs), rel
 
 
 def test_validate_flags_incompatible_initial_data():
