@@ -18,10 +18,14 @@ import numpy as np
 from . import constitutive, tensors
 from .constitutive import (ConstitutiveState, MaterialParams, local_update,
                            consistent_tangent, yield_excess)
-from .fem import Grid
+from .fem import CG_RTOL, Grid
 
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-10
+# cap of the inexact-Newton forcing term: a plastic tangent is solved to
+# eta = max(CG_RTOL, min(FORCING_MAX, |r| / scale)) relative accuracy
+# (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996)
+FORCING_MAX = 1e-2
 
 
 class GlobalSolverError(RuntimeError):
@@ -186,9 +190,12 @@ class _Stepper:
                 <= constitutive.KINK_GUARD
             solve = self._elastic_solve()
             if not elastic_step:
+                # K is the exact Jacobian, so |K du + r| <= eta |r| with
+                # eta < 1 makes du a descent direction for |r|^2
                 D = consistent_tangent(state_n, deps, dt, params, updated=upd)
+                eta = max(CG_RTOL, min(FORCING_MAX, rnorm / scale))
                 solve = grid.make_solver(grid.assemble_tangent(D),
-                                         self._factor)
+                                         self._factor, rtol=eta)
             du = solve(-r).reshape(grid.nnodes, grid.d)
             del solve           # free this tangent before the next is built
             alpha = 1.0

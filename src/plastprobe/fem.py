@@ -25,6 +25,8 @@ from . import tensors
 
 MODES = ("mixed", "all-dirichlet", "all-neumann-bottom")
 
+# default and floor of the CG relative tolerance; the inexact-Newton
+# forcing term of evolution asks for |r| / scale > NEWTON_RTOL > CG_RTOL
 CG_RTOL = 1e-11
 
 
@@ -334,15 +336,16 @@ class Grid:
         except RuntimeError as exc:   # singular factorization
             raise np.linalg.LinAlgError(str(exc))
 
-    def make_solver(self, K: sparse.csr_matrix | None, factor):
+    def make_solver(self, K: sparse.csr_matrix | None, factor,
+                    rtol: float = CG_RTOL):
         """Reusable solver on the free dofs (full-size in/out vectors).
 
         factor holds the LU factors (``factorize``) of an SPD matrix K0.
-        With K None the solver applies them, an exact solve with K0.
-        Otherwise CG (rtol CG_RTOL) solves with K, preconditioned by
-        factor.  A hardening tangent stays spectrally close to the
-        elastic stiffness, so with the elastic K0 as preconditioner CG
-        needs few iterations.
+        With K None the solver applies them, an exact solve with K0, and
+        rtol is unused.  Otherwise CG solves with K, preconditioned by
+        factor, until |(K x - rhs)_free| <= rtol |rhs_free|.  A hardening
+        tangent stays spectrally close to the elastic stiffness, so with
+        the elastic K0 as preconditioner CG needs few iterations.
         """
         free = self.free_dofs
 
@@ -370,7 +373,7 @@ class Grid:
         def solve(rhs):
             b = rhs.copy()
             b[fixed] = 0.0
-            x, info = sparse_linalg.cg(A, b, rtol=CG_RTOL, atol=0.0, M=M)
+            x, info = sparse_linalg.cg(A, b, rtol=rtol, atol=0.0, M=M)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"CG failed to converge (info={info})")

@@ -290,22 +290,31 @@ class InterpolationReport:
 
 
 def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
-                        window: tuple | None = None) -> InterpolationReport:
+                        window: tuple | None = None,
+                        tables: dict | None = None) -> InterpolationReport:
     """Ratio of the time-interpolation estimate per normal shift h.
 
     LHS(h) integrates |phi Delta_d^h sigma_dot|^2 + |phi Delta_d^h xi_dot|^2
     over space-time, RHS(h) is the same quantity for the fields themselves
     raised to the power 1/3 - delta.  Degenerate (all-elastic) histories
-    are flagged, not failed.
+    are flagged, not failed.  tables maps (axis, field, mode) to tables
+    already built from this history and cutoff; the others are built here.
     """
     if not 0.0 < delta < 1.0 / 3.0:
         raise ValueError("delta must lie in (0, 1/3)")
     if len(history.times) < 9:
         raise ValueError("need at least 8 time steps for the ratio check")
-    t_dot_sig = seminorm_table(history, "normal", "sigma_dot", cutoff, "integral")
-    t_dot_xi = seminorm_table(history, "normal", "xi_dot", cutoff, "integral")
-    t_sig = seminorm_table(history, "normal", "sigma", cutoff, "integral")
-    t_xi = seminorm_table(history, "normal", "xi", cutoff, "integral")
+    tables = tables or {}
+
+    def normal(field_name):
+        key = ("normal", field_name, "integral")
+        if key in tables:
+            return tables[key]
+        return seminorm_table(history, "normal", field_name, cutoff,
+                              "integral")
+
+    t_dot_sig, t_dot_xi, t_sig, t_xi = (
+        normal(f) for f in ("sigma_dot", "xi_dot", "sigma", "xi"))
     lhs = t_dot_sig.values + t_dot_xi.values
     rhs_base = t_sig.values + t_xi.values
     exponent = 1.0 / 3.0 - delta
@@ -466,8 +475,10 @@ def run_probes(scenario, history: FieldHistory,
                                                targets, scenario.model)))
     interp = None
     if len(history.times) >= 9:
+        built = {(row.axis, row.field, row.mode): row.table for row in rows}
         interp = interpolation_check(history, cutoff, scenario.delta,
-                                     window=scenario.fit_window("space"))
+                                     window=scenario.fit_window("space"),
+                                     tables=built)
     return ProbeReport(rows=rows, targets=targets, interpolation=interp,
                        delta=scenario.delta)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from plastprobe import evolution, fem, tensors
-from plastprobe.constitutive import ISOTROPIC, KINEMATIC
+from plastprobe.constitutive import ISOTROPIC, KINEMATIC, local_update
 from plastprobe.scenario import load_benchmark
 
 from oracles import integrate_pointwise_ode
@@ -167,8 +167,9 @@ def _plastic_scenario(name):
 @pytest.mark.parametrize("name", ["mixed-boundary-kinematic",
                                   "mixed-boundary-isotropic"])
 def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
-    # elastic-preconditioned CG against an exact sparse solve of every
-    # tangent: same Newton iterations per step, same trajectory
+    # elastic-preconditioned CG, solved to the inexact-Newton forcing
+    # term, against an exact sparse solve of every tangent: same Newton
+    # iterations per step, same trajectory
     scn = _plastic_scenario(name)
     params = scn.material()
     hist, _ = evolution.run(scn.grid(), params, scn.data, scn.T, scn.N)
@@ -176,7 +177,7 @@ def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
 
     real = fem.Grid.make_solver
 
-    def direct(grid, K, factor=None):
+    def direct(grid, K, factor=None, rtol=None):
         if K is None:
             return real(grid, K, factor)
         free = grid.free_dofs
@@ -193,6 +194,71 @@ def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
     assert hist.newton_iters == ref.newton_iters
     np.testing.assert_allclose(hist.u, ref.u, rtol=0, atol=1e-9)
     np.testing.assert_allclose(hist.sigma, ref.sigma, rtol=0, atol=1e-9)
+
+
+def test_plastic_solves_follow_forcing_term(monkeypatch):
+    # every plastic tangent K is solved to the forcing term
+    # eta = max(CG_RTOL, min(FORCING_MAX, |r| / scale)), and the CG
+    # correction meets it: |(K du + r)_free| <= eta |r_free|
+    scn = _plastic_scenario("mixed-boundary-kinematic")
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    real = fem.Grid.make_solver
+    solves = []
+
+    def recording(grid, K, factor, rtol=fem.CG_RTOL):
+        solve = real(grid, K, factor, rtol=rtol)
+        if K is None:
+            return solve
+
+        def recorded(rhs):
+            du = solve(rhs)
+            solves.append((K, rtol, rhs, du))
+            return du
+        return recorded
+
+    monkeypatch.setattr(fem.Grid, "make_solver", recording)
+    stepper = evolution._Stepper(grid, params, data)
+    u, state = evolution.initial_state(grid, params, data)
+    times = np.linspace(0.0, scn.T, scn.N + 1)
+    dt = scn.T / scn.N
+    free, dir_nodes = grid.free_dofs, grid.dirichlet_nodes
+    etas = []
+    for k in range(scn.N):
+        # the residual scale of the step, from its initial iterate
+        t1 = times[k] + dt
+        u0 = u.copy()
+        u0[dir_nodes] = data.u0(t1, grid.nodes[dir_nodes])
+        deps = grid.sym_gradient(u0) - grid.sym_gradient(u)
+        sigma = local_update(state, deps, dt, params).sigma
+        load = grid.load_vector(body_fn=data.body_force,
+                                sigma0_fn=data.sigma0, t=t1)
+        scale = max(np.linalg.norm(load[free]),
+                    np.linalg.norm(grid.internal_force(sigma)[free]), 1e-12)
+        solves.clear()
+        u, state, _, _ = stepper.step(u, state, times[k], dt, step_index=k)
+        for K, eta, rhs, du in solves:
+            rnorm = np.linalg.norm(rhs[free])
+            assert eta == pytest.approx(
+                max(fem.CG_RTOL, min(evolution.FORCING_MAX, rnorm / scale)),
+                rel=1e-12)
+            assert np.linalg.norm((K @ du - rhs)[free]) <= eta * rnorm
+            etas.append(eta)
+    assert etas, "the scenario has no plastic Newton iteration"
+    assert etas[0] == evolution.FORCING_MAX
+    assert min(etas) >= fem.CG_RTOL
+    assert min(etas) < evolution.FORCING_MAX
+
+
+def test_elastic_run_never_calls_cg(monkeypatch):
+    # elastic steps solve exactly with the cached elastic factors
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG called on an elastic run")
+
+    monkeypatch.setattr(fem.sparse_linalg, "cg", no_cg)
+    scn = load_benchmark("elastic-only", n=8, N=4)
+    hist, _ = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                            scn.N)
+    assert max(hist.newton_iters) > 0
 
 
 def test_safety_load_check_benchmarks():

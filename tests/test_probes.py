@@ -309,6 +309,40 @@ def test_run_probes_smoke_with_targets():
     assert report.interpolation is not None
 
 
+def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
+    # the normal sigma_dot/xi_dot integral rows feed the ratio check; the
+    # result is bit for bit that of tables built afresh
+    scn = load_benchmark("mixed-boundary-kinematic", n=8, N=12, mu=0.05,
+                         allow_coarse_dt=True)
+    hist, _ = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                            scn.N)
+    cutoff = scn.cutoff()
+    window = scn.fit_window("space")
+    fresh = interpolation_check(hist, cutoff, scn.delta, window=window)
+    calls = []
+    real = probes.seminorm_table
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "seminorm_table", counting)
+    report = probes.run_probes(scn, hist, cutoff)
+    assert len(calls) == len(scn.probes) + 2
+    assert calls[-2:] == [("normal", "sigma"), ("normal", "xi")]
+    built = {(row.axis, row.field, row.mode): row.table for row in report.rows}
+    for field_name in ("sigma_dot", "xi_dot"):
+        np.testing.assert_array_equal(
+            built["normal", field_name, "integral"].values,
+            real(hist, "normal", field_name, cutoff, "integral").values)
+    reused = report.interpolation
+    for name in ("h", "lhs", "rhs", "ratio"):
+        np.testing.assert_array_equal(getattr(reused, name),
+                                      getattr(fresh, name))
+    assert (reused.flagged, reused.degenerate, reused.spread) \
+        == (fresh.flagged, fresh.degenerate, fresh.spread)
+
+
 def test_strip_gradient_doubles_with_h_on_smooth_run():
     # smooth elastic velocity field: strip energy scales like h (within 20%)
     scn = load_benchmark("elastic-only", n=16, N=4)
