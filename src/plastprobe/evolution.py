@@ -102,19 +102,29 @@ class FieldHistory:
     def state_at(self, k: int) -> ConstitutiveState:
         return ConstitutiveState(self.sigma[k], self.xi[k], self.ep[k])
 
+    def _rate(self, arr: np.ndarray) -> np.ndarray:
+        """Backward-difference rate, built in one fresh array."""
+        out = arr[1:] - arr[:-1]
+        out /= self.dt
+        return out
+
     def sigma_dot(self) -> np.ndarray:
-        return np.diff(self.sigma, axis=0) / self.dt
+        return self._rate(self.sigma)
 
     def xi_dot(self) -> np.ndarray:
-        return np.diff(self.xi, axis=0) / self.dt
+        return self._rate(self.xi)
 
     def u_dot(self) -> np.ndarray:
-        return np.diff(self.u, axis=0) / self.dt
+        return self._rate(self.u)
 
     def grad_u_dot(self) -> np.ndarray:
         """(N, ncells, nqp, d, d) gradients of the backward-difference rates."""
         ud = self.u_dot()
-        return np.stack([self.grid.gradient(ud[k]) for k in range(ud.shape[0])])
+        grid = self.grid
+        out = np.empty((ud.shape[0], grid.ncells, grid.nqp, grid.d, grid.d))
+        for k in range(ud.shape[0]):
+            out[k] = grid.gradient(ud[k])
+        return out
 
 
 def initial_state(grid: Grid, params: MaterialParams, data):

@@ -14,11 +14,25 @@ x_d vanish identically); on the time axis it is baked into the field,
 which is the same thing since phi does not depend on t.  A bound
 S(h) <= C h^{2s} shows up as a log-log slope 2s, so fitted exponents
 are slope/2.
+
+A table is built in one blocked, in-place pass.  For each ladder rung,
+blocks of time levels (about BLOCK_BYTES each) are differenced into one
+reused scratch buffer, multiplied by phi, squared and reduced over
+space, all in place, which gives the per-level integrals of the rung.
+Every element sees the same operations, and every level the same
+reduction over a C-contiguous row, as in the whole-array formula
+((phi * Delta^h w)**2).sum(...), so the tables are bitwise equal to it;
+no sum may be reordered.  Besides the buffer, a table holds at most one
+field-sized array: the rate field it differences, or phi * w on the
+time axis.  A table keeps its per-level integrals, so the other
+aggregation over t of the same (axis, field) is derived from it
+(SeminormTable.in_mode), not rebuilt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,53 +43,68 @@ from .fem import Cutoff
 
 FIELDS = ("sigma", "xi", "sigma_dot", "xi_dot", "grad_u_dot")
 
+# size of the scratch buffer a table works through (at least one level)
+BLOCK_BYTES = 1 << 20
+
 
 # -- field access -------------------------------------------------------------
 
 
-def _history_field(history: FieldHistory, name: str) -> np.ndarray:
-    """Field as (Nt, ncells, nqp, ncomp); squared comps sum to the norm^2."""
+def _history_field(history: FieldHistory, name: str,
+                   phi: np.ndarray | None = None) -> np.ndarray:
+    """Field as (Nt, ncells, nqp, ncomp); squared comps sum to the norm^2.
+
+    Given phi (ncells, nqp), the field comes back multiplied by it: a
+    rate is weighted in place, a stored field in a weighted copy.
+    """
     if name == "sigma":
         arr = history.sigma
     elif name == "xi":
         arr = history.xi
-        if arr.ndim == 3:                       # isotropic scalar
-            arr = arr[..., None]
     elif name == "sigma_dot":
         arr = history.sigma_dot()
     elif name == "xi_dot":
         arr = history.xi_dot()
-        if arr.ndim == 3:
-            arr = arr[..., None]
     elif name == "grad_u_dot":
         g = history.grad_u_dot()
         arr = g.reshape(g.shape[:3] + (-1,))
     else:
         raise ValueError(f"unknown field {name!r}; choices: {FIELDS}")
+    if arr.ndim == 3:                           # isotropic scalar xi / xi_dot
+        arr = arr[..., None]
+    if phi is None:
+        return arr
+    if name in ("sigma", "xi"):
+        return arr * phi[None, :, :, None]
+    arr *= phi[None, :, :, None]
     return arr
 
 
 def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
-                  grid) -> np.ndarray:
+                  grid, out: np.ndarray | None = None) -> np.ndarray:
     """Shift difference w(. + h) - w(.) over the valid index range.
 
     field_arr is (Nt, ncells, nqp, K); axis is "time", "tangential-j"
     or "normal"; steps is the shift in grid/time units.  The returned
-    array has the shrunken extent along the differenced axis.
+    array has the shrunken extent along the differenced axis; on a
+    space axis the cells come back as grid.cell_counts.  A given out
+    (C-contiguous, of the returned shape) receives the difference.
     """
     if steps < 1:
         raise ValueError("shift must be a positive number of steps")
     if axis == "time":
         if steps >= field_arr.shape[0]:
             raise ValueError("time shift exceeds the trajectory length")
-        return field_arr[steps:] - field_arr[:-steps]
+        return np.subtract(field_arr[steps:], field_arr[:-steps], out=out)
     ax = _space_axis(axis, grid.d)
     shaped = field_arr.reshape((field_arr.shape[0],) + grid.cell_counts
                                + field_arr.shape[2:])
     moved = np.moveaxis(shaped, 1 + ax, 1)
     if steps >= moved.shape[1]:
         raise ValueError(f"shift {steps} cells exceeds the domain extent")
-    diff = moved[:, steps:] - moved[:, :-steps]
+    if out is not None:
+        out = np.moveaxis(out, 1 + ax, 1)
+    diff = np.subtract(moved[:, steps:], moved[:, :-steps], out=out)
     return np.moveaxis(diff, 1, 1 + ax)
 
 
@@ -102,9 +131,18 @@ class SeminormTable:
     values: np.ndarray
     base: float                # ladder base step (cell size or dt)
     cap: float                 # largest admissible h
+    levels: tuple = ()         # per rung, its per-time-level integrals
+    dt: float = 0.0            # time step of the "integral" aggregation
 
     def rows(self):
         return list(zip(self.h.tolist(), self.values.tolist()))
+
+    def in_mode(self, mode: str) -> SeminormTable:
+        """This table aggregated over t as mode, from its per-level sums."""
+        if mode == self.mode:
+            return self
+        values = [_aggregate(per_t, mode, self.dt) for per_t in self.levels]
+        return replace(self, mode=mode, values=np.asarray(values))
 
 
 def _ladder(base: float, cap: float) -> np.ndarray:
@@ -134,31 +172,52 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
         raise ValueError("mode must be 'sup' or 'integral'")
     grid = history.grid
     dt = history.dt
-    arr = _history_field(history, field_name)
     phi = cutoff.qp_values                      # (ncells, nqp)
 
     if axis == "time":
         base, cap = dt, (history.times[-1] - history.times[0]) / 2.0
-        arr = arr * phi[None, :, :, None]
+        arr = _history_field(history, field_name, phi)
     else:
         ax = _space_axis(axis, grid.d)
         extent = 1.0 if ax == grid.d - 1 else 2.0
         base = grid.h
         cap = min(0.5, extent - base)
+        arr = _history_field(history, field_name)
         phi_s = phi.reshape(grid.cell_counts + (grid.nqp,))
     ladder = _ladder(base, cap)
-    values = []
+    level_size = arr[0].size
+    block = max(1, BLOCK_BYTES // (level_size * arr.itemsize))
+    scratch = np.empty(min(block, arr.shape[0]) * level_size)
+    levels = []
     for h in ladder:
         k = int(round(h / base))
-        diff = diff_quotient(arr, axis, k, grid)
-        if axis != "time":
+        if axis == "time":
+            n_levels, extra = arr.shape[0] - k, k
+            level_shape = arr.shape[1:]
+        else:
+            n_levels, extra = arr.shape[0], 0
+            cells = list(grid.cell_counts)
+            cells[ax] -= k
+            level_shape = tuple(cells) + arr.shape[2:]
             # phi applied at the unshifted point, outside the difference
             unshifted = (slice(None),) * ax + (slice(None, -k),)
-            diff = diff * phi_s[unshifted][None, ..., None]
-        per_t = (diff**2).sum(axis=tuple(range(1, diff.ndim))) * grid.qp_weight
-        values.append(_aggregate(per_t, mode, dt))
+            weight = phi_s[unshifted][..., None]
+        per_t = np.empty(n_levels)
+        size = math.prod(level_shape)
+        for t0 in range(0, n_levels, block):
+            t1 = min(t0 + block, n_levels)
+            buf = scratch[:(t1 - t0) * size].reshape((t1 - t0,) + level_shape)
+            diff_quotient(arr[t0:t1 + extra], axis, k, grid, out=buf)
+            if axis != "time":
+                buf *= weight
+            np.square(buf, out=buf)
+            per_t[t0:t1] = buf.sum(axis=tuple(range(1, buf.ndim)))
+        per_t *= grid.qp_weight
+        levels.append(per_t)
+    values = [_aggregate(per_t, mode, dt) for per_t in levels]
     return SeminormTable(axis=axis, field=field_name, mode=mode, h=ladder,
-                         values=np.asarray(values), base=base, cap=cap)
+                         values=np.asarray(values), base=base, cap=cap,
+                         levels=tuple(levels), dt=dt)
 
 
 # -- exponent fits ------------------------------------------------------------
@@ -297,8 +356,9 @@ def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
     LHS(h) integrates |phi Delta_d^h sigma_dot|^2 + |phi Delta_d^h xi_dot|^2
     over space-time, RHS(h) is the same quantity for the fields themselves
     raised to the power 1/3 - delta.  Degenerate (all-elastic) histories
-    are flagged, not failed.  tables maps (axis, field, mode) to tables
-    already built from this history and cutoff; the others are built here.
+    are flagged, not failed.  tables maps (axis, field) to a table of
+    either mode already built from this history and cutoff; its integral
+    aggregation is derived, and the tables not given are built here.
     """
     if not 0.0 < delta < 1.0 / 3.0:
         raise ValueError("delta must lie in (0, 1/3)")
@@ -307,11 +367,11 @@ def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
     tables = tables or {}
 
     def normal(field_name):
-        key = ("normal", field_name, "integral")
-        if key in tables:
-            return tables[key]
-        return seminorm_table(history, "normal", field_name, cutoff,
-                              "integral")
+        table = tables.get(("normal", field_name))
+        if table is None:
+            return seminorm_table(history, "normal", field_name, cutoff,
+                                  "integral")
+        return table.in_mode("integral")
 
     t_dot_sig, t_dot_xi, t_sig, t_xi = (
         normal(f) for f in ("sigma_dot", "xi_dot", "sigma", "xi"))
@@ -457,15 +517,22 @@ class ProbeReport:
 
 def run_probes(scenario, history: FieldHistory,
                cutoff: Cutoff | None = None) -> ProbeReport:
-    """Evaluate every probe the scenario requests, plus the Lemma ratio."""
+    """Evaluate every probe the scenario requests, plus the Lemma ratio.
+
+    One table is built per (axis, field); a probe or ratio term asking
+    for its other aggregation over t derives it from the per-level sums.
+    """
     if cutoff is None:
         cutoff = scenario.cutoff()
     targets = target_exponents(scenario.d, scenario.model,
                                probe_regime(scenario))
+    built = {}
     rows = []
     for probe in scenario.probes:
-        table = seminorm_table(history, probe["axis"], probe["field"], cutoff,
-                               probe["mode"])
+        key = (probe["axis"], probe["field"])
+        if key not in built:
+            built[key] = seminorm_table(history, *key, cutoff, probe["mode"])
+        table = built[key].in_mode(probe["mode"])
         window = scenario.fit_window(
             "time" if probe["axis"] == "time" else "space")
         fit = fit_exponent(table, window=window)
@@ -475,7 +542,6 @@ def run_probes(scenario, history: FieldHistory,
                                                targets, scenario.model)))
     interp = None
     if len(history.times) >= 9:
-        built = {(row.axis, row.field, row.mode): row.table for row in rows}
         interp = interpolation_check(history, cutoff, scenario.delta,
                                      window=scenario.fit_window("space"),
                                      tables=built)

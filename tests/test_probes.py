@@ -1,5 +1,7 @@
 """Difference quotients, seminorm closed forms, exponent fits, targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -310,8 +312,8 @@ def test_run_probes_smoke_with_targets():
 
 
 def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
-    # the normal sigma_dot/xi_dot integral rows feed the ratio check; the
-    # result is bit for bit that of tables built afresh
+    # the probe tables feed the ratio check; the result is bit for bit
+    # that of tables built afresh
     scn = load_benchmark("mixed-boundary-kinematic", n=8, N=12, mu=0.05,
                          allow_coarse_dt=True)
     hist, _ = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
@@ -328,12 +330,14 @@ def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
 
     monkeypatch.setattr(probes, "seminorm_table", counting)
     report = probes.run_probes(scn, hist, cutoff)
-    assert len(calls) == len(scn.probes) + 2
-    assert calls[-2:] == [("normal", "sigma"), ("normal", "xi")]
-    built = {(row.axis, row.field, row.mode): row.table for row in report.rows}
-    for field_name in ("sigma_dot", "xi_dot"):
-        np.testing.assert_array_equal(
-            built["normal", field_name, "integral"].values,
+    # one table per (axis, field): the ratio's normal sigma/xi integral
+    # tables derive from the sup rows
+    assert len(calls) == len(scn.probes)
+    built = {(row.axis, row.field): row.table for row in report.rows}
+    for field_name in ("sigma", "xi", "sigma_dot", "xi_dot"):
+        derived = built["normal", field_name].in_mode("integral")
+        assert np.array_equal(
+            derived.values,
             real(hist, "normal", field_name, cutoff, "integral").values)
     reused = report.interpolation
     for name in ("h", "lhs", "rhs", "ratio"):
@@ -435,3 +439,102 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
             assert value == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         seminorm_table(hist, f"tangential-{d}", "sigma", cutoff, "sup")
+
+
+def _whole_array_values(hist, table, cutoff):
+    """Each rung by the whole-array formula: one field-sized weighted
+    difference, its square and one sum per rung (the reference order)."""
+    grid = hist.grid
+    u_dot = np.diff(hist.u, axis=0) / hist.dt
+    arr = {"sigma": hist.sigma, "xi": hist.xi,
+           "sigma_dot": np.diff(hist.sigma, axis=0) / hist.dt,
+           "xi_dot": np.diff(hist.xi, axis=0) / hist.dt,
+           "grad_u_dot": np.stack([grid.gradient(v) for v in u_dot]),
+           }[table.field]
+    arr = arr.reshape(arr.shape[:3] + (-1,))
+    phi = cutoff.qp_values
+    if table.axis == "time":
+        arr = arr * phi[None, :, :, None]
+    else:
+        ax = probes._space_axis(table.axis, grid.d)
+        phi_s = phi.reshape(grid.cell_counts + (grid.nqp,))
+        shaped = arr.reshape((arr.shape[0],) + grid.cell_counts
+                             + arr.shape[2:])
+        moved = np.moveaxis(shaped, 1 + ax, 1)
+    values = []
+    for h in table.h:
+        k = int(round(h / table.base))
+        if table.axis == "time":
+            diff = arr[k:] - arr[:-k]
+        else:
+            diff = np.moveaxis(moved[:, k:] - moved[:, :-k], 1, 1 + ax)
+            unshifted = (slice(None),) * ax + (slice(None, -k),)
+            diff = diff * phi_s[unshifted][None, ..., None]
+        per_t = ((diff**2).sum(axis=tuple(range(1, diff.ndim)))
+                 * grid.qp_weight)
+        values.append(per_t.max() if table.mode == "sup"
+                      else per_t[:-1].sum() * hist.dt)
+    return np.asarray(values)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("levels_per_block", [3, None])
+def test_seminorm_table_bitwise_equals_whole_array_formula(
+        d, levels_per_block, monkeypatch):
+    # blocked in-place kernel == whole-array formula, bit for bit: 3
+    # levels per block leaves a partial last block on most rungs, None
+    # puts every level in one block
+    grid = build_grid(Geometry(d=d, mode="mixed"), 6 if d == 2 else 4)
+    cutoff = make_cutoff(grid, eps0=0.15, h0=0.1)
+    rng = np.random.default_rng(43)
+    N = 9
+    hist = _history(
+        grid, rng.standard_normal((N + 1, grid.ncells, grid.nqp, grid.m)),
+        np.linspace(0, 1, N + 1),
+        xi=rng.standard_normal((N + 1, grid.ncells, grid.nqp)),
+        u=rng.standard_normal((N + 1, grid.nnodes, d)))
+    ncomp = {"sigma": grid.m, "xi": 1, "sigma_dot": grid.m, "xi_dot": 1,
+             "grad_u_dot": d * d}
+    axes = ["time", "normal"] + [f"tangential-{j}" for j in range(1, d)]
+    for field_name, k in ncomp.items():
+        level_bytes = grid.ncells * grid.nqp * k * 8
+        monkeypatch.setattr(probes, "BLOCK_BYTES", level_bytes * (
+            levels_per_block or N + 1))
+        for axis in axes:
+            for mode in ("sup", "integral"):
+                table = seminorm_table(hist, axis, field_name, cutoff, mode)
+                expected = _whole_array_values(hist, table, cutoff)
+                assert np.array_equal(table.values, expected), \
+                    (field_name, axis, mode)
+                other = "integral" if mode == "sup" else "sup"
+                assert np.array_equal(
+                    table.in_mode(other).values,
+                    seminorm_table(hist, axis, field_name, cutoff,
+                                   other).values)
+
+
+@pytest.mark.parametrize("axis, field_name", [
+    ("normal", "sigma"), ("tangential-1", "sigma"), ("time", "sigma_dot")])
+def test_seminorm_table_peak_memory(axis, field_name):
+    # a space-axis table of a stored field holds a few blocks; a
+    # time-axis table of a rate holds its one weighted rate field and the
+    # block, where whole-array rungs hold three to four field sizes
+    grid = build_grid(Geometry(d=2, mode="mixed"), 16)
+    cutoff = make_cutoff(grid, eps0=0.15, h0=0.1)
+    N = 80
+    rng = np.random.default_rng(44)
+    hist = _history(
+        grid, rng.standard_normal((N + 1, grid.ncells, grid.nqp, grid.m)),
+        np.linspace(0, 1, N + 1))
+    field_bytes = hist.sigma.nbytes
+    assert field_bytes > 3 * probes.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        seminorm_table(hist, axis, field_name, cutoff, "sup")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if axis == "time":
+        assert peak <= field_bytes + 1.5 * probes.BLOCK_BYTES
+    else:
+        assert peak <= 3 * probes.BLOCK_BYTES
