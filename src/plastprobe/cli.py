@@ -77,7 +77,7 @@ def cmd_probe(args) -> int:
     history, energy = _solve(scenario, keep_history=True)
     probe_report = probes.run_probes(scenario, history)
     out = report.emit_run_report(args.out, scenario, energy,
-                                 probe_report=probe_report, history=history,
+                                 probe_report=probe_report,
                                  reproducible=args.reproducible,
                                  runtime_seconds=time.perf_counter() - t0)
     for row in probe_report.summary():

@@ -6,6 +6,15 @@ The stress data is slaved to the displacement data through the elastic
 law, sigma0 = A^-1 E(u0), and the body force is f = -div sigma0
 (computed analytically), so the equilibrium compatibility and the
 initial condition E(u0(0)) = A sigma0(0) hold exactly by construction.
+
+From one time step to the next only p_k(t) changes; the points are the
+grid's fixed point sets.  So g_k and its gradient and Hessian are
+evaluated once per point set and memoized by the array's identity.
+Only arrays that cannot change are memoized: read-only, down to an
+owning base (a ``fem.Grid`` builds its point sets that way); the memo
+holds x, so its id is not reused while cached.  Any other array is
+evaluated on every call.  The sum over the terms is taken in the same
+order as without the memo, so cached and fresh results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -112,6 +121,19 @@ def _poly_eval(coeffs, t, tder):
     return val
 
 
+# memoized point sets per generator; old entries are dropped first
+MEMO_ENTRIES = 16
+
+
+def _frozen(x: np.ndarray) -> bool:
+    """True if no array in x's chain of views can be written."""
+    while isinstance(x, np.ndarray):
+        if x.flags.writeable:
+            return False
+        x = x.base
+    return x is None
+
+
 class DataGenerator:
     """Sum of separable closed-form terms defining (u0, sigma0, f)."""
 
@@ -121,27 +143,38 @@ class DataGenerator:
         self.d = elastic.d
         self._a_inv = elastic.inverse()
         self._a_inv_full = self._a_inv.as_full_tensor()
+        self._memo = {}                     # (kind, id(x)) -> (x, values)
+
+    def _profiles(self, kind, x):
+        """prof.<kind>(x) for each term, memoized when x is frozen."""
+        if not _frozen(x):
+            return (getattr(prof, kind)(x) for _, prof in self.terms)
+        key = (kind, id(x))
+        if key not in self._memo:
+            if len(self._memo) >= MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+            vals = [getattr(prof, kind)(x) for _, prof in self.terms]
+            for v in vals:
+                v.flags.writeable = False
+            self._memo[key] = (x, vals)
+        return self._memo[key][1]
+
+    def _sum(self, kind, t, x, tder, tail):
+        """sum_k p_k^(tder)(t) * g_k.<kind>(x), added in term order."""
+        x = np.asarray(x, float)
+        out = np.zeros(x.shape + tail)
+        for (coeffs, _), g in zip(self.terms, self._profiles(kind, x)):
+            out += _poly_eval(coeffs, t, tder) * g
+        return out
 
     def u0(self, t, x, tder=0):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        for coeffs, prof in self.terms:
-            out += _poly_eval(coeffs, t, tder) * prof.value(x)
-        return out
+        return self._sum("value", t, x, tder, ())
 
     def grad_u0(self, t, x, tder=0):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape + (self.d,))
-        for coeffs, prof in self.terms:
-            out += _poly_eval(coeffs, t, tder) * prof.grad(x)
-        return out
+        return self._sum("grad", t, x, tder, (self.d,))
 
     def hess_u0(self, t, x, tder=0):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape + (self.d, self.d))
-        for coeffs, prof in self.terms:
-            out += _poly_eval(coeffs, t, tder) * prof.hess(x)
-        return out
+        return self._sum("hess", t, x, tder, (self.d, self.d))
 
     def strain0(self, t, x, tder=0):
         """Mandel components of E(d^r u0/dt^r)."""

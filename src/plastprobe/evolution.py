@@ -46,9 +46,11 @@ SOLVER_ERRORS = (GlobalSolverError, constitutive.LocalSolverError,
 
 @dataclass
 class EnergyReport:
-    """Discrete energy diagnostics along a trajectory.
+    """Discrete energy diagnostics and the Newton record of a trajectory.
 
     Arrays indexed by time level (length N+1) or by step (length N).
+    newton_iters and residual_rel (the final |r| / scale) are recorded
+    by run() only; a report recomputed from a history leaves them empty.
     """
 
     times: np.ndarray
@@ -59,6 +61,8 @@ class EnergyReport:
     xidot_l2: np.ndarray
     udot_h1: np.ndarray
     dissipation_cum: np.ndarray
+    newton_iters: np.ndarray
+    residual_rel: np.ndarray
 
     @property
     def sup_sigdot(self) -> float:
@@ -92,8 +96,6 @@ class FieldHistory:
     ep: np.ndarray
     grid: Grid = field(repr=False)
     params: MaterialParams = field(repr=False)
-    newton_iters: list = field(default_factory=list)
-    residual_rel: list = field(default_factory=list)
 
     @property
     def dt(self) -> float:
@@ -130,7 +132,7 @@ class FieldHistory:
 def initial_state(grid: Grid, params: MaterialParams, data):
     """Initial nodal displacement and quadrature-point state at t = 0."""
     u0 = data.u0(0.0, grid.nodes)
-    sigma0 = data.sigma0(0.0, grid.qp_coords.reshape(-1, grid.d))
+    sigma0 = data.sigma0(0.0, grid.qp_points)
     sigma0 = sigma0.reshape(grid.ncells, grid.nqp, grid.m)
     strain = grid.sym_gradient(u0)
     ep0 = strain - params.elastic.apply(sigma0)
@@ -175,8 +177,7 @@ class _Stepper:
         grid, params, data = self.grid, self.params, self.data
         t1 = t_n + dt
         u = u_n.copy()
-        dir_nodes = grid.dirichlet_nodes
-        u[dir_nodes] = data.u0(t1, grid.nodes[dir_nodes])
+        u[grid.dirichlet_nodes] = data.u0(t1, grid.dirichlet_points)
         strain_n = grid.sym_gradient(u_n)
         load = grid.load_vector(body_fn=data.body_force,
                                 sigma0_fn=data.sigma0, t=t1)
@@ -282,8 +283,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     """Execute N backward-Euler steps; returns (history | None, EnergyReport).
 
     keep_history=False drops the per-step fields (sweeps only need the
-    streamed diagnostics and the final state, which is returned inside
-    the report dict in that case).
+    streamed diagnostics); the report carries the Newton record either way.
     """
     dt = T / N
     times = np.linspace(0.0, T, N + 1)
@@ -308,13 +308,12 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
         history.xi[0] = state.xi
         history.ep[0] = state.ep
 
-    newton_iters, residual_rel = [], []
     for k in range(N):
         u_new, state_new, iters, rel = stepper.step(
             u, state, times[k], dt, step_index=k)
         _accumulate_energy(acc, grid, params, state_new, state, u_new, u, dt)
-        newton_iters.append(iters)
-        residual_rel.append(rel)
+        acc["newton_iters"].append(iters)
+        acc["residual_rel"].append(rel)
         if keep_history:
             history.u[k + 1] = u_new
             history.sigma[k + 1] = state_new.sigma
@@ -322,12 +321,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
             history.ep[k + 1] = state_new.ep
         u, state = u_new, state_new
 
-    report = _energy_report(acc, times)
-    if keep_history:
-        history.newton_iters = newton_iters
-        history.residual_rel = residual_rel
-        return history, report
-    return None, report
+    return history, _energy_report(acc, times)
 
 
 def energy_diagnostics(history: FieldHistory) -> EnergyReport:
@@ -359,8 +353,7 @@ def safety_load_check(grid: Grid, params: MaterialParams, data) -> SafetyReport:
     |dev sigma0(t)| - xi0(t) equal |dev sigma0(0)| at every t, so
     margin = kappa - sup_x |dev sigma0(0, x)| > 0 covers the whole run.
     """
-    x = grid.qp_coords.reshape(-1, grid.d)
-    dev0 = tensors.norm(tensors.dev(data.sigma0(0.0, x)))
+    dev0 = tensors.norm(tensors.dev(data.sigma0(0.0, grid.qp_points)))
     margin = params.kappa - float(dev0.max())
     return SafetyReport(passed=margin > 0.0, margin=margin, kappa=params.kappa)
 
@@ -368,7 +361,7 @@ def safety_load_check(grid: Grid, params: MaterialParams, data) -> SafetyReport:
 def weak_divergence_defect(grid: Grid, params: MaterialParams, data,
                            t: float = 0.0) -> float:
     """Relative free-dof residual of sigma0 against f: checks div sigma0."""
-    sigma0 = data.sigma0(t, grid.qp_coords.reshape(-1, grid.d))
+    sigma0 = data.sigma0(t, grid.qp_points)
     sigma0 = sigma0.reshape(grid.ncells, grid.nqp, grid.m)
     free = grid.free_dofs
     fint = grid.internal_force(sigma0)[free]

@@ -9,7 +9,10 @@ traction boundary.  The grid is uniform with n cells per unit length,
 so shape-function derivatives are computed once.
 
 Quadrature-point tensor fields are ndarrays of shape (ncells, nqp, m)
-in Mandel components; displacement fields are (nnodes, d).
+in Mandel components; displacement fields are (nnodes, d).  The point
+sets the data are evaluated at (nodes, quadrature points, face
+quadrature points, Dirichlet nodes) are built once and read-only, so a
+data generator may evaluate its profiles once per point set.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ class Geometry:
             raise ValueError(f"unknown boundary mode {self.mode!r}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class Grid:
     """Uniform Q1 grid with precomputed element operators and boundary tags."""
 
@@ -65,7 +73,7 @@ class Grid:
         axes = [np.linspace(-1.0, 1.0, 2 * n + 1) for _ in range(d - 1)]
         axes.append(np.linspace(0.0, 1.0, n + 1))
         mesh = np.meshgrid(*axes, indexing="ij")
-        self.nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+        self.nodes = _read_only(np.stack([g.ravel() for g in mesh], axis=-1))
 
         self._offsets = np.array(list(itertools.product((0, 1), repeat=d)))
         cell_idx = np.stack(np.meshgrid(*[np.arange(c) for c in self.cell_counts],
@@ -114,10 +122,11 @@ class Grid:
                     B[q, :, a, i] = tensors.from_matrix(0.5 * (outer + outer.T))
         self.B = B
 
-        # physical quadrature coordinates per cell
+        # physical quadrature coordinates per cell, and as one point list
         origins = self.nodes[self.cell_nodes[:, 0]]
         local = (pts + 1.0) / 2.0 * h
-        self.qp_coords = origins[:, None, :] + local[None, :, :]
+        self.qp_coords = _read_only(origins[:, None, :] + local[None, :, :])
+        self.qp_points = self.qp_coords.reshape(-1, d)
 
     # -- boundary ----------------------------------------------------------
 
@@ -141,6 +150,7 @@ class Grid:
         else:
             neumann_open = np.zeros(self.nnodes, dtype=bool)
         self.dirichlet_nodes = on_boundary & ~neumann_open
+        self.dirichlet_points = _read_only(self.nodes[self.dirichlet_nodes])
         self.neumann_nodes = neumann_open
         self.dirichlet_dofs = np.repeat(self.dirichlet_nodes, d)
         self.free_dofs = np.flatnonzero(~self.dirichlet_dofs)
@@ -168,7 +178,9 @@ class Grid:
         self.face_qp_weight = (self.h / 2.0) ** (d - 1)
         origins = self.nodes[self.cell_nodes[bottom_cells, 0]]
         local = (face_pts + 1.0) / 2.0 * self.h
-        self.face_qp_coords = origins[:, None, :] + local[None, :, :]
+        self.face_qp_coords = _read_only(origins[:, None, :]
+                                         + local[None, :, :])
+        self.face_qp_points = self.face_qp_coords.reshape(-1, d)
         self.face_normal = np.zeros(d)
         self.face_normal[d - 1] = -1.0
 
@@ -210,14 +222,14 @@ class Grid:
         """
         out = np.zeros(self.nnodes * self.d)
         if body_fn is not None:
-            fq = body_fn(t, self.qp_coords.reshape(-1, self.d))
+            fq = body_fn(t, self.qp_points)
             fq = np.asarray(fq).reshape(self.ncells, self.nqp, self.d)
             fc = np.einsum("qa,cqi->cai", self.shape_values, fq, optimize=True)
             fc *= self.qp_weight
             out += np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
                                minlength=self.nnodes * self.d)
         if self.neumann_cells.size and sigma0_fn is not None:
-            s0 = sigma0_fn(t, self.face_qp_coords.reshape(-1, self.d))
+            s0 = sigma0_fn(t, self.face_qp_points)
             mats = tensors.to_matrix(np.asarray(s0))
             gq = (mats @ self.face_normal).reshape(
                 len(self.neumann_cells), -1, self.d)

@@ -553,6 +553,7 @@ def run_probes(scenario, history: FieldHistory,
 class SweepEntry:
     mu: float
     energy_summary: dict
+    newton: dict | None
     probe_summary: list | None
     failure: str | None
 
@@ -584,6 +585,13 @@ def energy_summary(report: evolution.EnergyReport) -> dict:
     }
 
 
+def newton_summary(report: evolution.EnergyReport) -> dict:
+    """Newton iterations per step and the largest final |r| / scale."""
+    res = report.residual_rel
+    return {"iterations": [int(k) for k in report.newton_iters],
+            "max_relative_residual": float(res.max()) if res.size else None}
+
+
 def mu_sweep(scenario, mus=None, keep_probe_fields: bool | None = None):
     """Run the scenario once per mu and compare the uniform quantities.
 
@@ -608,7 +616,7 @@ def mu_sweep(scenario, mus=None, keep_probe_fields: bool | None = None):
                 grid, params, scenario.data, scenario.T, scenario.N,
                 keep_history=keep_probe_fields)
         except evolution.SOLVER_ERRORS as exc:
-            entries.append(SweepEntry(mu=mu, energy_summary={},
+            entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
                                       probe_summary=None, failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})
             continue
@@ -617,6 +625,7 @@ def mu_sweep(scenario, mus=None, keep_probe_fields: bool | None = None):
             probe_summary = run_probes(scenario, history,
                                        cutoff=cutoff).summary()
         entries.append(SweepEntry(mu=mu, energy_summary=energy_summary(report),
+                                  newton=newton_summary(report),
                                   probe_summary=probe_summary, failure=None))
     ok = [e for e in entries if e.failure is None]
     spreads = {}

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .evolution import EnergyReport
-from .probes import ProbeReport, UniformityReport
+from .probes import (ProbeReport, UniformityReport, energy_summary,
+                     newton_summary)
 
 
 class ReportIOError(RuntimeError):
@@ -116,11 +117,10 @@ def _write_meta(out: Path, reproducible: bool,
 
 def run_report_payload(scenario, energy: EnergyReport,
                        probe_report: ProbeReport | None) -> dict:
-    from .probes import energy_summary
     payload = {
         "config": scenario.config,
         "energy_summary": energy_summary(energy),
-        "newton": None,
+        "newton": newton_summary(energy),
         "exponents": None,
         "targets": None,
         "interpolation": None,
@@ -140,17 +140,11 @@ def run_report_payload(scenario, energy: EnergyReport,
 
 def emit_run_report(out_dir: str | Path, scenario, energy: EnergyReport,
                     probe_report: ProbeReport | None = None,
-                    history=None, reproducible: bool = False,
+                    reproducible: bool = False,
                     runtime_seconds: float | None = None) -> Path:
     """Write report.json, energy.csv and any seminorm tables; returns the dir."""
     out = _make_dir(Path(out_dir))
     payload = run_report_payload(scenario, energy, probe_report)
-    if history is not None:
-        payload["newton"] = {
-            "iterations": list(map(int, history.newton_iters)),
-            "max_relative_residual": (max(history.residual_rel)
-                                      if history.residual_rel else None),
-        }
     _write_json(out / "report.json", payload)
     write_energy_csv(out / "energy.csv", energy, reproducible)
     if probe_report is not None:
@@ -170,6 +164,7 @@ def emit_sweep_report(out_dir: str | Path, scenario,
         _write_json(sub / "report.json", {
             "mu": entry.mu,
             "energy_summary": entry.energy_summary,
+            "newton": entry.newton,
             "exponents": entry.probe_summary,
             "failure": entry.failure,
         })

@@ -109,7 +109,7 @@ def test_emit_probe_report_files(tmp_path):
     hist, energy = evolution.run(grid, scn.material(), scn.data, scn.T, scn.N)
     pr = probes.run_probes(scn, hist)
     out = report.emit_run_report(tmp_path / "out", scn, energy,
-                                 probe_report=pr, history=hist)
+                                 probe_report=pr)
     assert (out / "report.json").exists()
     assert (out / "energy.csv").exists()
     for row in pr.rows:
@@ -171,6 +171,45 @@ def test_cli_sweep(tmp_path):
     assert len(summary["entries"]) == 2
     assert (tmp_path / "s" / summary["entries"][0]["dir"] /
             "report.json").exists()
+
+
+def _newton_block_ok(block, N):
+    assert len(block["iterations"]) == N
+    assert all(isinstance(k, int) and k >= 0 for k in block["iterations"])
+    assert 0.0 <= block["max_relative_residual"] <= evolution.NEWTON_RTOL
+
+
+def test_cli_run_writes_newton_block(tmp_path):
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(minimal_config(N=4)))
+    assert cli_main(["run", str(scn_file), "--out", str(tmp_path / "r")]) == 0
+    data = json.loads((tmp_path / "r" / "report.json").read_text())
+    _newton_block_ok(data["newton"], 4)
+    # the benchmark compares energy_summary's keys: the block stays out
+    assert "newton" not in data["energy_summary"]
+    header = (tmp_path / "r" / "energy.csv").read_text().splitlines()[0]
+    assert header == ("time,e_pen,overshoot_linf,overshoot_l2,sigdot_l2,"
+                      "xidot_l2,udot_h1,dissipation_cum")
+
+
+def test_cli_sweep_entries_carry_newton_block(tmp_path):
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(minimal_config(mu=[0.1, 0.05], N=4)))
+    assert cli_main(["sweep", str(scn_file), "--out",
+                     str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
+    assert len(summary["entries"]) == 2
+    for entry in summary["entries"]:
+        rep = json.loads((tmp_path / "s" / entry["dir"] /
+                          "report.json").read_text())
+        _newton_block_ok(rep["newton"], 4)
+        assert "newton" not in rep["energy_summary"]
+        # the same block as a run report of that mu
+        scn = parse_scenario_dict(minimal_config(mu=rep["mu"], N=4))
+        _, energy = evolution.run(scn.grid(), scn.material(), scn.data,
+                                  scn.T, scn.N, keep_history=False)
+        assert rep["newton"] == json.loads(json.dumps(
+            probes.newton_summary(energy)))
 
 
 @pytest.mark.parametrize("command", ["run", "probe", "sweep"])
