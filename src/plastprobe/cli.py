@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -71,15 +72,26 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (ru_maxrss is KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def cmd_probe(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
     history, energy = _solve(scenario, keep_history=True)
+    t1 = time.perf_counter()
+    meta = {"solve_seconds": t1 - t0,
+            "peak_rss_mb_after_solve": _peak_rss_mb()}
     probe_report = probes.run_probes(scenario, history)
+    meta["probe_seconds"] = time.perf_counter() - t1
+    meta["peak_rss_mb_after_probes"] = _peak_rss_mb()
     out = report.emit_run_report(args.out, scenario, energy,
                                  probe_report=probe_report,
                                  reproducible=args.reproducible,
-                                 runtime_seconds=time.perf_counter() - t0)
+                                 runtime_seconds=time.perf_counter() - t0,
+                                 meta=meta)
     for row in probe_report.summary():
         s = "id-regular" if row["identically_regular"] else (
             "n/a" if row["s_hat"] is None else f"{row['s_hat']:.3f}")

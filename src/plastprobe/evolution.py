@@ -104,36 +104,75 @@ class FieldHistory:
     def state_at(self, k: int) -> ConstitutiveState:
         return ConstitutiveState(self.sigma[k], self.xi[k], self.ep[k])
 
-    def _rate(self, arr: np.ndarray) -> np.ndarray:
-        """Backward-difference rate, built in one fresh array."""
+    def on_cells(self, arr: np.ndarray, region=None) -> np.ndarray:
+        """arr's levels on a box of cells, (Nt, *box, ...), as a view.
+
+        region holds one cell slice per grid axis; None gives arr as is.
+        """
+        if region is None:
+            return arr
+        shaped = arr.reshape(arr.shape[:1] + self.grid.cell_counts
+                             + arr.shape[2:])
+        return shaped[(slice(None),) + tuple(region)]
+
+    def _rate(self, arr: np.ndarray, region=None) -> np.ndarray:
+        """Backward-difference rate on region, built in one fresh array."""
+        arr = self.on_cells(arr, region)
         out = arr[1:] - arr[:-1]
         out /= self.dt
         return out
 
-    def sigma_dot(self) -> np.ndarray:
-        return self._rate(self.sigma)
+    def sigma_dot(self, region=None) -> np.ndarray:
+        return self._rate(self.sigma, region)
 
-    def xi_dot(self) -> np.ndarray:
-        return self._rate(self.xi)
+    def xi_dot(self, region=None) -> np.ndarray:
+        return self._rate(self.xi, region)
 
     def u_dot(self) -> np.ndarray:
         return self._rate(self.u)
 
-    def grad_u_dot(self) -> np.ndarray:
-        """(N, ncells, nqp, d, d) gradients of the backward-difference rates."""
-        ud = self.u_dot()
+    def grad_u_dot(self, region=None) -> np.ndarray:
+        """(N, ncells, nqp, d, d) gradients of the backward-difference rates.
+
+        Given a region (see on_cells), the gradients of its cells only,
+        as (N, *box, nqp, d, d).  Each level forms its own u rate.
+        """
         grid = self.grid
-        out = np.empty((ud.shape[0], grid.ncells, grid.nqp, grid.d, grid.d))
-        for k in range(ud.shape[0]):
-            out[k] = grid.gradient(ud[k])
+        cells, box = None, (grid.ncells,)
+        if region is not None:
+            cells = np.arange(grid.ncells).reshape(grid.cell_counts)[
+                tuple(region)]
+            box = cells.shape
+            cells = cells.ravel()
+        out = np.empty((len(self.times) - 1,) + box
+                       + (grid.nqp, grid.d, grid.d))
+        rows = out.reshape(out.shape[0], -1, grid.nqp, grid.d, grid.d)
+        for k in range(out.shape[0]):
+            ud = self.u[k + 1] - self.u[k]
+            ud /= self.dt
+            rows[k] = grid.gradient(ud, cells)
         return out
 
 
-def initial_state(grid: Grid, params: MaterialParams, data):
-    """Initial nodal displacement and quadrature-point state at t = 0."""
+def initial_stress(grid: Grid, data, t: float = 0.0) -> np.ndarray:
+    """sigma0(t) at the quadrature points, (ncells, nqp, m).
+
+    Only set-up reads it (a step reads sigma0 on the Neumann face), so
+    it is evaluated on a writeable copy of the points, which the data
+    generator's profile memo does not keep.
+    """
+    sigma0 = data.sigma0(t, np.array(grid.qp_points))
+    return sigma0.reshape(grid.ncells, grid.nqp, grid.m)
+
+
+def initial_state(grid: Grid, params: MaterialParams, data, sigma0=None):
+    """Initial nodal displacement and quadrature-point state at t = 0.
+
+    sigma0 is initial_stress(grid, data), if already evaluated.
+    """
     u0 = data.u0(0.0, grid.nodes)
-    sigma0 = data.sigma0(0.0, grid.qp_points)
-    sigma0 = sigma0.reshape(grid.ncells, grid.nqp, grid.m)
+    if sigma0 is None:
+        sigma0 = initial_stress(grid, data)
     strain = grid.sym_gradient(u0)
     ep0 = strain - params.elastic.apply(sigma0)
     if params.model == constitutive.KINEMATIC:
@@ -143,8 +182,9 @@ def initial_state(grid: Grid, params: MaterialParams, data):
     return u0, ConstitutiveState(sigma=sigma0, xi=xi0, ep=ep0)
 
 
-def initial_ep_trace_defect(grid: Grid, params: MaterialParams, data) -> float:
-    _, state = initial_state(grid, params, data)
+def initial_ep_trace_defect(grid: Grid, params: MaterialParams, data,
+                            sigma0=None) -> float:
+    _, state = initial_state(grid, params, data, sigma0)
     return float(np.abs(tensors.tr(state.ep)).max())
 
 
@@ -344,7 +384,8 @@ class SafetyReport:
     kappa: float
 
 
-def safety_load_check(grid: Grid, params: MaterialParams, data) -> SafetyReport:
+def safety_load_check(grid: Grid, params: MaterialParams, data,
+                      sigma0=None) -> SafetyReport:
     """Strict feasibility of the safety load, checked once at t = 0.
 
     The translated hardening data xi0(t) = sigma0(t) - sigma0(0)
@@ -352,17 +393,23 @@ def safety_load_check(grid: Grid, params: MaterialParams, data) -> SafetyReport:
     the feasibility gap |dev sigma0(t) - dev xi0(t)| resp.
     |dev sigma0(t)| - xi0(t) equal |dev sigma0(0)| at every t, so
     margin = kappa - sup_x |dev sigma0(0, x)| > 0 covers the whole run.
+    sigma0 is initial_stress(grid, data), if already evaluated.
     """
-    dev0 = tensors.norm(tensors.dev(data.sigma0(0.0, grid.qp_points)))
+    if sigma0 is None:
+        sigma0 = initial_stress(grid, data)
+    dev0 = tensors.norm(tensors.dev(sigma0))
     margin = params.kappa - float(dev0.max())
     return SafetyReport(passed=margin > 0.0, margin=margin, kappa=params.kappa)
 
 
 def weak_divergence_defect(grid: Grid, params: MaterialParams, data,
-                           t: float = 0.0) -> float:
-    """Relative free-dof residual of sigma0 against f: checks div sigma0."""
-    sigma0 = data.sigma0(t, grid.qp_points)
-    sigma0 = sigma0.reshape(grid.ncells, grid.nqp, grid.m)
+                           t: float = 0.0, sigma0=None) -> float:
+    """Relative free-dof residual of sigma0 against f: checks div sigma0.
+
+    sigma0 is initial_stress(grid, data, t), if already evaluated.
+    """
+    if sigma0 is None:
+        sigma0 = initial_stress(grid, data, t)
     free = grid.free_dofs
     fint = grid.internal_force(sigma0)[free]
     load = grid.load_vector(body_fn=data.body_force, sigma0_fn=data.sigma0,

@@ -194,9 +194,14 @@ class Grid:
         u_cells = u[self.cell_nodes]
         return np.einsum("qmai,cai->cqm", self.B, u_cells, optimize=True)
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Full gradient du_i/dx_j of a nodal field, (ncells, nqp, d, d)."""
-        u_cells = u[self.cell_nodes]
+    def gradient(self, u: np.ndarray, cells=None) -> np.ndarray:
+        """Full gradient du_i/dx_j of a nodal field, (ncells, nqp, d, d).
+
+        Given cell indices, only those cells' rows, in that order; each
+        row has the bits it has in the gradient over all cells.
+        """
+        nodes = self.cell_nodes if cells is None else self.cell_nodes[cells]
+        u_cells = u[nodes]
         return np.einsum("qaj,cai->cqij", self.shape_grads, u_cells,
                          optimize=True)
 
@@ -419,6 +424,10 @@ class Cutoff:
     phi vanishes within eps0 of the Dirichlet/Neumann interface line and
     of the outer faces (except the declared bottom portion), equals one
     on a core region, and is constant in x_d on [0, h0].
+
+    support is the box of cells outside which every qp_values entry is
+    exactly 0: per cell axis, the slice spanned by the cells with a
+    nonzero value (the exact support, phi being a tensor product).
     """
 
     eps0: float
@@ -427,6 +436,7 @@ class Cutoff:
     grid: Grid = field(repr=False)
     qp_values: np.ndarray = field(repr=False)
     _axis_funcs: list = field(repr=False, default_factory=list)
+    support: tuple = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -486,4 +496,16 @@ def make_cutoff(grid: Grid, eps0: float, h0: float,
     cutoff = Cutoff(eps0=eps0, h0=h0, side=side, grid=grid,
                     qp_values=np.empty(0), _axis_funcs=funcs)
     cutoff.qp_values = cutoff(grid.qp_coords)
+    nonzero = (cutoff.qp_values != 0.0).any(axis=1).reshape(grid.cell_counts)
+    cutoff.support = tuple(
+        _span(nonzero.any(axis=tuple(i for i in range(d) if i != j)))
+        for j in range(d))
     return cutoff
+
+
+def _span(mask: np.ndarray) -> slice:
+    """Smallest slice holding every True entry of a 1-d mask."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return slice(0, 0)
+    return slice(int(idx[0]), int(idx[-1]) + 1)

@@ -15,16 +15,23 @@ which is the same thing since phi does not depend on t.  A bound
 S(h) <= C h^{2s} shows up as a log-log slope 2s, so fitted exponents
 are slope/2.
 
-A table is built in one blocked, in-place pass.  For each ladder rung,
-blocks of time levels (about BLOCK_BYTES each) are differenced into one
-reused scratch buffer, multiplied by phi, squared and reduced over
-space, all in place, which gives the per-level integrals of the rung.
-Every element sees the same operations, and every level the same
-reduction over a C-contiguous row, as in the whole-array formula
-((phi * Delta^h w)**2).sum(...), so the tables are bitwise equal to it;
-no sum may be reordered.  Besides the buffer, a table holds at most one
-field-sized array: the rate field it differences, or phi * w on the
-time axis.  A table keeps its per-level integrals, so the other
+A table is built in one blocked, in-place pass that touches only the
+cells where phi can be nonzero, the box Cutoff.support.  For each
+ladder rung, blocks of time levels (about BLOCK_BYTES each) are
+differenced into one reused scratch buffer, multiplied by phi, squared
+and reduced over space, all in place, which gives the per-level
+integrals of the rung.  The buffer is zero-filled once per rung and a
+block writes its support box only; outside it every term of the
+whole-array formula ((phi * Delta^h w)**2).sum(...) is (0 * Delta)**2
+= +0.0 for a finite field.  Every element in the box sees the same
+operations, and every level is still reduced over its whole
+C-contiguous row, so the sum adds the same values in the same order and
+the tables are bitwise equal to that formula; no sum may be reordered.
+Besides the buffer, a table holds at most one array the size of its
+read region: the rate field it differences, or phi * w on the time
+axis, formed on the support box (on a space axis the box widened by the
+ladder's largest shift along that axis; a stored field is then only
+viewed).  A table keeps its per-level integrals, so the other
 aggregation over t of the same (axis, field) is derived from it
 (SeminormTable.in_mode), not rebuilt.
 """
@@ -50,33 +57,33 @@ BLOCK_BYTES = 1 << 20
 # -- field access -------------------------------------------------------------
 
 
-def _history_field(history: FieldHistory, name: str,
+def _history_field(history: FieldHistory, name: str, region,
                    phi: np.ndarray | None = None) -> np.ndarray:
-    """Field as (Nt, ncells, nqp, ncomp); squared comps sum to the norm^2.
+    """Field on a box of cells, (Nt, *box, nqp, ncomp); squared comps
+    sum to the norm^2.
 
-    Given phi (ncells, nqp), the field comes back multiplied by it: a
-    rate is weighted in place, a stored field in a weighted copy.
+    region holds one cell slice per axis.  Given phi on the box
+    (*box, nqp), the field comes back multiplied by it: a rate is
+    weighted in place, a stored field in a weighted copy.
     """
-    if name == "sigma":
-        arr = history.sigma
-    elif name == "xi":
-        arr = history.xi
+    if name in ("sigma", "xi"):
+        arr = history.on_cells(getattr(history, name), region)
     elif name == "sigma_dot":
-        arr = history.sigma_dot()
+        arr = history.sigma_dot(region)
     elif name == "xi_dot":
-        arr = history.xi_dot()
+        arr = history.xi_dot(region)
     elif name == "grad_u_dot":
-        g = history.grad_u_dot()
-        arr = g.reshape(g.shape[:3] + (-1,))
+        g = history.grad_u_dot(region)
+        arr = g.reshape(g.shape[:-2] + (-1,))
     else:
         raise ValueError(f"unknown field {name!r}; choices: {FIELDS}")
-    if arr.ndim == 3:                           # isotropic scalar xi / xi_dot
+    if arr.ndim == history.grid.d + 2:          # isotropic scalar xi / xi_dot
         arr = arr[..., None]
     if phi is None:
         return arr
     if name in ("sigma", "xi"):
-        return arr * phi[None, :, :, None]
-    arr *= phi[None, :, :, None]
+        return arr * phi[..., None]
+    arr *= phi[..., None]
     return arr
 
 
@@ -84,11 +91,12 @@ def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
                   grid, out: np.ndarray | None = None) -> np.ndarray:
     """Shift difference w(. + h) - w(.) over the valid index range.
 
-    field_arr is (Nt, ncells, nqp, K); axis is "time", "tangential-j"
-    or "normal"; steps is the shift in grid/time units.  The returned
-    array has the shrunken extent along the differenced axis; on a
-    space axis the cells come back as grid.cell_counts.  A given out
-    (C-contiguous, of the returned shape) receives the difference.
+    field_arr is (Nt, ncells, nqp, K), or cell-shaped (Nt, *cells, nqp,
+    K) over any box of cells; axis is "time", "tangential-j" or
+    "normal"; steps is the shift in grid/time units.  The returned array
+    has the shrunken extent along the differenced axis; on a space axis
+    flat cells come back as grid.cell_counts.  A given out (of the
+    returned shape, possibly a strided view) receives the difference.
     """
     if steps < 1:
         raise ValueError("shift must be a positive number of steps")
@@ -97,9 +105,10 @@ def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
             raise ValueError("time shift exceeds the trajectory length")
         return np.subtract(field_arr[steps:], field_arr[:-steps], out=out)
     ax = _space_axis(axis, grid.d)
-    shaped = field_arr.reshape((field_arr.shape[0],) + grid.cell_counts
-                               + field_arr.shape[2:])
-    moved = np.moveaxis(shaped, 1 + ax, 1)
+    if field_arr.ndim == 4:                     # cells flat
+        field_arr = field_arr.reshape((field_arr.shape[0],) + grid.cell_counts
+                                      + field_arr.shape[2:])
+    moved = np.moveaxis(field_arr, 1 + ax, 1)
     if steps >= moved.shape[1]:
         raise ValueError(f"shift {steps} cells exceeds the domain extent")
     if out is not None:
@@ -172,45 +181,58 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
         raise ValueError("mode must be 'sup' or 'integral'")
     grid = history.grid
     dt = history.dt
-    phi = cutoff.qp_values                      # (ncells, nqp)
+    phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
+    support = cutoff.support
 
     if axis == "time":
         base, cap = dt, (history.times[-1] - history.times[0]) / 2.0
-        arr = _history_field(history, field_name, phi)
     else:
         ax = _space_axis(axis, grid.d)
         extent = 1.0 if ax == grid.d - 1 else 2.0
         base = grid.h
         cap = min(0.5, extent - base)
-        arr = _history_field(history, field_name)
-        phi_s = phi.reshape(grid.cell_counts + (grid.nqp,))
     ladder = _ladder(base, cap)
-    level_size = arr[0].size
+    shifts = [int(round(h / base)) for h in ladder]
+    if axis == "time":
+        arr = _history_field(history, field_name, support, phi[support])
+    else:
+        # the weighted (unshifted) cells and the cells they are shifted to
+        region = list(support)
+        region[ax] = slice(support[ax].start, min(
+            support[ax].stop + shifts[-1], grid.cell_counts[ax]))
+        arr = _history_field(history, field_name, region)
+    level_size = grid.ncells * grid.nqp * arr.shape[-1]
     block = max(1, BLOCK_BYTES // (level_size * arr.itemsize))
     scratch = np.empty(min(block, arr.shape[0]) * level_size)
     levels = []
-    for h in ladder:
-        k = int(round(h / base))
+    for k in shifts:
+        cells, box = list(grid.cell_counts), list(support)
+        src, weight = arr, None
         if axis == "time":
             n_levels, extra = arr.shape[0] - k, k
-            level_shape = arr.shape[1:]
         else:
             n_levels, extra = arr.shape[0], 0
-            cells = list(grid.cell_counts)
             cells[ax] -= k
-            level_shape = tuple(cells) + arr.shape[2:]
+            box[ax] = slice(support[ax].start,
+                            min(support[ax].stop, cells[ax]))
+            width = max(0, box[ax].stop - box[ax].start)
+            src = arr[(slice(None),) * (1 + ax) + (slice(None, width + k),)]
             # phi applied at the unshifted point, outside the difference
-            unshifted = (slice(None),) * ax + (slice(None, -k),)
-            weight = phi_s[unshifted][..., None]
-        per_t = np.empty(n_levels)
+            weight = phi[tuple(box)][..., None]
+        box = (slice(None),) + tuple(box)
+        level_shape = tuple(cells) + arr.shape[-2:]
         size = math.prod(level_shape)
+        scratch[:min(block, n_levels) * size] = 0.0
+        per_t = np.empty(n_levels)
         for t0 in range(0, n_levels, block):
             t1 = min(t0 + block, n_levels)
             buf = scratch[:(t1 - t0) * size].reshape((t1 - t0,) + level_shape)
-            diff_quotient(arr[t0:t1 + extra], axis, k, grid, out=buf)
-            if axis != "time":
-                buf *= weight
-            np.square(buf, out=buf)
+            view = buf[box]
+            if view.size:
+                diff_quotient(src[t0:t1 + extra], axis, k, grid, out=view)
+                if weight is not None:
+                    view *= weight
+                np.square(view, out=view)
             per_t[t0:t1] = buf.sum(axis=tuple(range(1, buf.ndim)))
         per_t *= grid.qp_weight
         levels.append(per_t)

@@ -107,11 +107,12 @@ def write_table_csvs(out_dir: Path, probe_report: ProbeReport,
 
 
 def _write_meta(out: Path, reproducible: bool,
-                runtime_seconds: float | None):
+                runtime_seconds: float | None, meta: dict | None = None):
     _write_json(out / "meta.json", {
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "runtime_seconds": runtime_seconds,
         "reproducible": reproducible,
+        **(meta or {}),
     })
 
 
@@ -141,15 +142,19 @@ def run_report_payload(scenario, energy: EnergyReport,
 def emit_run_report(out_dir: str | Path, scenario, energy: EnergyReport,
                     probe_report: ProbeReport | None = None,
                     reproducible: bool = False,
-                    runtime_seconds: float | None = None) -> Path:
-    """Write report.json, energy.csv and any seminorm tables; returns the dir."""
+                    runtime_seconds: float | None = None,
+                    meta: dict | None = None) -> Path:
+    """Write report.json, energy.csv and any seminorm tables; returns the dir.
+
+    meta adds run-dependent keys (phase times, peak memory) to meta.json.
+    """
     out = _make_dir(Path(out_dir))
     payload = run_report_payload(scenario, energy, probe_report)
     _write_json(out / "report.json", payload)
     write_energy_csv(out / "energy.csv", energy, reproducible)
     if probe_report is not None:
         write_table_csvs(out, probe_report, reproducible)
-    _write_meta(out, reproducible, runtime_seconds)
+    _write_meta(out, reproducible, runtime_seconds, meta)
     return out
 
 

@@ -227,19 +227,22 @@ def validate(scenario: Scenario) -> list[str]:
         violations.append(f"cutoff: {exc}")
 
     grid = scenario.grid()
-    safety = evolution.safety_load_check(grid, params, scenario.data)
+    sigma0 = evolution.initial_stress(grid, scenario.data)
+    safety = evolution.safety_load_check(grid, params, scenario.data, sigma0)
     if not safety.passed:
         violations.append(
             f"safety load violated: ||dev sigma0(0)||_inf margin "
             f"{safety.margin:.3e} (strict inequality against kappa required)")
 
-    defect = evolution.weak_divergence_defect(grid, params, scenario.data)
+    defect = evolution.weak_divergence_defect(grid, params, scenario.data,
+                                              sigma0=sigma0)
     if defect > 1e-9:
         violations.append(
             f"sigma0 is not weakly divergence-compatible with f "
             f"(relative residual {defect:.3e} > 1e-9)")
 
-    tr_defect = evolution.initial_ep_trace_defect(grid, params, scenario.data)
+    tr_defect = evolution.initial_ep_trace_defect(grid, params, scenario.data,
+                                                  sigma0)
     if tr_defect > 1e-10:
         violations.append(
             f"initial plastic strain not trace-free (defect {tr_defect:.3e})")

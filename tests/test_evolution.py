@@ -478,3 +478,58 @@ def test_three_dimensional_homogeneous_run():
                                   np.zeros(6))
     err = np.abs(sig_T[0, 0] - sol.y[:6, -1]).max()
     assert err <= 5e-3   # 32 backward-Euler steps
+
+
+@pytest.mark.parametrize("d, model", [(2, KINEMATIC), (2, ISOTROPIC),
+                                      (3, KINEMATIC)])
+def test_history_rates_on_a_region_are_the_sliced_full_rates(d, model):
+    # sigma_dot/xi_dot/grad_u_dot on a box of cells keep every bit of the
+    # full-grid result, cut to that box
+    grid = fem.build_grid(fem.Geometry(d=d, mode="mixed"), 4)
+    rng = np.random.default_rng(45)
+    N = 5
+    shp = (N + 1, grid.ncells, grid.nqp)
+    hist = evolution.FieldHistory(
+        times=np.linspace(0.0, 0.7, N + 1),
+        u=rng.standard_normal((N + 1, grid.nnodes, d)),
+        sigma=rng.standard_normal(shp + (grid.m,)),
+        xi=rng.standard_normal(shp + ((grid.m,) if model == KINEMATIC
+                                      else ())),
+        ep=np.zeros(shp + (grid.m,)), grid=grid, params=None)
+    region = tuple(slice(1, c - 1) if j % 2 == 0 else slice(0, c // 2 + 1)
+                   for j, c in enumerate(grid.cell_counts))
+    for name in ("sigma_dot", "xi_dot", "grad_u_dot"):
+        full = getattr(hist, name)()
+        assert full.shape[:2] == (N, grid.ncells)
+        expected = full.reshape((N,) + grid.cell_counts + full.shape[2:])[
+            (slice(None),) + region]
+        got = getattr(hist, name)(region)
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
+
+
+def test_setup_leaves_no_quadrature_point_stress_in_the_memo():
+    # sigma0 at the quadrature points is read at set-up only: validate
+    # and run keep no memo entry for it, while every point set a step
+    # reads stays memoized, and the values keep every bit
+    from plastprobe.scenario import validate
+    scn = load_benchmark("mixed-boundary-kinematic", n=6, N=3,
+                         allow_coarse_dt=True)
+    grid, data = scn.grid(), scn.data
+    assert validate(scn) == []
+    hist, _ = evolution.run(grid, scn.material(), data, scn.T, scn.N)
+    keys = set(data._memo)
+    assert ("grad", id(grid.qp_points)) not in keys
+    for key in (("hess", id(grid.qp_points)),
+                ("grad", id(grid.face_qp_points)),
+                ("value", id(grid.dirichlet_points))):
+        assert key in keys
+    memoized = data.sigma0(0.0, grid.qp_points)
+    assert hist.sigma[0].tobytes() == memoized.tobytes()
+    assert evolution.initial_stress(grid, data).tobytes() == memoized.tobytes()
+    params = scn.material()
+    given = memoized.reshape(grid.ncells, grid.nqp, grid.m)
+    assert evolution.safety_load_check(grid, params, data) \
+        == evolution.safety_load_check(grid, params, data, given)
+    assert evolution.weak_divergence_defect(grid, params, data) \
+        == evolution.weak_divergence_defect(grid, params, data, sigma0=given)

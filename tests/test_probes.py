@@ -477,57 +477,100 @@ def _whole_array_values(hist, table, cutoff):
     return np.asarray(values)
 
 
+# (boundary mode, cutoff side, eps0): on the grids below the support box
+# is a strict sub-box on some axes and the whole extent on others
+# (mixed), strict on every axis, or the whole grid
+SUPPORT_CASES = [("mixed", "neumann", 0.15), ("mixed", "dirichlet", 0.1),
+                 ("all-dirichlet", "neumann", 0.15),
+                 ("all-neumann-bottom", "neumann", 0.2)]
+
+
+def _support_case(d, mode, side, eps0):
+    grid = build_grid(Geometry(d=d, mode=mode), 6 if d == 2 else 4)
+    return grid, make_cutoff(grid, eps0=eps0, h0=0.1, side=side)
+
+
+def test_cutoff_support_is_the_nonzero_box():
+    kinds = set()
+    for d in (2, 3):
+        for case in SUPPORT_CASES:
+            grid, cutoff = _support_case(d, *case)
+            nonzero = (cutoff.qp_values != 0.0).any(axis=1).reshape(
+                grid.cell_counts)
+            inside = np.zeros_like(nonzero)
+            inside[cutoff.support] = True
+            assert not (nonzero & ~inside).any()
+            for ax, span in enumerate(cutoff.support):
+                ends = np.moveaxis(nonzero, ax, 0)[[span.start, span.stop - 1]]
+                assert ends.reshape(2, -1).any(axis=1).all()
+            whole = [span == slice(0, c) for span, c
+                     in zip(cutoff.support, grid.cell_counts)]
+            kinds.add((any(whole), all(whole)))
+    # the cases below cover sub-boxes, mixed boxes and the whole grid
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("levels_per_block", [3, None])
 def test_seminorm_table_bitwise_equals_whole_array_formula(
         d, levels_per_block, monkeypatch):
-    # blocked in-place kernel == whole-array formula, bit for bit: 3
-    # levels per block leaves a partial last block on most rungs, None
-    # puts every level in one block
-    grid = build_grid(Geometry(d=d, mode="mixed"), 6 if d == 2 else 4)
-    cutoff = make_cutoff(grid, eps0=0.15, h0=0.1)
-    rng = np.random.default_rng(43)
-    N = 9
-    hist = _history(
-        grid, rng.standard_normal((N + 1, grid.ncells, grid.nqp, grid.m)),
-        np.linspace(0, 1, N + 1),
-        xi=rng.standard_normal((N + 1, grid.ncells, grid.nqp)),
-        u=rng.standard_normal((N + 1, grid.nnodes, d)))
-    ncomp = {"sigma": grid.m, "xi": 1, "sigma_dot": grid.m, "xi_dot": 1,
-             "grad_u_dot": d * d}
-    axes = ["time", "normal"] + [f"tangential-{j}" for j in range(1, d)]
-    for field_name, k in ncomp.items():
-        level_bytes = grid.ncells * grid.nqp * k * 8
-        monkeypatch.setattr(probes, "BLOCK_BYTES", level_bytes * (
-            levels_per_block or N + 1))
-        for axis in axes:
-            for mode in ("sup", "integral"):
-                table = seminorm_table(hist, axis, field_name, cutoff, mode)
-                expected = _whole_array_values(hist, table, cutoff)
-                assert np.array_equal(table.values, expected), \
-                    (field_name, axis, mode)
-                other = "integral" if mode == "sup" else "sup"
-                assert np.array_equal(
-                    table.in_mode(other).values,
-                    seminorm_table(hist, axis, field_name, cutoff,
-                                   other).values)
+    # blocked in-place kernel on the support box == whole-array formula,
+    # bit for bit, for every kind of support box: 3 levels per block
+    # leaves a partial last block on most rungs, None puts every level
+    # in one block
+    for case in SUPPORT_CASES:
+        grid, cutoff = _support_case(d, *case)
+        rng = np.random.default_rng(43)
+        N = 9
+        hist = _history(
+            grid, rng.standard_normal((N + 1, grid.ncells, grid.nqp, grid.m)),
+            np.linspace(0, 1, N + 1),
+            xi=rng.standard_normal((N + 1, grid.ncells, grid.nqp)),
+            u=rng.standard_normal((N + 1, grid.nnodes, d)))
+        ncomp = {"sigma": grid.m, "xi": 1, "sigma_dot": grid.m, "xi_dot": 1,
+                 "grad_u_dot": d * d}
+        axes = ["time", "normal"] + [f"tangential-{j}" for j in range(1, d)]
+        for field_name, k in ncomp.items():
+            level_bytes = grid.ncells * grid.nqp * k * 8
+            monkeypatch.setattr(probes, "BLOCK_BYTES", level_bytes * (
+                levels_per_block or N + 1))
+            for axis in axes:
+                for mode in ("sup", "integral"):
+                    where = (case, field_name, axis, mode)
+                    table = seminorm_table(hist, axis, field_name, cutoff,
+                                           mode)
+                    expected = _whole_array_values(hist, table, cutoff)
+                    assert np.array_equal(table.values, expected), where
+                    other = "integral" if mode == "sup" else "sup"
+                    assert np.array_equal(
+                        table.in_mode(other).values,
+                        seminorm_table(hist, axis, field_name, cutoff,
+                                       other).values), where
 
 
 @pytest.mark.parametrize("axis, field_name", [
-    ("normal", "sigma"), ("tangential-1", "sigma"), ("time", "sigma_dot")])
+    ("normal", "sigma"), ("tangential-1", "sigma"), ("time", "sigma"),
+    ("time", "sigma_dot"), ("time", "grad_u_dot")])
 def test_seminorm_table_peak_memory(axis, field_name):
     # a space-axis table of a stored field holds a few blocks; a
-    # time-axis table of a rate holds its one weighted rate field and the
-    # block, where whole-array rungs hold three to four field sizes
+    # time-axis table holds its weighted field on the cutoff's support
+    # box and the block, where whole-array rungs hold three to four
+    # field sizes
     grid = build_grid(Geometry(d=2, mode="mixed"), 16)
     cutoff = make_cutoff(grid, eps0=0.15, h0=0.1)
     N = 80
     rng = np.random.default_rng(44)
     hist = _history(
         grid, rng.standard_normal((N + 1, grid.ncells, grid.nqp, grid.m)),
-        np.linspace(0, 1, N + 1))
-    field_bytes = hist.sigma.nbytes
+        np.linspace(0, 1, N + 1),
+        u=rng.standard_normal((N + 1, grid.nnodes, grid.d)))
+    ncomp = grid.d**2 if field_name == "grad_u_dot" else grid.m
+    field_bytes = (N + 1) * grid.ncells * grid.nqp * ncomp * 8
     assert field_bytes > 3 * probes.BLOCK_BYTES
+    box = np.zeros(grid.cell_counts, dtype=bool)
+    box[cutoff.support] = True
+    support_share = box.mean()
+    assert support_share < 0.5
     tracemalloc.start()
     try:
         seminorm_table(hist, axis, field_name, cutoff, "sup")
@@ -535,6 +578,6 @@ def test_seminorm_table_peak_memory(axis, field_name):
     finally:
         tracemalloc.stop()
     if axis == "time":
-        assert peak <= field_bytes + 1.5 * probes.BLOCK_BYTES
+        assert peak <= support_share * field_bytes + 1.5 * probes.BLOCK_BYTES
     else:
         assert peak <= 3 * probes.BLOCK_BYTES

@@ -162,6 +162,28 @@ def test_cli_run_and_probe(tmp_path):
     assert data["targets"] is not None
 
 
+def test_cli_probe_meta_records_phases(tmp_path):
+    # meta.json times the solve and the probes and reads the peak RSS
+    # after each; every other file stays byte-stable under --reproducible
+    scn_file = tmp_path / "scn.json"
+    cfg = minimal_config(n=6, N=4, probes=[
+        {"axis": "time", "field": "sigma_dot", "mode": "integral"}])
+    scn_file.write_text(json.dumps(cfg))
+    for sub in ("a", "b"):
+        assert cli_main(["probe", str(scn_file), "--out",
+                         str(tmp_path / sub), "--reproducible"]) == 0
+    meta = json.loads((tmp_path / "a" / "meta.json").read_text())
+    assert meta["solve_seconds"] >= 0.0 and meta["probe_seconds"] >= 0.0
+    assert meta["peak_rss_mb_after_solve"] > 0.0
+    assert meta["peak_rss_mb_after_probes"] >= meta["peak_rss_mb_after_solve"]
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert "report.json" in files
+    for name in files:
+        if name != "meta.json":
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_cli_sweep(tmp_path):
     scn_file = tmp_path / "scn.json"
     scn_file.write_text(json.dumps(minimal_config(mu=[0.1, 0.05], N=4)))
