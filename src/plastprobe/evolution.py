@@ -189,29 +189,22 @@ def initial_ep_trace_defect(grid: Grid, params: MaterialParams, data,
 
 
 class _Stepper:
-    """Shared machinery for one Rothe step, with elastic-stiffness caching."""
+    """Shared machinery for one Rothe step, around one elastic factorization.
+
+    The elastic stiffness is constant: its LU factors give the exact
+    solve of an elastic Newton step and precondition CG on the plastic
+    tangents.
+    """
 
     def __init__(self, grid: Grid, params: MaterialParams, data):
         self.grid = grid
         self.params = params
         self.data = data
-        self._factor = None
-        self._elastic_solver = None
-
-    def _elastic_solve(self):
-        """Exact solver for the (constant) elastic stiffness, built once.
-
-        Its LU factors also precondition CG on the plastic tangents.
-        """
-        if self._elastic_solver is None:
-            grid, params = self.grid, self.params
-            a_inv = np.linalg.inv(params.elastic.matrix)
-            D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp,
-                                        grid.m, grid.m))
-            K = grid.assemble_tangent(np.ascontiguousarray(D))
-            self._factor = grid.factorize(K)
-            self._elastic_solver = grid.make_solver(None, self._factor)
-        return self._elastic_solver
+        a_inv = np.linalg.inv(params.elastic.matrix)
+        D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
+        K = grid.assemble_tangent(np.ascontiguousarray(D))
+        self._factor = grid.factorize(K)
+        self._elastic_solve = grid.make_solver(None, self._factor)
 
     def step(self, u_n, state_n, t_n, dt, step_index=0):
         grid, params, data = self.grid, self.params, self.data
@@ -239,14 +232,13 @@ class _Stepper:
         while rnorm > NEWTON_RTOL * scale and iters < NEWTON_MAX_ITER:
             elastic_step = float(yield_excess(upd, params).max()) \
                 <= constitutive.KINK_GUARD
-            solve = self._elastic_solve()
+            solve = self._elastic_solve
             if not elastic_step:
-                # K is the exact Jacobian, so |K du + r| <= eta |r| with
-                # eta < 1 makes du a descent direction for |r|^2
+                # D gives the exact Jacobian K, so |K du + r| <= eta |r|
+                # with eta < 1 makes du a descent direction for |r|^2
                 D = consistent_tangent(state_n, deps, dt, params, updated=upd)
                 eta = max(CG_RTOL, min(FORCING_MAX, rnorm / scale))
-                solve = grid.make_solver(grid.assemble_tangent(D),
-                                         self._factor, rtol=eta)
+                solve = grid.make_solver(D, self._factor, rtol=eta)
             du = solve(-r).reshape(grid.nnodes, grid.d)
             del solve           # free this tangent before the next is built
             alpha = 1.0
@@ -279,9 +271,10 @@ class _Stepper:
 def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
                        u_prev=None, dt=None):
     excess = yield_excess(state, params)
-    acc["e_pen"].append(grid.integrate_qp(excess**2) / params.mu)
+    overshoot_sq = grid.integrate_qp(excess**2)
+    acc["e_pen"].append(overshoot_sq / params.mu)
     acc["overshoot_linf"].append(float(excess.max()) if excess.size else 0.0)
-    acc["overshoot_l2"].append(np.sqrt(grid.integrate_qp(excess**2)))
+    acc["overshoot_l2"].append(np.sqrt(overshoot_sq))
     if state_prev is None:
         return
     sigdot = (state.sigma - state_prev.sigma) / dt

@@ -13,6 +13,11 @@ in Mandel components; displacement fields are (nnodes, d).  The point
 sets the data are evaluated at (nodes, quadrature points, face
 quadrature points, Dirichlet nodes) are built once and read-only, so a
 data generator may evaluate its profiles once per point set.
+
+Force and load vectors, and the products of the CG solver, are summed
+from per-cell contributions with ``bincount``.  A stiffness is assembled
+into a sparse matrix only to be LU factored (the elastic one, once per
+run); CG takes a tangent as its element matrices.
 """
 
 from __future__ import annotations
@@ -86,8 +91,6 @@ class Grid:
 
         self._build_quadrature()
         self._build_boundary()
-
-        self._scatter = None        # built by the first assemble_tangent
 
     # -- element operators -------------------------------------------------
 
@@ -249,96 +252,20 @@ class Grid:
     def assemble_tangent(self, D_qp: np.ndarray) -> sparse.csr_matrix:
         """Stiffness from a quadrature-point modulus field (ncells, nqp, m, m).
 
-        Bit-identical to ``coo_matrix((Kc, (rows, cols))).tocsr()`` of the
-        element matrices; every call shares one ``indices``/``indptr``
-        pair and gets its own ``data``.
+        ``coo_matrix((Kc, (rows, cols))).tocsr()`` of the element
+        matrices Kc[c, a, i, b, j], which couple dof i of corner a with
+        dof j of corner b in cell c; tocsr sums duplicates in a fixed
+        order, so equal fields give bit-identical matrices.
         """
         Kc = np.einsum("qmai,cqmn,qnbj->caibj", self.B, D_qp, self.B,
                        optimize=True)
         Kc *= self.qp_weight
-        if self._scatter is None:
-            self._scatter = self._build_scatter(Kc)
-        axes, indptr, indices, first, adds = self._scatter
-        # the einsum may return a transposed view; reading it in the
-        # memory order the plan was built on needs no copy
-        v = Kc.transpose(axes).reshape(-1)
-        data = v[first]
-        for sel, src in adds:
-            np.add.at(data, sel, v[src])      # data[sel] += v[src], faster
-        ndof = self.nnodes * self.d
-        K = sparse.csr_matrix((data, indices, indptr), shape=(ndof, ndof))
-        K.has_canonical_format = True
-        return K
-
-    def _build_scatter(self, Kc):
-        """CSR pattern of the stiffness and the scatter of element entries.
-
-        ``coo_matrix.tocsr`` buckets the entries by row in input order,
-        sorts each row with scipy's ``sort_indices`` (an unstable sort
-        whose comparisons see only the columns) and sums each run of
-        equal (row, col) front to back.  Sorting entry numbers as data
-        through that same ``sort_indices`` reads off its permutation, so
-        the plan repeats tocsr's summation order exactly.  Returns
-        (axes, indptr, indices, first, adds), arrays int32: with v the
-        entries of ``Kc.transpose(axes)`` in C order (the memory order of
-        this sample Kc), ``data = v[first]`` takes the first entry of
-        each run, then ``data[sel] += v[src]`` for the k-th (sel, src) in
-        adds adds the (k+1)-th entry of every run that has one; first and
-        adds are views into one buffer.
-        """
         ndc = self.cell_dofs.shape[1]
+        rows = np.repeat(self.cell_dofs, ndc, axis=1).ravel()
+        cols = np.tile(self.cell_dofs, (1, ndc)).ravel()
         ndof = self.nnodes * self.d
-        n_entries = self.ncells * ndc**2
-        # The plan's own arrays come first: allocated after the
-        # temporaries they pinned the top of the heap, which then stayed
-        # grown for the rest of the run (peak RSS +5 MB on a 230 MB run).
-        # Two dofs couple when their nodes are at most one node apart on
-        # every axis, which gives nnz in closed form.
-        nnz = self.d**2 * int(np.prod([3 * c - 2 for c in self.node_counts]))
-        indptr = np.empty(ndof + 1, dtype=np.int32)
-        indices = np.empty(nnz, dtype=np.int32)
-        scatter = np.empty(2 * n_entries - nnz, dtype=np.int32)
-
-        # few entry-long temporaries are alive at a time
-        dofs = self.cell_dofs.astype(np.int32)
-        rows = np.repeat(dofs, ndc, axis=1).ravel()
-        order = np.argsort(rows, kind="stable")
-        row_ptr = np.zeros(ndof + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=ndof), out=row_ptr[1:])
-        del rows
-        cols = np.tile(dofs, (1, ndc)).ravel()[order]
-        tagged = sparse.csr_matrix((order.astype(float), cols, row_ptr),
-                                   shape=(ndof, ndof))
-        del order, cols
-        tagged.sort_indices()
-        src = tagged.data.astype(np.int32)
-        cols = tagged.indices
-        del tagged
-
-        # runs of equal (row, col): rows are already grouped
-        new_run = np.ones(n_entries, dtype=bool)
-        new_run[1:] = cols[1:] != cols[:-1]
-        new_run[row_ptr[:-1]] = True
-        starts = np.flatnonzero(new_run)
-        lengths = np.diff(starts, append=n_entries)
-        # position of each entry of Kc (C order) in memory order
-        axes = tuple(int(a) for a in np.argsort(Kc.strides)[::-1])
-        src = np.arange(n_entries, dtype=np.int32).reshape(
-            Kc.transpose(axes).shape).transpose(np.argsort(axes)).ravel()[src]
-        # every row starts a run, so the runs before row r are its offset
-        indptr[:] = np.searchsorted(starts, row_ptr)
-        indices[:] = cols[starts]
-        first, rest = scatter[:nnz], scatter[nnz:]
-        first[:] = src[starts]
-        adds = []
-        for k in range(1, int(lengths.max())):
-            sel = np.flatnonzero(lengths > k)
-            n = sel.size
-            rest[:n] = sel
-            rest[n:2 * n] = src[starts[sel] + k]
-            adds.append((rest[:n], rest[n:2 * n]))
-            rest = rest[2 * n:]
-        return axes, indptr, indices, first, adds
+        return sparse.coo_matrix((Kc.ravel(), (rows, cols)),
+                                 shape=(ndof, ndof)).tocsr()
 
     def factorize(self, K: sparse.csr_matrix):
         """LU factors of the free block of the SPD matrix K (scipy SuperLU)."""
@@ -353,16 +280,20 @@ class Grid:
         except RuntimeError as exc:   # singular factorization
             raise np.linalg.LinAlgError(str(exc))
 
-    def make_solver(self, K: sparse.csr_matrix | None, factor,
+    def make_solver(self, D_qp: np.ndarray | None, factor,
                     rtol: float = CG_RTOL):
         """Reusable solver on the free dofs (full-size in/out vectors).
 
         factor holds the LU factors (``factorize``) of an SPD matrix K0.
-        With K None the solver applies them, an exact solve with K0, and
-        rtol is unused.  Otherwise CG solves with K, preconditioned by
-        factor, until |(K x - rhs)_free| <= rtol |rhs_free|.  A hardening
-        tangent stays spectrally close to the elastic stiffness, so with
-        the elastic K0 as preconditioner CG needs few iterations.
+        With D_qp None the solver applies them, an exact solve with K0,
+        and rtol is unused.  Otherwise CG solves with the stiffness K of
+        the modulus field D_qp (as ``assemble_tangent`` would build it),
+        preconditioned by factor, until |(K x - rhs)_free| <= rtol
+        |rhs_free|.  CG needs only products K x, which are summed element
+        by element from the element matrices (Hughes, Levit & Winget
+        1983), so K is never assembled.  A hardening tangent stays
+        spectrally close to the elastic stiffness, so with the elastic K0
+        as preconditioner CG needs few iterations.
         """
         free = self.free_dofs
 
@@ -371,18 +302,29 @@ class Grid:
             out[free] = factor.solve(rhs[free])
             return out
 
-        if K is None:
+        if D_qp is None:
             return apply_factor
+        d, ndof = self.d, self.nnodes * self.d
         fixed = self.dirichlet_dofs
+        # Ke[i, j, a, b, c] couples dof i of corner a with dof j of
+        # corner b in cell c; cells last is the einsum's own output
+        # layout, and it keeps the product's inner loop contiguous
+        Ke = np.einsum("qmai,cqmn,qnbj->ijabc", self.B, D_qp, self.B,
+                       optimize=True)
+        Ke *= self.qp_weight
+        dofs = np.ascontiguousarray(
+            self.cell_dofs.reshape(self.ncells, -1, d).T)   # (d, nloc, c)
 
         def matvec(x):
+            yc = np.einsum("ijabc,jbc->iac", Ke, x[dofs])
+            y = np.bincount(dofs.ravel(), weights=yc.ravel(),
+                            minlength=ndof)
             # x vanishes on Dirichlet dofs; zeroing their rows too makes
-            # this the free block of K without copying it
-            y = K @ x
+            # this the free block of K
             y[fixed] = 0.0
             return y
 
-        shape = K.shape
+        shape = (ndof, ndof)
         A = sparse_linalg.LinearOperator(shape, matvec=matvec, dtype=float)
         M = sparse_linalg.LinearOperator(shape, matvec=apply_factor,
                                          dtype=float)

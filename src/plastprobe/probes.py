@@ -614,36 +614,36 @@ def newton_summary(report: evolution.EnergyReport) -> dict:
             "max_relative_residual": float(res.max()) if res.size else None}
 
 
-def mu_sweep(scenario, mus=None, keep_probe_fields: bool | None = None):
+def mu_sweep(scenario, mus=None):
     """Run the scenario once per mu and compare the uniform quantities.
 
     Spread ratios are max/min over the sweep; the overshoot decay slope
     is the log-log fit of the final-time overshoot against mu.  Failed
-    runs are recorded as partial entries.
+    runs are recorded as partial entries.  A run keeps its field history
+    only when the scenario has probes to evaluate on it.
     """
     if mus is None:
         mus = scenario.mu_list
     mus = sorted((float(m) for m in mus), reverse=True)
     if any(m <= 0 for m in mus):
         raise ValueError("mu values must be positive")
-    if keep_probe_fields is None:
-        keep_probe_fields = bool(scenario.probes)
+    keep_history = bool(scenario.probes)
     grid = scenario.grid()
-    cutoff = scenario.cutoff() if keep_probe_fields else None
+    cutoff = scenario.cutoff() if keep_history else None
     entries, failures = [], []
     for mu in mus:
         params = scenario.material(mu)
         try:
             history, report = evolution.run(
                 grid, params, scenario.data, scenario.T, scenario.N,
-                keep_history=keep_probe_fields)
+                keep_history=keep_history)
         except evolution.SOLVER_ERRORS as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
                                       probe_summary=None, failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})
             continue
         probe_summary = None
-        if keep_probe_fields and scenario.probes:
+        if keep_history:
             probe_summary = run_probes(scenario, history,
                                        cutoff=cutoff).summary()
         entries.append(SweepEntry(mu=mu, energy_summary=energy_summary(report),

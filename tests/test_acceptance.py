@@ -62,9 +62,10 @@ def dirichlet_probe_run():
 @pytest.fixture(scope="module")
 def feasibility_sweep():
     t0 = time.perf_counter()
-    scn = load_benchmark("mixed-boundary-kinematic")   # n=32, dt = mu_min/2
+    # n=32, dt = mu_min/2; no probes, so no run keeps its history
+    scn = load_benchmark("mixed-boundary-kinematic", probes=[])
     assert scn.n == 32 and scn.dt == pytest.approx(min(scn.mu_list) / 2)
-    uni = probes.mu_sweep(scn, keep_probe_fields=False)
+    uni = probes.mu_sweep(scn)
     return scn, uni, time.perf_counter() - t0
 
 

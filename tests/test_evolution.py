@@ -178,11 +178,11 @@ def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
 
     real = fem.Grid.make_solver
 
-    def direct(grid, K, factor=None, rtol=None):
-        if K is None:
-            return real(grid, K, factor)
+    def direct(grid, D, factor=None, rtol=None):
+        if D is None:
+            return real(grid, D, factor)
         free = grid.free_dofs
-        Kff = K[free][:, free].tocsc()
+        Kff = grid.assemble_tangent(D)[free][:, free].tocsc()
 
         def solve(rhs):
             out = np.zeros_like(rhs)
@@ -207,10 +207,11 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
     real = fem.Grid.make_solver
     solves = []
 
-    def recording(grid, K, factor, rtol=fem.CG_RTOL):
-        solve = real(grid, K, factor, rtol=rtol)
-        if K is None:
+    def recording(grid, D, factor, rtol=fem.CG_RTOL):
+        solve = real(grid, D, factor, rtol=rtol)
+        if D is None:
             return solve
+        K = grid.assemble_tangent(D)
 
         def recorded(rhs):
             du = solve(rhs)
@@ -249,6 +250,30 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
     assert etas[0] == evolution.FORCING_MAX
     assert min(etas) >= fem.CG_RTOL
     assert min(etas) < evolution.FORCING_MAX
+
+
+def test_plastic_run_assembles_stiffness_once(monkeypatch):
+    # only the elastic stiffness is assembled, to be factored; every
+    # plastic tangent reaches CG as a modulus field
+    assembled, plastic = [], []
+    real_assemble = fem.Grid.assemble_tangent
+    real_solver = fem.Grid.make_solver
+
+    def assemble(grid, D):
+        assembled.append(D)
+        return real_assemble(grid, D)
+
+    def make_solver(grid, D, factor, rtol=fem.CG_RTOL):
+        if D is not None:
+            plastic.append(D)
+        return real_solver(grid, D, factor, rtol=rtol)
+
+    monkeypatch.setattr(fem.Grid, "assemble_tangent", assemble)
+    monkeypatch.setattr(fem.Grid, "make_solver", make_solver)
+    scn = _plastic_scenario("mixed-boundary-isotropic")
+    evolution.run(scn.grid(), scn.material(), scn.data, scn.T, scn.N)
+    assert plastic, "the scenario has no plastic Newton iteration"
+    assert len(assembled) == 1
 
 
 def test_elastic_run_never_calls_cg(monkeypatch):

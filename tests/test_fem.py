@@ -244,9 +244,9 @@ def test_korn_coercivity_small_grids():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
 def test_assemble_tangent_bit_identical_to_coo_tocsr(d, n, mode):
-    # the fixed-pattern scatter must repeat coo_matrix.tocsr's summation
-    # order exactly; element (c, a, i, b, j) couples dofs[c, a*d+i] and
-    # dofs[c, b*d+j]
+    # the elastic stiffness that the run factors must be bit for bit a
+    # fresh COO conversion of the element matrices; element (c, a, i, b, j)
+    # couples dofs[c, a*d+i] and dofs[c, b*d+j]
     g = build_grid(Geometry(d=d, mode=mode), n)
     m = g.m
     rng = np.random.default_rng(60 + d)
@@ -290,30 +290,33 @@ def test_singular_tangent_raises():
 
 @pytest.mark.parametrize("mode", ["mixed", "all-neumann-bottom"])
 def test_preconditioned_cg_matches_sparse_direct_solve(mode):
-    # a plastic consistent tangent, solved by CG with the elastic factors
-    # as preconditioner, against a direct solve
-    g = build_grid(Geometry(d=2, mode=mode), 4)
-    elastic = Tensor4Sym.isotropic(2, dev_modulus=1.0, vol_modulus=0.5)
-    params = MaterialParams(elastic=elastic, model="isotropic", kappa=1.0,
-                            mu=0.1, hardening_modulus=1.0)
-    rng = np.random.default_rng(31)
-    state = ConstitutiveState.zeros("isotropic", 2, (g.ncells, g.nqp))
-    deps = 1.5 * rng.standard_normal((g.ncells, g.nqp, 3))
-    D = consistent_tangent(state, deps, 0.05, params)
-    a_inv = np.linalg.inv(elastic.matrix)
-    assert not np.allclose(D, a_inv)
-    K = g.assemble_tangent(D)
-    K_el = g.assemble_tangent(np.ascontiguousarray(np.broadcast_to(
-        a_inv, (g.ncells, g.nqp, 3, 3))))
-    rhs = rng.standard_normal(g.nnodes * 2)
-    rhs[g.dirichlet_dofs] = 0.0
-    free = g.free_dofs
-    ref = np.zeros_like(rhs)
-    ref[free] = spsolve(K[free][:, free].tocsc(), rhs[free])
-    factor = g.factorize(K_el)
-    x = g.make_solver(K, factor)(rhs)
-    assert np.all(x[g.dirichlet_dofs] == 0.0)
-    assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
-    # the elastic factors alone solve the elastic system exactly
-    x = g.make_solver(None, factor)(rhs)
-    np.testing.assert_allclose(K_el[free] @ x, rhs[free], atol=1e-12)
+    # a plastic consistent tangent, applied element by element in CG with
+    # the elastic factors as preconditioner, against a direct solve of
+    # the assembled tangent
+    for d, n in ((2, 4), (3, 2)):
+        g = build_grid(Geometry(d=d, mode=mode), n)
+        m = g.m
+        elastic = Tensor4Sym.isotropic(d, dev_modulus=1.0, vol_modulus=0.5)
+        params = MaterialParams(elastic=elastic, model="isotropic",
+                                kappa=1.0, mu=0.1, hardening_modulus=1.0)
+        rng = np.random.default_rng(31)
+        state = ConstitutiveState.zeros("isotropic", d, (g.ncells, g.nqp))
+        deps = 1.5 * rng.standard_normal((g.ncells, g.nqp, m))
+        D = consistent_tangent(state, deps, 0.05, params)
+        a_inv = np.linalg.inv(elastic.matrix)
+        assert not np.allclose(D, a_inv)
+        K = g.assemble_tangent(D)
+        K_el = g.assemble_tangent(np.ascontiguousarray(np.broadcast_to(
+            a_inv, (g.ncells, g.nqp, m, m))))
+        rhs = rng.standard_normal(g.nnodes * d)
+        rhs[g.dirichlet_dofs] = 0.0
+        free = g.free_dofs
+        ref = np.zeros_like(rhs)
+        ref[free] = spsolve(K[free][:, free].tocsc(), rhs[free])
+        factor = g.factorize(K_el)
+        x = g.make_solver(D, factor)(rhs)
+        assert np.all(x[g.dirichlet_dofs] == 0.0)
+        assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+        # the elastic factors alone solve the elastic system exactly
+        x = g.make_solver(None, factor)(rhs)
+        np.testing.assert_allclose(K_el[free] @ x, rhs[free], atol=1e-12)

@@ -280,8 +280,8 @@ def test_interpolation_check_requires_enough_steps():
 
 
 def test_mu_sweep_elastic_spreads_exactly_one():
-    scn = load_benchmark("elastic-only", n=6, N=4)
-    rep = mu_sweep(scn, keep_probe_fields=False)
+    scn = load_benchmark("elastic-only", n=6, N=4, probes=[])
+    rep = mu_sweep(scn)
     assert rep.failures == []
     for key, spread in rep.spreads.items():
         assert spread == pytest.approx(1.0, abs=1e-9), key
@@ -291,8 +291,8 @@ def test_mu_sweep_elastic_spreads_exactly_one():
 def test_uniform_bound_spread_small_benchmark():
     # discrete (vztha7) analogue: bound varies < 50% over a mu decade
     scn = load_benchmark("mixed-boundary-kinematic", n=6, N=200,
-                         mu=[1e-2, 1e-3], T=1.0)
-    rep = mu_sweep(scn, keep_probe_fields=False)
+                         mu=[1e-2, 1e-3], T=1.0, probes=[])
+    rep = mu_sweep(scn)
     assert rep.failures == []
     assert rep.spreads["uniform_bound_lhs"] <= 1.5
 
@@ -373,7 +373,7 @@ def test_interpolation_ratio_stable_under_time_refinement():
 
 
 def test_mu_sweep_partial_report_on_failure(monkeypatch):
-    scn = load_benchmark("elastic-only", n=4, N=2)
+    scn = load_benchmark("elastic-only", n=4, N=2, probes=[])
     real_run = evolution.run
 
     def failing_run(grid, params, data, T, N, **kw):
@@ -382,7 +382,7 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
         return real_run(grid, params, data, T, N, **kw)
 
     monkeypatch.setattr(evolution, "run", failing_run)
-    rep = mu_sweep(scn, mus=[0.1, 0.001], keep_probe_fields=False)
+    rep = mu_sweep(scn, mus=[0.1, 0.001])
     assert len(rep.failures) == 1
     assert rep.failures[0]["mu"] == 0.001
     oks = [e for e in rep.entries if e.failure is None]
@@ -393,7 +393,7 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
     np.linalg.LinAlgError("CG failed to converge"),
     LocalSolverError("local update failed to converge")])
 def test_mu_sweep_records_linear_and_local_failures(error, monkeypatch):
-    scn = load_benchmark("elastic-only", n=4, N=2)
+    scn = load_benchmark("elastic-only", n=4, N=2, probes=[])
     real_run = evolution.run
 
     def failing_run(grid, params, data, T, N, **kw):
@@ -402,7 +402,7 @@ def test_mu_sweep_records_linear_and_local_failures(error, monkeypatch):
         return real_run(grid, params, data, T, N, **kw)
 
     monkeypatch.setattr(evolution, "run", failing_run)
-    rep = mu_sweep(scn, mus=[0.1, 0.001], keep_probe_fields=False)
+    rep = mu_sweep(scn, mus=[0.1, 0.001])
     assert rep.failures == [{"mu": 0.001, "error": str(error)}]
     assert [e.mu for e in rep.entries if e.failure is None] == [0.1]
 

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, benchmark library, report files, CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import plastprobe
 from plastprobe import evolution, fem, probes, report
 from plastprobe.cli import main as cli_main
 from plastprobe.scenario import (BENCHMARKS, ScenarioError, benchmark_path,
@@ -286,8 +288,13 @@ def test_cli_sweep_blocked_mu_directory_exits_4(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # the child imports the package this process imported, installed or
+    # found through pytest's pythonpath setting
+    src = str(Path(plastprobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "plastprobe.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert "validate" in out.stdout
 
