@@ -3,10 +3,19 @@
 Each step solves the nonlinear discrete equilibrium for the nodal
 displacement with the stress given by the pointwise backward-Euler
 update of the strain increment, using Newton iterations with the
-consistent tangent and a backtracking line search.  Energy diagnostics
-mirroring the a-priori estimates (penalty energy, dissipation sums,
-suprema of the backward-difference rates) are accumulated during the
-run so that mu-sweeps do not have to keep full field histories.
+consistent tangent and a backtracking line search.  Newton starts from
+a predictor chosen by the regime of the converged state: from an
+elastic state, one exact solve with the elastic factors for the
+elastic trial stress (an elastic step needs no more); from a plastic
+state, the extrapolation 2 u_n - u_{n-1} (de Souza Neto, Peric & Owen
+2008).  A predictor is kept only if it lowers the residual, whose
+scale is always taken at the unpredicted start.  The Newton record
+counts linear solves, the elastic predictor's included.
+
+Energy diagnostics mirroring the a-priori estimates (penalty energy,
+dissipation sums, suprema of the backward-difference rates) are
+accumulated during the run so that mu-sweeps do not have to keep full
+field histories.
 """
 
 from __future__ import annotations
@@ -192,8 +201,8 @@ class _Stepper:
     """Shared machinery for one Rothe step, around one elastic factorization.
 
     The elastic stiffness is constant: its LU factors give the exact
-    solve of an elastic Newton step and precondition CG on the plastic
-    tangents.
+    solve of the elastic predictor and of an elastic Newton step, and
+    precondition CG on the plastic tangents.
     """
 
     def __init__(self, grid: Grid, params: MaterialParams, data):
@@ -206,7 +215,27 @@ class _Stepper:
         self._factor = grid.factorize(K)
         self._elastic_solve = grid.make_solver(None, self._factor)
 
-    def step(self, u_n, state_n, t_n, dt, step_index=0):
+    def step(self, u_n, state_n, t_n, dt, step_index=0, elastic_n=False,
+             u_prev=None):
+        """One backward-Euler step from (u_n, state_n) at t_n.
+
+        Returns (u, state, iterations, |r_free| / scale).  Newton starts
+        at u_n with the Dirichlet values of t_n + dt, or at a predictor
+        chosen by the regime of state_n, which run() reads off its
+        streamed overshoot:
+        - elastic_n (state_n within KINK_GUARD of the yield surface): the
+          exact elastic predictor, one solve with the elastic factors
+          whose right-hand side is the residual of the elastic trial
+          stress sigma_n + A^-1 deps.  When no trial point yields by more
+          than KINK_GUARD, the residual at the start is used as is, and
+          the predictor is the step's elastic Newton iteration.
+        - otherwise, given the previous displacement u_prev: the
+          extrapolation 2 u_n - u_prev with the new Dirichlet values.
+        A predictor is kept only if it lowers |r_free|.  The residual
+        scale is always taken at the unpredicted start.  iterations
+        counts the linear solves: the elastic predictor's, kept or not,
+        and one per Newton correction; extrapolation costs no solve.
+        """
         grid, params, data = self.grid, self.params, self.data
         t1 = t_n + dt
         u = u_n.copy()
@@ -216,12 +245,19 @@ class _Stepper:
                                 sigma0_fn=data.sigma0, t=t1)
         free = grid.free_dofs
 
+        def force_of(sigma):
+            r = grid.internal_force(sigma) - load
+            r[grid.dirichlet_dofs] = 0.0
+            return r
+
         def residual_of(u_try):
             deps = grid.sym_gradient(u_try) - strain_n
             upd = local_update(state_n, deps, dt, params)
-            r = grid.internal_force(upd.sigma) - load
-            r[grid.dirichlet_dofs] = 0.0
-            return r, deps, upd
+            return force_of(upd.sigma), deps, upd
+
+        def is_elastic(upd):
+            return float(yield_excess(upd, params).max()) \
+                <= constitutive.KINK_GUARD
 
         r, deps, upd = residual_of(u)
         fint_scale = np.linalg.norm((r + load)[free])
@@ -229,11 +265,29 @@ class _Stepper:
         rnorm = np.linalg.norm(r[free])
 
         iters = 0
+        u_pred = None
+        if rnorm > NEWTON_RTOL * scale:
+            if elastic_n:
+                r_trial = r if is_elastic(upd) else force_of(
+                    state_n.sigma + params.elastic.inverse().apply(deps))
+                u_pred = u + self._elastic_solve(-r_trial).reshape(
+                    grid.nnodes, grid.d)
+                iters = 1
+            elif u_prev is not None:
+                u_pred = 2.0 * u_n - u_prev
+                u_pred[grid.dirichlet_nodes] = u[grid.dirichlet_nodes]
+        if u_pred is not None:
+            r_pred, deps_pred, upd_pred = residual_of(u_pred)
+            rn_pred = np.linalg.norm(r_pred[free])
+            if rn_pred < rnorm:
+                u, r, deps, upd, rnorm = (u_pred, r_pred, deps_pred,
+                                          upd_pred, rn_pred)
+            # free these names' arrays before the first tangent is built
+            del r_pred, deps_pred, upd_pred
+
         while rnorm > NEWTON_RTOL * scale and iters < NEWTON_MAX_ITER:
-            elastic_step = float(yield_excess(upd, params).max()) \
-                <= constitutive.KINK_GUARD
             solve = self._elastic_solve
-            if not elastic_step:
+            if not is_elastic(upd):
                 # D gives the exact Jacobian K, so |K du + r| <= eta |r|
                 # with eta < 1 makes du a descent direction for |r|^2
                 D = consistent_tangent(state_n, deps, dt, params, updated=upd)
@@ -341,9 +395,12 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
         history.xi[0] = state.xi
         history.ep[0] = state.ep
 
+    u_prev = None
     for k in range(N):
+        elastic_n = acc["overshoot_linf"][-1] <= constitutive.KINK_GUARD
         u_new, state_new, iters, rel = stepper.step(
-            u, state, times[k], dt, step_index=k)
+            u, state, times[k], dt, step_index=k, elastic_n=elastic_n,
+            u_prev=u_prev)
         _accumulate_energy(acc, grid, params, state_new, state, u_new, u, dt)
         acc["newton_iters"].append(iters)
         acc["residual_rel"].append(rel)
@@ -352,7 +409,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
             history.sigma[k + 1] = state_new.sigma
             history.xi[k + 1] = state_new.xi
             history.ep[k + 1] = state_new.ep
-        u, state = u_new, state_new
+        u_prev, u, state = u, u_new, state_new
 
     return history, _energy_report(acc, times)
 

@@ -20,6 +20,8 @@ from plastprobe.tensors import Tensor4Sym, penalty, penalty_energy
 from oracles import (fd_gradient, fd_jacobian, integrate_pointwise_ode,
                      oracle_local_update, random_spd_tensor4)
 
+pytestmark = pytest.mark.slow
+
 
 def _report(k, name, ok, detail):
     print(f"\nACCEPTANCE {k:2d} ({name}): {'PASS' if ok else 'FAIL'} -- {detail}")

@@ -5,7 +5,8 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from plastprobe import evolution, fem, tensors
-from plastprobe.constitutive import ISOTROPIC, KINEMATIC, local_update
+from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
+                                     local_update, yield_excess)
 from plastprobe.scenario import load_benchmark
 
 from oracles import integrate_pointwise_ode
@@ -225,20 +226,26 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
     times = np.linspace(0.0, scn.T, scn.N + 1)
     dt = scn.T / scn.N
     free, dir_nodes = grid.free_dofs, grid.dirichlet_nodes
-    etas = []
+    etas, u_prev, extrapolated = [], None, 0
     for k in range(scn.N):
-        # the residual scale of the step, from its initial iterate
+        # driven as run() drives it: the regime of state_n picks the
+        # predictor, and plastic states extrapolate from u_prev
+        elastic_n = yield_excess(state, params).max() <= KINK_GUARD
+        # the residual and its scale at the step's unpredicted iterate
         t1 = times[k] + dt
         u0 = u.copy()
         u0[dir_nodes] = data.u0(t1, grid.nodes[dir_nodes])
         deps = grid.sym_gradient(u0) - grid.sym_gradient(u)
-        sigma = local_update(state, deps, dt, params).sigma
+        fint = grid.internal_force(local_update(state, deps, dt, params).sigma)
         load = grid.load_vector(body_fn=data.body_force,
                                 sigma0_fn=data.sigma0, t=t1)
+        r0norm = np.linalg.norm((fint - load)[free])
         scale = max(np.linalg.norm(load[free]),
-                    np.linalg.norm(grid.internal_force(sigma)[free]), 1e-12)
+                    np.linalg.norm(fint[free]), 1e-12)
         solves.clear()
-        u, state, _, _ = stepper.step(u, state, times[k], dt, step_index=k)
+        u_prev, (u, state, _, _) = u, stepper.step(
+            u, state, times[k], dt, step_index=k, elastic_n=elastic_n,
+            u_prev=u_prev)
         for K, eta, rhs, du in solves:
             rnorm = np.linalg.norm(rhs[free])
             assert eta == pytest.approx(
@@ -246,7 +253,11 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
                 rel=1e-12)
             assert np.linalg.norm((K @ du - rhs)[free]) <= eta * rnorm
             etas.append(eta)
+        # a kept extrapolation hands CG a residual below the unpredicted one
+        if not elastic_n and k > 0 and solves:
+            extrapolated += np.linalg.norm(solves[0][2][free]) < r0norm
     assert etas, "the scenario has no plastic Newton iteration"
+    assert extrapolated, "no plastic solve started from an extrapolation"
     assert etas[0] == evolution.FORCING_MAX
     assert min(etas) >= fem.CG_RTOL
     assert min(etas) < evolution.FORCING_MAX
@@ -286,6 +297,96 @@ def test_elastic_run_never_calls_cg(monkeypatch):
     _, energy = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
                               scn.N)
     assert energy.newton_iters.max() > 0
+
+
+def test_steps_before_yield_take_one_elastic_solve(monkeypatch):
+    # the new Dirichlet values alone make the boundary cells' trial
+    # stress yield; the elastic predictor solves the step exactly instead
+    # of taking a plastic Newton iteration first
+    cg_calls, per_step = [], []
+    real_cg = fem.sparse_linalg.cg
+    real_step = evolution._Stepper.step
+
+    def counting_cg(*args, **kwargs):
+        cg_calls.append(1)
+        return real_cg(*args, **kwargs)
+
+    def counting_step(self, *args, **kwargs):
+        before = len(cg_calls)
+        out = real_step(self, *args, **kwargs)
+        per_step.append(len(cg_calls) - before)
+        return out
+
+    monkeypatch.setattr(fem.sparse_linalg, "cg", counting_cg)
+    monkeypatch.setattr(evolution._Stepper, "step", counting_step)
+    scn = load_benchmark("mixed-boundary-kinematic", n=6, N=10, T=1.0,
+                         mu=0.2, allow_coarse_dt=True)
+    _, energy = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                              scn.N, keep_history=False)
+    before_yield = np.flatnonzero(energy.overshoot_linf[1:] == 0.0)
+    assert 0 < before_yield.size < scn.N
+    assert energy.newton_iters[before_yield].tolist() == [1] * before_yield.size
+    assert [per_step[k] for k in before_yield] == [0] * before_yield.size
+
+
+def test_elastic_run_is_the_documented_elastic_step():
+    # every step of an elastic run is u_n + K0^-1 (-r(u_n)), with u_n
+    # carrying the new Dirichlet values: same bits, in every field
+    scn = load_benchmark("elastic-only", n=8, N=5)
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    hist, _ = evolution.run(grid, params, data, scn.T, scn.N)
+
+    a_inv = np.linalg.inv(params.elastic.matrix)
+    D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
+    factor = grid.factorize(grid.assemble_tangent(np.ascontiguousarray(D)))
+    solve = grid.make_solver(None, factor)
+    u, state = evolution.initial_state(grid, params, data)
+    dt = scn.T / scn.N
+    for k in range(scn.N):
+        t1 = hist.times[k] + dt
+        load = grid.load_vector(body_fn=data.body_force,
+                                sigma0_fn=data.sigma0, t=t1)
+        strain_n = grid.sym_gradient(u)
+
+        def residual(v):
+            upd = local_update(state, grid.sym_gradient(v) - strain_n, dt,
+                               params)
+            r = grid.internal_force(upd.sigma) - load
+            r[grid.dirichlet_dofs] = 0.0
+            return r, upd
+
+        u_start = u.copy()
+        u_start[grid.dirichlet_nodes] = data.u0(t1, grid.dirichlet_points)
+        r, _ = residual(u_start)
+        u_next = u_start + solve(-r).reshape(grid.nnodes, grid.d)
+        _, state = residual(u_next)
+        u = u_next
+        assert np.array_equal(hist.u[k + 1], u), k
+        for name in ("sigma", "xi", "ep"):
+            assert np.array_equal(getattr(hist, name)[k + 1],
+                                  getattr(state, name)), (k, name)
+
+
+def test_bad_previous_displacement_is_rejected():
+    # the extrapolation 2 u_n - u_prev is kept only if it lowers |r|: a
+    # bad u_prev leaves the step as it is without a predictor
+    scn = _plastic_scenario("mixed-boundary-kinematic")
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
+    k = int(np.flatnonzero(energy.overshoot_linf > KINK_GUARD)[0])
+    assert 0 < k < scn.N
+    stepper = evolution._Stepper(grid, params, data)
+    args = (hist.u[k], hist.state_at(k), hist.times[k], hist.dt)
+    u_ref, state_ref, iters_ref, _ = stepper.step(*args)
+    _, _, iters_good, _ = stepper.step(*args, u_prev=hist.u[k - 1])
+    assert iters_good < iters_ref         # the true u_{n-1} helps
+    rng = np.random.default_rng(11)
+    bad = hist.u[k] + rng.standard_normal(hist.u[k].shape)
+    u_bad, state_bad, iters_bad, _ = stepper.step(*args, u_prev=bad)
+    assert iters_bad <= iters_ref
+    np.testing.assert_allclose(u_bad, u_ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(state_bad.sigma, state_ref.sigma, rtol=0,
+                               atol=1e-9)
 
 
 def test_safety_load_check_benchmarks():
@@ -455,6 +556,7 @@ def _oracle_energy_summary(scn, hist):
     }
 
 
+@pytest.mark.slow            # two runs of 2048 and 4096 steps
 def test_energy_diagnostics_match_ode_oracle_values():
     # headline diagnostics agree with the adaptive pointwise integration;
     # the cumulative dissipation carries an O(dt) contribution from the
