@@ -8,7 +8,7 @@ from .fem import Cutoff, Geometry, Grid, build_grid, make_cutoff
 from .probes import (ExponentTargets, ProbeReport, SeminormTable,
                      UniformityReport, alpha_exponent, beta_lambda,
                      diff_quotient, fit_exponent, interpolation_check,
-                     mu_sweep, run_probes, seminorm_table,
+                     mu_sweep, record_plan, run_probes, seminorm_table,
                      strip_gradient_norm, target_exponents)
 from .scenario import (BENCHMARKS, Scenario, ScenarioError, load_benchmark,
                        parse_scenario, parse_scenario_dict, validate)
@@ -25,7 +25,7 @@ __all__ = [
     "consistent_tangent", "diff_quotient", "energy_diagnostics",
     "fit_exponent", "interpolation_check", "kkt_residual", "load_benchmark",
     "local_update", "make_cutoff", "mu_sweep", "parse_scenario",
-    "parse_scenario_dict", "penalty", "run", "run_probes",
+    "parse_scenario_dict", "penalty", "record_plan", "run", "run_probes",
     "safety_load_check", "seminorm_table", "strip_gradient_norm",
     "target_exponents", "validate",
 ]

@@ -54,17 +54,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _solve(scenario, keep_history: bool):
-    grid = scenario.grid()
-    params = scenario.material()
-    return evolution.run(grid, params, scenario.data, scenario.T, scenario.N,
-                         keep_history=keep_history)
+def _solve(scenario, record):
+    return evolution.run(scenario.grid(), scenario.material(), scenario.data,
+                         scenario.T, scenario.N, record=record)
 
 
 def cmd_run(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
-    _, energy = _solve(scenario, keep_history=False)
+    _, energy = _solve(scenario, record=None)
     out = report.emit_run_report(args.out, scenario, energy,
                                  reproducible=args.reproducible,
                                  runtime_seconds=time.perf_counter() - t0)
@@ -77,14 +75,27 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _history_meta(history) -> dict:
+    """Stored MiB of a history and the box of cells each field is kept on."""
+    if history is None:
+        return {"history_mb": 0.0, "record": None}
+    return {"history_mb": sum(getattr(history, name).nbytes
+                              for name in evolution.RECORDED) / 2**20,
+            "record": {name: [[s.start, s.stop] for s in box]
+                       for name, box in history.boxes.items()}}
+
+
 def cmd_probe(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
-    history, energy = _solve(scenario, keep_history=True)
+    cutoff = scenario.cutoff()
+    record = probes.record_plan(scenario, scenario.grid(), cutoff)
+    history, energy = _solve(scenario, record)
     t1 = time.perf_counter()
     meta = {"solve_seconds": t1 - t0,
-            "peak_rss_mb_after_solve": _peak_rss_mb()}
-    probe_report = probes.run_probes(scenario, history)
+            "peak_rss_mb_after_solve": _peak_rss_mb(),
+            **_history_meta(history)}
+    probe_report = probes.run_probes(scenario, history, cutoff)
     meta["probe_seconds"] = time.perf_counter() - t1
     meta["peak_rss_mb_after_probes"] = _peak_rss_mb()
     out = report.emit_run_report(args.out, scenario, energy,

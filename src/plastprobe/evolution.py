@@ -20,6 +20,7 @@ field histories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -94,72 +95,139 @@ class EnergyReport:
         return float(self.e_pen[-1]) + self.dissipation_total
 
 
+# the fields run() can record at every time level
+RECORDED = ("u", "sigma", "xi", "ep")
+
+
+def _cell_count(box) -> int:
+    return math.prod(s.stop - s.start for s in box)
+
+
+def _box_str(box) -> str:
+    return "[" + ", ".join(f"{s.start}:{s.stop}" for s in box) + "]"
+
+
 @dataclass
 class FieldHistory:
-    """Full space-time record of a run on the Rothe grid."""
+    """Space-time record of a run on the Rothe grid.
+
+    boxes maps each of RECORDED to the box of cells it is kept on, one
+    slice per grid axis (default: the whole grid).  sigma, xi and ep
+    hold their box's cells in C order, (N+1, box cells, nqp[, m]), so a
+    whole-grid field is (N+1, ncells, nqp[, m]) and one on an empty box
+    has zero cells.  u is kept on the whole grid, (N+1, nnodes, d), or
+    on an empty box.  Every read names absolute cells and raises
+    ValueError when they leave the field's box.
+    """
 
     times: np.ndarray
     u: np.ndarray                       # (N+1, nnodes, d)
-    sigma: np.ndarray                   # (N+1, ncells, nqp, m)
-    xi: np.ndarray                      # (N+1, ncells, nqp[, m])
+    sigma: np.ndarray                   # (N+1, box cells, nqp, m)
+    xi: np.ndarray                      # (N+1, box cells, nqp[, m])
     ep: np.ndarray
     grid: Grid = field(repr=False)
     params: MaterialParams = field(repr=False)
+    boxes: dict | None = None
+
+    def __post_init__(self):
+        whole = self.grid.cell_box()
+        given = self.boxes or {}
+        self.boxes = {name: self.grid.cell_box(given.get(name, whole))
+                      for name in RECORDED}
+        for name, box in self.boxes.items():
+            rows = _cell_count(box)
+            if name == "u" and rows:
+                if box != whole:
+                    raise ValueError("u is kept on the whole grid or not at all")
+                rows = self.grid.nnodes
+            if getattr(self, name).shape[1] != rows:
+                raise ValueError(f"{name} holds {getattr(self, name).shape[1]}"
+                                 f" rows for its box {_box_str(box)}")
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def _whole(self, *names):
+        """Raise unless every named field is kept on the whole grid."""
+        whole = self.grid.cell_box()
+        partial = [f"{n} on {_box_str(self.boxes[n])}" for n in names
+                   if self.boxes[n] != whole]
+        if partial:
+            raise ValueError("needs the whole grid, but this history keeps "
+                             + ", ".join(partial))
+
     def state_at(self, k: int) -> ConstitutiveState:
+        self._whole("sigma", "xi", "ep")
         return ConstitutiveState(self.sigma[k], self.xi[k], self.ep[k])
 
-    def on_cells(self, arr: np.ndarray, region=None) -> np.ndarray:
-        """arr's levels on a box of cells, (Nt, *box, ...), as a view.
+    def on_cells(self, name: str, region=None) -> np.ndarray:
+        """Stored field name on a box of cells, (Nt, *box, ...), as a view.
 
-        region holds one cell slice per grid axis; None gives arr as is.
+        region holds one absolute cell slice per grid axis; None gives
+        the whole-grid array as stored.  Raises ValueError if region
+        leaves the field's kept box.
         """
+        arr = getattr(self, name)
         if region is None:
+            self._whole(name)
             return arr
-        shaped = arr.reshape(arr.shape[:1] + self.grid.cell_counts
+        kept = self.boxes[name]
+        region = self.grid.cell_box(region)
+        if any(r.start < k.start or r.stop > k.stop
+               for r, k in zip(region, kept)):
+            raise ValueError(f"cells {_box_str(region)} of {name} are outside "
+                             f"its kept box {_box_str(kept)}")
+        shaped = arr.reshape(arr.shape[:1] + tuple(k.stop - k.start
+                                                   for k in kept)
                              + arr.shape[2:])
-        return shaped[(slice(None),) + tuple(region)]
+        return shaped[(slice(None),) + tuple(
+            slice(r.start - k.start, r.stop - k.start)
+            for r, k in zip(region, kept))]
 
-    def _rate(self, arr: np.ndarray, region=None) -> np.ndarray:
-        """Backward-difference rate on region, built in one fresh array."""
-        arr = self.on_cells(arr, region)
-        out = arr[1:] - arr[:-1]
+    def _rate(self, name: str, region=None, levels=slice(None), out=None):
+        """Backward-difference rate of name on region at the rate levels
+        levels (a slice of range(N)), written into out or a fresh array."""
+        arr = self.on_cells(name, region)
+        start, stop, _ = levels.indices(arr.shape[0] - 1)
+        out = np.subtract(arr[start + 1:stop + 1], arr[start:stop], out=out)
         out /= self.dt
         return out
 
-    def sigma_dot(self, region=None) -> np.ndarray:
-        return self._rate(self.sigma, region)
+    def sigma_dot(self, region=None, levels=slice(None), out=None):
+        return self._rate("sigma", region, levels, out)
 
-    def xi_dot(self, region=None) -> np.ndarray:
-        return self._rate(self.xi, region)
+    def xi_dot(self, region=None, levels=slice(None), out=None):
+        return self._rate("xi", region, levels, out)
 
     def u_dot(self) -> np.ndarray:
-        return self._rate(self.u)
+        return self._rate("u")
 
-    def grad_u_dot(self, region=None) -> np.ndarray:
+    def grad_u_dot(self, region=None, levels=slice(None), out=None):
         """(N, ncells, nqp, d, d) gradients of the backward-difference rates.
 
         Given a region (see on_cells), the gradients of its cells only,
-        as (N, *box, nqp, d, d).  Each level forms its own u rate.
+        as (N, *box, nqp, d, d); given levels, those rate levels only,
+        written into out if given.  Each level forms its own u rate.
         """
+        self._whole("u")
         grid = self.grid
         cells, box = None, (grid.ncells,)
         if region is not None:
             cells = np.arange(grid.ncells).reshape(grid.cell_counts)[
-                tuple(region)]
+                grid.cell_box(region)]
             box = cells.shape
             cells = cells.ravel()
-        out = np.empty((len(self.times) - 1,) + box
-                       + (grid.nqp, grid.d, grid.d))
-        rows = out.reshape(out.shape[0], -1, grid.nqp, grid.d, grid.d)
-        for k in range(out.shape[0]):
+        start, stop, _ = levels.indices(len(self.times) - 1)
+        if out is None:
+            out = np.empty((stop - start,) + box
+                           + (grid.nqp, grid.d, grid.d))
+        rows = out.reshape(out.shape[0], -1, grid.nqp, grid.d, grid.d,
+                           copy=False)
+        for i, k in enumerate(range(start, stop)):
             ud = self.u[k + 1] - self.u[k]
             ud /= self.dt
-            rows[k] = grid.gradient(ud, cells)
+            rows[i] = grid.gradient(ud, cells)
         return out
 
 
@@ -366,11 +434,15 @@ def _energy_report(acc, times) -> EnergyReport:
 
 
 def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
-        keep_history: bool = True):
+        record="all"):
     """Execute N backward-Euler steps; returns (history | None, EnergyReport).
 
-    keep_history=False drops the per-step fields (sweeps only need the
-    streamed diagnostics); the report carries the Newton record either way.
+    record maps names of RECORDED to the box of cells each is kept on at
+    every level (one slice per grid axis; see FieldHistory), and a name
+    it leaves out is kept on an empty box; "all" keeps every field on
+    the whole grid, and None keeps no history (sweeps only need the
+    streamed diagnostics).  The report carries the Newton record either
+    way.
     """
     dt = T / N
     times = np.linspace(0.0, T, N + 1)
@@ -381,19 +453,9 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     _accumulate_energy(acc, grid, params, state)
 
     history = None
-    if keep_history:
-        m = grid.m
-        shp = (N + 1, grid.ncells, grid.nqp)
-        history = FieldHistory(
-            times=times, u=np.empty((N + 1, grid.nnodes, grid.d)),
-            sigma=np.empty(shp + (m,)),
-            xi=np.empty(shp + ((m,) if params.model == constitutive.KINEMATIC
-                               else ())),
-            ep=np.empty(shp + (m,)), grid=grid, params=params)
-        history.u[0] = u
-        history.sigma[0] = state.sigma
-        history.xi[0] = state.xi
-        history.ep[0] = state.ep
+    if record is not None:
+        history = _new_history(grid, params, times, record)
+        _record(history, 0, u, state)
 
     u_prev = None
     for k in range(N):
@@ -404,18 +466,50 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
         _accumulate_energy(acc, grid, params, state_new, state, u_new, u, dt)
         acc["newton_iters"].append(iters)
         acc["residual_rel"].append(rel)
-        if keep_history:
-            history.u[k + 1] = u_new
-            history.sigma[k + 1] = state_new.sigma
-            history.xi[k + 1] = state_new.xi
-            history.ep[k + 1] = state_new.ep
+        if history is not None:
+            _record(history, k + 1, u_new, state_new)
         u_prev, u, state = u, u_new, state_new
 
     return history, _energy_report(acc, times)
 
 
+def _new_history(grid, params, times, record) -> FieldHistory:
+    """An empty FieldHistory holding each field on its box of record."""
+    if record == "all":
+        record = {name: grid.cell_box() for name in RECORDED}
+    unknown = set(record) - set(RECORDED)
+    if unknown:
+        raise ValueError(f"cannot record {sorted(unknown)}; "
+                         f"choices: {RECORDED}")
+    empty = tuple(slice(0, 0) for _ in grid.cell_counts)
+    boxes = {name: grid.cell_box(record.get(name, empty))
+             for name in RECORDED}
+    levels = len(times)
+    u_rows = grid.nnodes if _cell_count(boxes["u"]) else 0
+    xi_comps = (grid.m,) if params.model == constitutive.KINEMATIC else ()
+    comps = {"sigma": (grid.m,), "xi": xi_comps, "ep": (grid.m,)}
+    return FieldHistory(
+        times=times, u=np.empty((levels, u_rows, grid.d)),
+        **{name: np.empty((levels, _cell_count(boxes[name]), grid.nqp)
+                          + comps[name]) for name in comps},
+        grid=grid, params=params, boxes=boxes)
+
+
+def _record(history: FieldHistory, k: int, u, state) -> None:
+    """Copy level k's fields into the history, each on its kept box."""
+    grid = history.grid
+    if history.u.shape[1]:
+        history.u[k] = u
+    for name in ("sigma", "xi", "ep"):
+        dest = history.on_cells(name, history.boxes[name])[k]
+        arr = getattr(state, name)
+        dest[...] = arr.reshape(grid.cell_counts + arr.shape[1:])[
+            history.boxes[name]]
+
+
 def energy_diagnostics(history: FieldHistory) -> EnergyReport:
-    """Recompute the streamed diagnostics from a stored history."""
+    """Recompute the streamed diagnostics from a whole-grid history."""
+    history._whole(*RECORDED)
     grid, params = history.grid, history.params
     acc = _new_accumulator()
     _accumulate_energy(acc, grid, params, history.state_at(0))

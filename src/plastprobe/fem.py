@@ -189,6 +189,25 @@ class Grid:
 
     # -- fields ------------------------------------------------------------
 
+    def cell_box(self, region=None) -> tuple:
+        """Explicit-bounds box of cells: one slice(start, stop) per axis.
+
+        region holds one unit-step cell slice per grid axis, clipped to
+        the grid as slice.indices does; None gives the whole grid.
+        """
+        if region is None:
+            return tuple(slice(0, c) for c in self.cell_counts)
+        if len(region) != self.d:
+            raise ValueError(f"a cell box takes {self.d} slices, "
+                             f"got {len(region)}")
+        box = []
+        for s, count in zip(region, self.cell_counts):
+            start, stop, step = s.indices(count)
+            if step != 1:
+                raise ValueError("a cell box takes unit-step slices")
+            box.append(slice(start, max(start, stop)))
+        return tuple(box)
+
     def sym_gradient(self, u: np.ndarray) -> np.ndarray:
         """Symmetric gradient of a nodal field, Mandel (ncells, nqp, m)."""
         u = np.asarray(u, dtype=float)

@@ -27,13 +27,21 @@ whole-array formula ((phi * Delta^h w)**2).sum(...) is (0 * Delta)**2
 operations, and every level is still reduced over its whole
 C-contiguous row, so the sum adds the same values in the same order and
 the tables are bitwise equal to that formula; no sum may be reordered.
-Besides the buffer, a table holds at most one array the size of its
-read region: the rate field it differences, or phi * w on the time
-axis, formed on the support box (on a space axis the box widened by the
-ladder's largest shift along that axis; a stored field is then only
-viewed).  A table keeps its per-level integrals, so the other
+
+A table reads its field on a read region (read_region): the support
+box, widened on a space axis by the ladder's largest shift along that
+axis.  On a space axis a stored field is only viewed there, and a rate
+is formed one block of levels at a time into a second block-sized
+buffer, with the same elementwise (w[k+1] - w[k]) / dt.  A time-axis
+table holds phi * w on the support box, its only array the size of its
+read region.  A table keeps its per-level integrals, so the other
 aggregation over t of the same (axis, field) is derived from it
 (SeminormTable.in_mode), not rebuilt.
+
+The tables read a recorded box, not the whole grid: record_plan gives
+evolution.run, for each recorded field, the bounding box of the read
+regions of the tables run_probes builds (table_keys), and FieldHistory
+raises on a read outside it.  ep is read by no table and not recorded.
 """
 
 from __future__ import annotations
@@ -49,6 +57,11 @@ from .evolution import FieldHistory
 from .fem import Cutoff
 
 FIELDS = ("sigma", "xi", "sigma_dot", "xi_dot", "grad_u_dot")
+# the recorded field (evolution.RECORDED) each table field is read from
+SOURCE = {"sigma": "sigma", "sigma_dot": "sigma", "xi": "xi",
+          "xi_dot": "xi", "grad_u_dot": "u"}
+# the normal tables of the interpolation check, LHS terms first
+INTERPOLATION_FIELDS = ("sigma_dot", "xi_dot", "sigma", "xi")
 
 # size of the scratch buffer a table works through (at least one level)
 BLOCK_BYTES = 1 << 20
@@ -58,23 +71,25 @@ BLOCK_BYTES = 1 << 20
 
 
 def _history_field(history: FieldHistory, name: str, region,
-                   phi: np.ndarray | None = None) -> np.ndarray:
+                   phi: np.ndarray | None = None, levels=slice(None),
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Field on a box of cells, (Nt, *box, nqp, ncomp); squared comps
     sum to the norm^2.
 
     region holds one cell slice per axis.  Given phi on the box
     (*box, nqp), the field comes back multiplied by it: a rate is
-    weighted in place, a stored field in a weighted copy.
+    weighted in place, a stored field in a weighted copy.  A rate is
+    formed at the rate levels levels only, into out if given, of shape
+    (levels, *box, nqp, ncomp).
     """
     if name in ("sigma", "xi"):
-        arr = history.on_cells(getattr(history, name), region)
-    elif name == "sigma_dot":
-        arr = history.sigma_dot(region)
-    elif name == "xi_dot":
-        arr = history.xi_dot(region)
-    elif name == "grad_u_dot":
-        g = history.grad_u_dot(region)
-        arr = g.reshape(g.shape[:-2] + (-1,))
+        arr = history.on_cells(name, region)
+    elif name in FIELDS:
+        if out is not None:
+            out = out.reshape(out.shape[:-1] + _components(history, name))
+        arr = getattr(history, name)(region, levels, out)
+        if name == "grad_u_dot":
+            arr = arr.reshape(arr.shape[:-2] + (-1,))
     else:
         raise ValueError(f"unknown field {name!r}; choices: {FIELDS}")
     if arr.ndim == history.grid.d + 2:          # isotropic scalar xi / xi_dot
@@ -85,6 +100,13 @@ def _history_field(history: FieldHistory, name: str, region,
         return arr * phi[..., None]
     arr *= phi[..., None]
     return arr
+
+
+def _components(history: FieldHistory, name: str) -> tuple:
+    """Shape of one quadrature point's value of field name."""
+    if name == "grad_u_dot":
+        return (history.grid.d,) * 2
+    return getattr(history, SOURCE[name]).shape[3:]
 
 
 def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
@@ -174,53 +196,100 @@ def _aggregate(vals: np.ndarray, mode: str, dt: float) -> float:
     return float(vals[:-1].sum() * dt)
 
 
+def _space_ladder(grid, ax: int) -> tuple[float, float]:
+    """Base and cap of the shift ladder along space axis ax."""
+    extent = 1.0 if ax == grid.d - 1 else 2.0
+    return grid.h, min(0.5, extent - grid.h)
+
+
+def read_region(grid, cutoff: Cutoff, axis: str) -> tuple:
+    """The cells a table along axis reads: the cutoff's support, widened
+    on a space axis by the ladder's largest shift (the weighted,
+    unshifted cells and the cells they are shifted to)."""
+    region = list(grid.cell_box(cutoff.support))
+    if axis != "time":
+        ax = _space_axis(axis, grid.d)
+        shift = int(round(_ladder(*_space_ladder(grid, ax))[-1] / grid.h))
+        region[ax] = slice(region[ax].start, min(region[ax].stop + shift,
+                                                 grid.cell_counts[ax]))
+    return tuple(region)
+
+
+def _checks_interpolation(probe_list, N: int) -> bool:
+    return bool(probe_list) and N >= 8
+
+
+def table_keys(probe_list, N: int) -> list:
+    """(axis, field) of every table run_probes builds, in build order.
+
+    The probes' pairs, then the normal tables of the interpolation
+    check not among them when there are N >= 8 steps.  The check rides
+    along the probes: with none requested, no table is built.
+    """
+    keys = list(dict.fromkeys((p["axis"], p["field"]) for p in probe_list))
+    if _checks_interpolation(probe_list, N):
+        keys += [("normal", f) for f in INTERPOLATION_FIELDS
+                 if ("normal", f) not in keys]
+    return keys
+
+
 def seminorm_table(history: FieldHistory, axis: str, field_name: str,
                    cutoff: Cutoff, mode: str) -> SeminormTable:
     """Weighted squared-L2 difference-quotient aggregate over a dyadic ladder."""
     if mode not in ("sup", "integral"):
         raise ValueError("mode must be 'sup' or 'integral'")
+    if field_name not in FIELDS:
+        raise ValueError(f"unknown field {field_name!r}; choices: {FIELDS}")
     grid = history.grid
     dt = history.dt
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
     support = cutoff.support
-
+    region = read_region(grid, cutoff, axis)
     if axis == "time":
         base, cap = dt, (history.times[-1] - history.times[0]) / 2.0
     else:
         ax = _space_axis(axis, grid.d)
-        extent = 1.0 if ax == grid.d - 1 else 2.0
-        base = grid.h
-        cap = min(0.5, extent - base)
+        base, cap = _space_ladder(grid, ax)
     ladder = _ladder(base, cap)
     shifts = [int(round(h / base)) for h in ladder]
-    if axis == "time":
-        arr = _history_field(history, field_name, support, phi[support])
+    n_comp = math.prod(_components(history, field_name))
+    level_size = grid.ncells * grid.nqp * n_comp
+    block = max(1, BLOCK_BYTES // (level_size * np.dtype(float).itemsize))
+    stored = field_name in ("sigma", "xi")
+    n_field = len(history.times) - (0 if stored else 1)
+    if axis == "time" or stored:
+        phi_box = phi[region] if axis == "time" else None
+        arr = _history_field(history, field_name, region, phi_box)
+
+        def read(t0, t1):
+            return arr[t0:t1]
     else:
-        # the weighted (unshifted) cells and the cells they are shifted to
-        region = list(support)
-        region[ax] = slice(support[ax].start, min(
-            support[ax].stop + shifts[-1], grid.cell_counts[ax]))
-        arr = _history_field(history, field_name, region)
-    level_size = grid.ncells * grid.nqp * arr.shape[-1]
-    block = max(1, BLOCK_BYTES // (level_size * arr.itemsize))
-    scratch = np.empty(min(block, arr.shape[0]) * level_size)
+        # a rate on a space axis: each block of levels is formed anew
+        rates = np.empty((min(block, n_field),)
+                         + tuple(s.stop - s.start for s in region)
+                         + (grid.nqp, n_comp))
+
+        def read(t0, t1):
+            return _history_field(history, field_name, region,
+                                  levels=slice(t0, t1), out=rates[:t1 - t0])
+    scratch = np.empty(min(block, n_field) * level_size)
     levels = []
     for k in shifts:
         cells, box = list(grid.cell_counts), list(support)
-        src, weight = arr, None
+        cut, weight = (), None
         if axis == "time":
-            n_levels, extra = arr.shape[0] - k, k
+            n_levels, extra = n_field - k, k
         else:
-            n_levels, extra = arr.shape[0], 0
+            n_levels, extra = n_field, 0
             cells[ax] -= k
             box[ax] = slice(support[ax].start,
                             min(support[ax].stop, cells[ax]))
             width = max(0, box[ax].stop - box[ax].start)
-            src = arr[(slice(None),) * (1 + ax) + (slice(None, width + k),)]
+            cut = (slice(None),) * (1 + ax) + (slice(None, width + k),)
             # phi applied at the unshifted point, outside the difference
             weight = phi[tuple(box)][..., None]
         box = (slice(None),) + tuple(box)
-        level_shape = tuple(cells) + arr.shape[-2:]
+        level_shape = tuple(cells) + (grid.nqp, n_comp)
         size = math.prod(level_shape)
         scratch[:min(block, n_levels) * size] = 0.0
         per_t = np.empty(n_levels)
@@ -229,7 +298,8 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
             buf = scratch[:(t1 - t0) * size].reshape((t1 - t0,) + level_shape)
             view = buf[box]
             if view.size:
-                diff_quotient(src[t0:t1 + extra], axis, k, grid, out=view)
+                diff_quotient(read(t0, t1 + extra)[cut], axis, k, grid,
+                              out=view)
                 if weight is not None:
                     view *= weight
                 np.square(view, out=view)
@@ -396,7 +466,7 @@ def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
         return table.in_mode("integral")
 
     t_dot_sig, t_dot_xi, t_sig, t_xi = (
-        normal(f) for f in ("sigma_dot", "xi_dot", "sigma", "xi"))
+        normal(f) for f in INTERPOLATION_FIELDS)
     lhs = t_dot_sig.values + t_dot_xi.values
     rhs_base = t_sig.values + t_xi.values
     exponent = 1.0 / 3.0 - delta
@@ -537,24 +607,49 @@ class ProbeReport:
         return out
 
 
-def run_probes(scenario, history: FieldHistory,
+def record_plan(scenario, grid, cutoff: Cutoff) -> dict | None:
+    """What evolution.run must record for run_probes: a box per field.
+
+    Each recorded field is kept on the bounding box of the read regions
+    of the tables (table_keys) that read it: sigma for sigma and
+    sigma_dot, xi for xi and xi_dot, and u, on the whole grid, for
+    grad_u_dot.  A field no table reads, ep among them, gets an empty
+    box.  None (record nothing) when no table is built.
+    """
+    keys = table_keys(scenario.probes, scenario.N)
+    if not keys:
+        return None
+    empty = tuple(slice(0, 0) for _ in grid.cell_counts)
+    plan = dict.fromkeys(evolution.RECORDED, empty)
+    for axis, field_name in keys:
+        source = SOURCE[field_name]
+        region = (grid.cell_box() if source == "u"
+                  else read_region(grid, cutoff, axis))
+        if plan[source] != empty:
+            region = tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
+                           for a, b in zip(plan[source], region))
+        plan[source] = region
+    return plan
+
+
+def run_probes(scenario, history: FieldHistory | None,
                cutoff: Cutoff | None = None) -> ProbeReport:
     """Evaluate every probe the scenario requests, plus the Lemma ratio.
 
-    One table is built per (axis, field); a probe or ratio term asking
-    for its other aggregation over t derives it from the per-level sums.
+    One table is built per (axis, field) of table_keys; a probe or
+    ratio term asking for its other aggregation over t derives it from
+    the per-level sums.  history may be None when there are no probes.
     """
     if cutoff is None:
         cutoff = scenario.cutoff()
     targets = target_exponents(scenario.d, scenario.model,
                                probe_regime(scenario))
-    built = {}
+    keys = table_keys(scenario.probes, scenario.N)
+    built = {key: seminorm_table(history, *key, cutoff, "integral")
+             for key in keys}
     rows = []
     for probe in scenario.probes:
-        key = (probe["axis"], probe["field"])
-        if key not in built:
-            built[key] = seminorm_table(history, *key, cutoff, probe["mode"])
-        table = built[key].in_mode(probe["mode"])
+        table = built[probe["axis"], probe["field"]].in_mode(probe["mode"])
         window = scenario.fit_window(
             "time" if probe["axis"] == "time" else "space")
         fit = fit_exponent(table, window=window)
@@ -563,7 +658,7 @@ def run_probes(scenario, history: FieldHistory,
                              target=target_for(probe["axis"], probe["field"],
                                                targets, scenario.model)))
     interp = None
-    if len(history.times) >= 9:
+    if _checks_interpolation(scenario.probes, scenario.N):
         interp = interpolation_check(history, cutoff, scenario.delta,
                                      window=scenario.fit_window("space"),
                                      tables=built)
@@ -619,31 +714,31 @@ def mu_sweep(scenario, mus=None):
 
     Spread ratios are max/min over the sweep; the overshoot decay slope
     is the log-log fit of the final-time overshoot against mu.  Failed
-    runs are recorded as partial entries.  A run keeps its field history
-    only when the scenario has probes to evaluate on it.
+    runs are recorded as partial entries.  A run records the fields its
+    probe tables read (record_plan), and nothing without probes.
     """
     if mus is None:
         mus = scenario.mu_list
     mus = sorted((float(m) for m in mus), reverse=True)
     if any(m <= 0 for m in mus):
         raise ValueError("mu values must be positive")
-    keep_history = bool(scenario.probes)
     grid = scenario.grid()
-    cutoff = scenario.cutoff() if keep_history else None
+    cutoff = scenario.cutoff() if scenario.probes else None
+    record = record_plan(scenario, grid, cutoff)
     entries, failures = [], []
     for mu in mus:
         params = scenario.material(mu)
         try:
             history, report = evolution.run(
                 grid, params, scenario.data, scenario.T, scenario.N,
-                keep_history=keep_history)
+                record=record)
         except evolution.SOLVER_ERRORS as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
                                       probe_summary=None, failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})
             continue
         probe_summary = None
-        if keep_history:
+        if record is not None:
             probe_summary = run_probes(scenario, history,
                                        cutoff=cutoff).summary()
         entries.append(SweepEntry(mu=mu, energy_summary=energy_summary(report),

@@ -31,34 +31,32 @@ def _report(k, name, ok, detail):
 # -- shared heavy runs --------------------------------------------------------
 
 
+def _probe_run(name):
+    # the production path of `plastprobe probe`: the run records only
+    # what the probe tables read (probes.record_plan)
+    t0 = time.perf_counter()
+    scn = load_benchmark(name, n=48, N=200, mu=0.01)
+    grid, cutoff = scn.grid(), scn.cutoff()
+    hist, energy = evolution.run(grid, scn.material(), scn.data, scn.T,
+                                 scn.N,
+                                 record=probes.record_plan(scn, grid, cutoff))
+    rep = probes.run_probes(scn, hist, cutoff)
+    return scn, hist, energy, rep, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def kinematic_probe_run():
-    t0 = time.perf_counter()
-    scn = load_benchmark("mixed-boundary-kinematic", n=48, N=200, mu=0.01)
-    hist, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                 scn.T, scn.N)
-    rep = probes.run_probes(scn, hist)
-    return scn, hist, energy, rep, time.perf_counter() - t0
+    return _probe_run("mixed-boundary-kinematic")
 
 
 @pytest.fixture(scope="module")
 def isotropic_probe_run():
-    t0 = time.perf_counter()
-    scn = load_benchmark("mixed-boundary-isotropic", n=48, N=200, mu=0.01)
-    hist, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                 scn.T, scn.N)
-    rep = probes.run_probes(scn, hist)
-    return scn, hist, energy, rep, time.perf_counter() - t0
+    return _probe_run("mixed-boundary-isotropic")
 
 
 @pytest.fixture(scope="module")
 def dirichlet_probe_run():
-    t0 = time.perf_counter()
-    scn = load_benchmark("dirichlet-isotropic", n=48, N=200, mu=0.01)
-    hist, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                 scn.T, scn.N)
-    rep = probes.run_probes(scn, hist)
-    return scn, hist, energy, rep, time.perf_counter() - t0
+    return _probe_run("dirichlet-isotropic")
 
 
 @pytest.fixture(scope="module")

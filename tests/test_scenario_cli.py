@@ -98,7 +98,7 @@ def test_roundtrip_config_echo(tmp_path):
     grid = scn.grid()
     params = scn.material()
     _, energy = evolution.run(grid, params, scn.data, scn.T, scn.N,
-                              keep_history=False)
+                              record=None)
     out = report.emit_run_report(tmp_path / "out", scn, energy)
     echoed = json.loads((out / "report.json").read_text())["config"]
     scn2 = parse_scenario_dict(echoed)
@@ -129,7 +129,7 @@ def test_reproducible_rerun_byte_identical(tmp_path):
     blobs = []
     for sub in ("a", "b"):
         _, energy = evolution.run(grid, scn.material(), scn.data, scn.T,
-                                  scn.N, keep_history=False)
+                                  scn.N, record=None)
         out = report.emit_run_report(tmp_path / sub, scn, energy,
                                      reproducible=True)
         blobs.append(((out / "report.json").read_bytes(),
@@ -165,8 +165,9 @@ def test_cli_run_and_probe(tmp_path):
 
 
 def test_cli_probe_meta_records_phases(tmp_path):
-    # meta.json times the solve and the probes and reads the peak RSS
-    # after each; every other file stays byte-stable under --reproducible
+    # meta.json times the solve and the probes, reads the peak RSS after
+    # each and gives the stored MiB and each field's kept box; every
+    # other file stays byte-stable under --reproducible
     scn_file = tmp_path / "scn.json"
     cfg = minimal_config(n=6, N=4, probes=[
         {"axis": "time", "field": "sigma_dot", "mode": "integral"}])
@@ -178,6 +179,17 @@ def test_cli_probe_meta_records_phases(tmp_path):
     assert meta["solve_seconds"] >= 0.0 and meta["probe_seconds"] >= 0.0
     assert meta["peak_rss_mb_after_solve"] > 0.0
     assert meta["peak_rss_mb_after_probes"] >= meta["peak_rss_mb_after_solve"]
+    record = meta["record"]
+    assert sorted(record) == ["ep", "sigma", "u", "xi"]
+    assert record["ep"] == record["xi"] == record["u"] == [[0, 0], [0, 0]]
+    scn = parse_scenario(scn_file)
+    support = scn.cutoff().support
+    assert record["sigma"] == [[s.start, s.stop] for s in support]
+    cells = (support[0].stop - support[0].start) \
+        * (support[1].stop - support[1].start)
+    grid = scn.grid()
+    assert meta["history_mb"] == (cfg["N"] + 1) * cells * grid.nqp * grid.m \
+        * 8 / 2**20
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert "report.json" in files
     for name in files:
@@ -231,7 +243,7 @@ def test_cli_sweep_entries_carry_newton_block(tmp_path):
         # the same block as a run report of that mu
         scn = parse_scenario_dict(minimal_config(mu=rep["mu"], N=4))
         _, energy = evolution.run(scn.grid(), scn.material(), scn.data,
-                                  scn.T, scn.N, keep_history=False)
+                                  scn.T, scn.N, record=None)
         assert rep["newton"] == json.loads(json.dumps(
             probes.newton_summary(energy)))
 
