@@ -33,23 +33,19 @@ def _load(arg: str):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _validated(arg: str):
+def _validated(arg: str, out=None):
+    """Load and validate arg; violations go to out (default stderr)."""
     scenario = _load(arg)
     violations = scn_mod.validate(scenario)
     if violations:
         for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
+            print(f"violation: {v}", file=out or sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     return scenario
 
 
 def cmd_validate(args) -> int:
-    scenario = _load(args.scenario)
-    violations = scn_mod.validate(scenario)
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
-        return EXIT_VALIDATION
+    scenario = _validated(args.scenario, out=sys.stdout)
     print(f"{scenario.name}: ok")
     return EXIT_OK
 
@@ -88,14 +84,13 @@ def _history_meta(history) -> dict:
 def cmd_probe(args) -> int:
     scenario = _validated(args.scenario)
     t0 = time.perf_counter()
-    cutoff = scenario.cutoff()
-    record = probes.record_plan(scenario, scenario.grid(), cutoff)
+    record = probes.record_plan(scenario)
     history, energy = _solve(scenario, record)
     t1 = time.perf_counter()
     meta = {"solve_seconds": t1 - t0,
             "peak_rss_mb_after_solve": _peak_rss_mb(),
             **_history_meta(history)}
-    probe_report = probes.run_probes(scenario, history, cutoff)
+    probe_report = probes.run_probes(scenario, history)
     meta["probe_seconds"] = time.perf_counter() - t1
     meta["peak_rss_mb_after_probes"] = _peak_rss_mb()
     out = report.emit_run_report(args.out, scenario, energy,

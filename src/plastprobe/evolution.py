@@ -231,25 +231,21 @@ class FieldHistory:
         return out
 
 
-def initial_stress(grid: Grid, data, t: float = 0.0) -> np.ndarray:
-    """sigma0(t) at the quadrature points, (ncells, nqp, m).
+def initial_stress(grid: Grid, data) -> np.ndarray:
+    """sigma0(0) at the quadrature points, (ncells, nqp, m).
 
     Only set-up reads it (a step reads sigma0 on the Neumann face), so
     it is evaluated on a writeable copy of the points, which the data
     generator's profile memo does not keep.
     """
-    sigma0 = data.sigma0(t, np.array(grid.qp_points))
+    sigma0 = data.sigma0(0.0, np.array(grid.qp_points))
     return sigma0.reshape(grid.ncells, grid.nqp, grid.m)
 
 
-def initial_state(grid: Grid, params: MaterialParams, data, sigma0=None):
-    """Initial nodal displacement and quadrature-point state at t = 0.
-
-    sigma0 is initial_stress(grid, data), if already evaluated.
-    """
+def initial_state(grid: Grid, params: MaterialParams, data):
+    """Initial nodal displacement and quadrature-point state at t = 0."""
     u0 = data.u0(0.0, grid.nodes)
-    if sigma0 is None:
-        sigma0 = initial_stress(grid, data)
+    sigma0 = initial_stress(grid, data)
     strain = grid.sym_gradient(u0)
     ep0 = strain - params.elastic.apply(sigma0)
     if params.model == constitutive.KINEMATIC:
@@ -257,12 +253,6 @@ def initial_state(grid: Grid, params: MaterialParams, data, sigma0=None):
     else:
         xi0 = np.zeros(sigma0.shape[:-1])
     return u0, ConstitutiveState(sigma=sigma0, xi=xi0, ep=ep0)
-
-
-def initial_ep_trace_defect(grid: Grid, params: MaterialParams, data,
-                            sigma0=None) -> float:
-    _, state = initial_state(grid, params, data, sigma0)
-    return float(np.abs(tensors.tr(state.ep)).max())
 
 
 class _Stepper:
@@ -528,35 +518,27 @@ class SafetyReport:
     kappa: float
 
 
-def safety_load_check(grid: Grid, params: MaterialParams, data,
-                      sigma0=None) -> SafetyReport:
+def safety_load_check(sigma0, params: MaterialParams) -> SafetyReport:
     """Strict feasibility of the safety load, checked once at t = 0.
 
-    The translated hardening data xi0(t) = sigma0(t) - sigma0(0)
-    (kinematic) resp. |dev sigma0(t)| - |dev sigma0(0)| (isotropic) makes
-    the feasibility gap |dev sigma0(t) - dev xi0(t)| resp.
-    |dev sigma0(t)| - xi0(t) equal |dev sigma0(0)| at every t, so
+    sigma0 is the initial stress at the quadrature points (the sigma of
+    initial_state).  The translated hardening data xi0(t) = sigma0(t) -
+    sigma0(0) (kinematic) resp. |dev sigma0(t)| - |dev sigma0(0)|
+    (isotropic) makes the feasibility gap |dev sigma0(t) - dev xi0(t)|
+    resp. |dev sigma0(t)| - xi0(t) equal |dev sigma0(0)| at every t, so
     margin = kappa - sup_x |dev sigma0(0, x)| > 0 covers the whole run.
-    sigma0 is initial_stress(grid, data), if already evaluated.
     """
-    if sigma0 is None:
-        sigma0 = initial_stress(grid, data)
     dev0 = tensors.norm(tensors.dev(sigma0))
     margin = params.kappa - float(dev0.max())
     return SafetyReport(passed=margin > 0.0, margin=margin, kappa=params.kappa)
 
 
-def weak_divergence_defect(grid: Grid, params: MaterialParams, data,
-                           t: float = 0.0, sigma0=None) -> float:
-    """Relative free-dof residual of sigma0 against f: checks div sigma0.
-
-    sigma0 is initial_stress(grid, data, t), if already evaluated.
-    """
-    if sigma0 is None:
-        sigma0 = initial_stress(grid, data, t)
+def weak_divergence_defect(grid: Grid, data, sigma0) -> float:
+    """Relative free-dof residual of sigma0 against f at t = 0: checks
+    div sigma0, given the initial stress at the quadrature points."""
     free = grid.free_dofs
     fint = grid.internal_force(sigma0)[free]
     load = grid.load_vector(body_fn=data.body_force, sigma0_fn=data.sigma0,
-                            t=t)[free]
+                            t=0.0)[free]
     scale = max(np.linalg.norm(load), np.linalg.norm(fint), 1e-12)
     return float(np.linalg.norm(fint - load) / scale)

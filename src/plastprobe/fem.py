@@ -94,16 +94,30 @@ class Grid:
 
     # -- element operators -------------------------------------------------
 
-    def _build_quadrature(self):
+    def _q1_rule(self, cells, face=False):
+        """Gauss points (+-1/sqrt(3) per axis) of the reference cell, or of
+        its face xi_d = -1 if face, as (pts, Q1 shape values (npts, 2^d),
+        read-only physical coordinates in cells (len(cells), npts, d))."""
         d, h = self.d, self.h
         g = 1.0 / np.sqrt(3.0)
-        pts = np.array(list(itertools.product((-g, g), repeat=d)))
+        pts = np.array(list(itertools.product((-g, g), repeat=d - face)))
+        if face:
+            pts = np.concatenate([pts, -np.ones((pts.shape[0], 1))], axis=1)
         signs = 2 * self._offsets - 1                      # corner signs +-1
-        nqp, nloc = pts.shape[0], signs.shape[0]
-
-        N = np.ones((nqp, nloc))
+        N = np.ones((pts.shape[0], signs.shape[0]))
         for j in range(d):
             N *= (1.0 + pts[:, None, j] * signs[None, :, j]) / 2.0
+        origins = self.nodes[self.cell_nodes[cells, 0]]
+        local = (pts + 1.0) / 2.0 * h
+        return pts, N, _read_only(origins[:, None, :] + local[None, :, :])
+
+    def _build_quadrature(self):
+        d, h = self.d, self.h
+        # physical quadrature coordinates per cell, and as one point list
+        pts, N, self.qp_coords = self._q1_rule(slice(None))
+        self.qp_points = self.qp_coords.reshape(-1, d)
+        signs = 2 * self._offsets - 1
+        nqp, nloc = N.shape
         gradN = np.empty((nqp, nloc, d))
         for j in range(d):
             g_ref = signs[None, :, j] / 2.0
@@ -124,12 +138,6 @@ class Grid:
                     outer[i, :] = gradN[q, a, :]
                     B[q, :, a, i] = tensors.from_matrix(0.5 * (outer + outer.T))
         self.B = B
-
-        # physical quadrature coordinates per cell, and as one point list
-        origins = self.nodes[self.cell_nodes[:, 0]]
-        local = (pts + 1.0) / 2.0 * h
-        self.qp_coords = _read_only(origins[:, None, :] + local[None, :, :])
-        self.qp_points = self.qp_coords.reshape(-1, d)
 
     # -- boundary ----------------------------------------------------------
 
@@ -170,19 +178,9 @@ class Grid:
         self.neumann_cells = bottom_cells
 
         # face quadrature: full shape functions evaluated at (xi', -1)
-        g = 1.0 / np.sqrt(3.0)
-        tpts = np.array(list(itertools.product((-g, g), repeat=d - 1)))
-        face_pts = np.concatenate([tpts, -np.ones((tpts.shape[0], 1))], axis=1)
-        signs = 2 * self._offsets - 1
-        Nf = np.ones((face_pts.shape[0], signs.shape[0]))
-        for j in range(d):
-            Nf *= (1.0 + face_pts[:, None, j] * signs[None, :, j]) / 2.0
-        self.face_shape_values = Nf
+        _, self.face_shape_values, self.face_qp_coords = self._q1_rule(
+            bottom_cells, face=True)
         self.face_qp_weight = (self.h / 2.0) ** (d - 1)
-        origins = self.nodes[self.cell_nodes[bottom_cells, 0]]
-        local = (face_pts + 1.0) / 2.0 * self.h
-        self.face_qp_coords = _read_only(origins[:, None, :]
-                                         + local[None, :, :])
         self.face_qp_points = self.face_qp_coords.reshape(-1, d)
         self.face_normal = np.zeros(d)
         self.face_normal[d - 1] = -1.0

@@ -607,18 +607,20 @@ class ProbeReport:
         return out
 
 
-def record_plan(scenario, grid, cutoff: Cutoff) -> dict | None:
+def record_plan(scenario) -> dict | None:
     """What evolution.run must record for run_probes: a box per field.
 
     Each recorded field is kept on the bounding box of the read regions
-    of the tables (table_keys) that read it: sigma for sigma and
-    sigma_dot, xi for xi and xi_dot, and u, on the whole grid, for
-    grad_u_dot.  A field no table reads, ep among them, gets an empty
-    box.  None (record nothing) when no table is built.
+    (on the scenario's grid and cutoff) of the tables (table_keys) that
+    read it: sigma for sigma and sigma_dot, xi for xi and xi_dot, and u,
+    on the whole grid, for grad_u_dot.  A field no table reads, ep among
+    them, gets an empty box.  None (record nothing) when no table is
+    built; the cutoff is then not built either.
     """
     keys = table_keys(scenario.probes, scenario.N)
     if not keys:
         return None
+    grid, cutoff = scenario.grid(), scenario.cutoff()
     empty = tuple(slice(0, 0) for _ in grid.cell_counts)
     plan = dict.fromkeys(evolution.RECORDED, empty)
     for axis, field_name in keys:
@@ -632,16 +634,15 @@ def record_plan(scenario, grid, cutoff: Cutoff) -> dict | None:
     return plan
 
 
-def run_probes(scenario, history: FieldHistory | None,
-               cutoff: Cutoff | None = None) -> ProbeReport:
+def run_probes(scenario, history: FieldHistory | None) -> ProbeReport:
     """Evaluate every probe the scenario requests, plus the Lemma ratio.
 
-    One table is built per (axis, field) of table_keys; a probe or
-    ratio term asking for its other aggregation over t derives it from
-    the per-level sums.  history may be None when there are no probes.
+    One table is built per (axis, field) of table_keys, weighted by the
+    scenario's cutoff; a probe or ratio term asking for its other
+    aggregation over t derives it from the per-level sums.  history may
+    be None when there are no probes.
     """
-    if cutoff is None:
-        cutoff = scenario.cutoff()
+    cutoff = scenario.cutoff()
     targets = target_exponents(scenario.d, scenario.model,
                                probe_regime(scenario))
     keys = table_keys(scenario.probes, scenario.N)
@@ -722,16 +723,14 @@ def mu_sweep(scenario, mus=None):
     mus = sorted((float(m) for m in mus), reverse=True)
     if any(m <= 0 for m in mus):
         raise ValueError("mu values must be positive")
-    grid = scenario.grid()
-    cutoff = scenario.cutoff() if scenario.probes else None
-    record = record_plan(scenario, grid, cutoff)
+    record = record_plan(scenario)
     entries, failures = [], []
     for mu in mus:
         params = scenario.material(mu)
         try:
             history, report = evolution.run(
-                grid, params, scenario.data, scenario.T, scenario.N,
-                record=record)
+                scenario.grid(), params, scenario.data, scenario.T,
+                scenario.N, record=record)
         except evolution.SOLVER_ERRORS as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
                                       probe_summary=None, failure=str(exc)))
@@ -739,8 +738,7 @@ def mu_sweep(scenario, mus=None):
             continue
         probe_summary = None
         if record is not None:
-            probe_summary = run_probes(scenario, history,
-                                       cutoff=cutoff).summary()
+            probe_summary = run_probes(scenario, history).summary()
         entries.append(SweepEntry(mu=mu, energy_summary=energy_summary(report),
                                   newton=newton_summary(report),
                                   probe_summary=probe_summary, failure=None))

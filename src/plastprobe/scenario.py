@@ -3,8 +3,10 @@
 A scenario is a JSON document selecting the hardening model, grid,
 time discretization, penalty parameter(s), material tensors, a named
 closed-form data generator, the cutoff, and the probe selections.
-Validation runs the ellipticity, safety-load, weak-divergence and
-initial-plastic-strain checks and returns violations as data.
+A Scenario builds its grid and cutoff once, for every caller.
+Validation runs the ellipticity and cutoff checks, then the safety-load,
+weak-divergence and initial-plastic-strain checks on one initial state
+(evolution.initial_state), and returns violations as data.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import jsonschema
 
 from .constitutive import KINEMATIC, MaterialParams
 from .datagen import DataGenerator, PolyProfile, SineProfile
-from .fem import Geometry, Grid, build_grid, make_cutoff
+from .fem import Cutoff, Geometry, Grid, build_grid, make_cutoff
 from .tensors import Tensor4Sym
-from . import evolution
+from . import evolution, tensors
 
 SCHEMA = json.loads(resources.files("plastprobe")
                     .joinpath("scenario.schema.json").read_text())
@@ -80,6 +82,7 @@ class Scenario:
     geometry: Geometry
     data: DataGenerator
     _grid: Grid | None = field(default=None, repr=False)
+    _cutoff: Cutoff | None = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -110,10 +113,6 @@ class Scenario:
         return self.T / self.N
 
     @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
-
-    @property
     def mu_list(self) -> list[float]:
         mu = self.config["mu"]
         return list(mu) if isinstance(mu, list) else [mu]
@@ -121,10 +120,6 @@ class Scenario:
     @property
     def mu(self) -> float:
         return self.mu_list[0]
-
-    @property
-    def is_sweep(self) -> bool:
-        return isinstance(self.config["mu"], list)
 
     @property
     def delta(self) -> float:
@@ -161,9 +156,12 @@ class Scenario:
             self._grid = build_grid(self.geometry, self.n)
         return self._grid
 
-    def cutoff(self):
-        cc = self.cutoff_config
-        return make_cutoff(self.grid(), cc["eps0"], cc["h0"], cc["side"])
+    def cutoff(self) -> Cutoff:
+        if self._cutoff is None:
+            cc = self.cutoff_config
+            self._cutoff = make_cutoff(self.grid(), cc["eps0"], cc["h0"],
+                                       cc["side"])
+        return self._cutoff
 
     def fit_window(self, axis: str) -> tuple[float, float]:
         """Declared h-window for ladder fits; recorded in reports."""
@@ -227,22 +225,20 @@ def validate(scenario: Scenario) -> list[str]:
         violations.append(f"cutoff: {exc}")
 
     grid = scenario.grid()
-    sigma0 = evolution.initial_stress(grid, scenario.data)
-    safety = evolution.safety_load_check(grid, params, scenario.data, sigma0)
+    _, state = evolution.initial_state(grid, params, scenario.data)
+    safety = evolution.safety_load_check(state.sigma, params)
     if not safety.passed:
         violations.append(
             f"safety load violated: ||dev sigma0(0)||_inf margin "
             f"{safety.margin:.3e} (strict inequality against kappa required)")
 
-    defect = evolution.weak_divergence_defect(grid, params, scenario.data,
-                                              sigma0=sigma0)
+    defect = evolution.weak_divergence_defect(grid, scenario.data, state.sigma)
     if defect > 1e-9:
         violations.append(
             f"sigma0 is not weakly divergence-compatible with f "
             f"(relative residual {defect:.3e} > 1e-9)")
 
-    tr_defect = evolution.initial_ep_trace_defect(grid, params, scenario.data,
-                                                  sigma0)
+    tr_defect = float(np.abs(tensors.tr(state.ep)).max())
     if tr_defect > 1e-10:
         violations.append(
             f"initial plastic strain not trace-free (defect {tr_defect:.3e})")

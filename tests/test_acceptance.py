@@ -36,11 +36,9 @@ def _probe_run(name):
     # what the probe tables read (probes.record_plan)
     t0 = time.perf_counter()
     scn = load_benchmark(name, n=48, N=200, mu=0.01)
-    grid, cutoff = scn.grid(), scn.cutoff()
-    hist, energy = evolution.run(grid, scn.material(), scn.data, scn.T,
-                                 scn.N,
-                                 record=probes.record_plan(scn, grid, cutoff))
-    rep = probes.run_probes(scn, hist, cutoff)
+    hist, energy = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                                 scn.N, record=probes.record_plan(scn))
+    rep = probes.run_probes(scn, hist)
     return scn, hist, energy, rep, time.perf_counter() - t0
 
 

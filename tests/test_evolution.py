@@ -394,7 +394,8 @@ def test_bad_previous_displacement_is_rejected():
 def test_safety_load_check_benchmarks():
     scn = load_benchmark("mixed-boundary-kinematic", n=4, N=8,
                          allow_coarse_dt=True)
-    rep = evolution.safety_load_check(scn.grid(), scn.material(), scn.data)
+    rep = evolution.safety_load_check(
+        evolution.initial_stress(scn.grid(), scn.data), scn.material())
     assert rep.passed
     assert rep.margin == pytest.approx(1.0)        # sigma0(0) = 0
 
@@ -408,7 +409,8 @@ def test_safety_load_margin_scan_oracle():
     from plastprobe.scenario import parse_scenario_dict
     scn = parse_scenario_dict(scn.config)
     grid = scn.grid()
-    rep = evolution.safety_load_check(grid, scn.material(), scn.data)
+    rep = evolution.safety_load_check(
+        evolution.initial_stress(grid, scn.data), scn.material())
     fine = build_grid(Geometry(d=2, mode="mixed"), 4 * grid.n)
     s0 = scn.data.sigma0(0.0, fine.qp_coords.reshape(-1, 2))
     margin_fine = scn.material().kappa - tensors.norm(tensors.dev(s0)).max()
@@ -427,7 +429,8 @@ def test_safety_load_fails_at_equality():
     peak = tensors.norm(tensors.dev(s0)).max()
     scn.config["kappa"] = float(peak)
     scn2 = parse_scenario_dict(scn.config)
-    rep = evolution.safety_load_check(grid, scn2.material(), scn2.data)
+    rep = evolution.safety_load_check(
+        evolution.initial_stress(grid, scn2.data), scn2.material())
     assert not rep.passed
 
 
@@ -448,7 +451,7 @@ def test_safety_margin_is_translated_pair_gap_at_every_time(model):
     dev0 = tensors.norm(tensors.dev(s0))
     assert dev0.max() > 0.0
     gap = 0.0
-    for t in scn.times:
+    for t in np.linspace(0, scn.T, scn.N + 1):
         st = scn.data.sigma0(float(t), x)
         if model == KINEMATIC:
             xi0 = st - s0
@@ -458,7 +461,8 @@ def test_safety_margin_is_translated_pair_gap_at_every_time(model):
             xi0 = mag - dev0
             g = mag - xi0
         gap = max(gap, float(g.max()))
-    rep = evolution.safety_load_check(grid, params, scn.data)
+    rep = evolution.safety_load_check(
+        evolution.initial_stress(grid, scn.data), params)
     assert rep.passed
     assert gap == pytest.approx(params.kappa - rep.margin, rel=1e-12)
 
@@ -466,8 +470,9 @@ def test_safety_margin_is_translated_pair_gap_at_every_time(model):
 def test_weak_divergence_defect_small_for_generators():
     scn = load_benchmark("mixed-boundary-kinematic", n=8, N=8,
                          allow_coarse_dt=True)
-    defect = evolution.weak_divergence_defect(scn.grid(), scn.material(),
-                                              scn.data)
+    grid = scn.grid()
+    defect = evolution.weak_divergence_defect(
+        grid, scn.data, evolution.initial_stress(grid, scn.data))
     assert defect <= 1e-9
 
 
@@ -658,9 +663,3 @@ def test_setup_leaves_no_quadrature_point_stress_in_the_memo():
     memoized = data.sigma0(0.0, grid.qp_points)
     assert hist.sigma[0].tobytes() == memoized.tobytes()
     assert evolution.initial_stress(grid, data).tobytes() == memoized.tobytes()
-    params = scn.material()
-    given = memoized.reshape(grid.ncells, grid.nqp, grid.m)
-    assert evolution.safety_load_check(grid, params, data) \
-        == evolution.safety_load_check(grid, params, data, given)
-    assert evolution.weak_divergence_defect(grid, params, data) \
-        == evolution.weak_divergence_defect(grid, params, data, sigma0=given)

@@ -329,7 +329,7 @@ def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(probes, "seminorm_table", counting)
-    report = probes.run_probes(scn, hist, cutoff)
+    report = probes.run_probes(scn, hist)
     # one table per (axis, field): the ratio's normal sigma/xi integral
     # tables derive from the sup rows
     assert len(calls) == len(scn.probes)

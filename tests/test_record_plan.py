@@ -61,8 +61,8 @@ def _same(a, b):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_record_plan_gives_bitwise_equal_probe_report(name):
     scn = SCENARIOS[name]()
-    grid, params, cutoff = scn.grid(), scn.material(), scn.cutoff()
-    plan = probes.record_plan(scn, grid, cutoff)
+    grid, params = scn.grid(), scn.material()
+    plan = probes.record_plan(scn)
     full_hist, full_energy = evolution.run(grid, params, scn.data, scn.T,
                                            scn.N)
     plan_hist, plan_energy = evolution.run(grid, params, scn.data, scn.T,
@@ -74,8 +74,8 @@ def test_record_plan_gives_bitwise_equal_probe_report(name):
     for f in dataclasses.fields(evolution.EnergyReport):
         assert _same(getattr(full_energy, f.name),
                      getattr(plan_energy, f.name)), f.name
-    full = probes.run_probes(scn, full_hist, cutoff)
-    got = probes.run_probes(scn, plan_hist, cutoff)
+    full = probes.run_probes(scn, full_hist)
+    got = probes.run_probes(scn, plan_hist)
     assert len(got.rows) == len(full.rows) == len(scn.probes)
     for a, b in zip(full.rows, got.rows):
         where = (a.axis, a.field, a.mode)
@@ -169,7 +169,7 @@ def test_record_plan_memory_guard():
                          probes=ELASTIC_LONG_PROBES)
     grid, params = scn.grid(), scn.material()
     times = np.linspace(0.0, scn.T, scn.N + 1)
-    plan = probes.record_plan(scn, grid, scn.cutoff())
+    plan = probes.record_plan(scn)
 
     def kept_bytes(record):
         hist = evolution._new_history(grid, params, times, record)
@@ -181,6 +181,5 @@ def test_record_plan_memory_guard():
     assert planned["ep"] == 0
     assert planned["u"] == full["u"]
     assert probes.record_plan(load_benchmark("elastic-only", n=32, N=120,
-                                             probes=[]),
-                              grid, scn.cutoff()) is None
+                                             probes=[])) is None
 

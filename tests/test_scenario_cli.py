@@ -11,6 +11,7 @@ import pytest
 
 import plastprobe
 from plastprobe import evolution, fem, probes, report
+from plastprobe import scenario as scenario_module
 from plastprobe.cli import main as cli_main
 from plastprobe.scenario import (BENCHMARKS, ScenarioError, benchmark_path,
                                  load_benchmark, parse_scenario,
@@ -42,7 +43,6 @@ def test_minimal_file_resolves_defaults(tmp_path):
 
 def test_mu_list_enables_sweep():
     scn = parse_scenario_dict(minimal_config(mu=[0.1, 0.01]))
-    assert scn.is_sweep
     assert scn.mu == 0.1
     assert scn.mu_list == [0.1, 0.01]
 
@@ -137,13 +137,42 @@ def test_reproducible_rerun_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_cli_validate_ok_and_failure(tmp_path):
+def test_cli_validate_ok_and_failure(tmp_path, capsys):
     assert cli_main(["validate", "elastic-only"]) == 0
+    assert capsys.readouterr().out == "elastic-only: ok\n"
     bad = tmp_path / "bad.json"
     cfg = minimal_config()
     cfg["data"]["terms"][0]["tpoly"] = [8.0, 1.0]
     bad.write_text(json.dumps(cfg))
     assert cli_main(["validate", str(bad)]) == 2
+    # validate reports violations on stdout, the other commands on stderr
+    out, err = capsys.readouterr()
+    assert out.startswith("violation: safety load violated") and err == ""
+    for command in ("run", "probe", "sweep"):
+        assert cli_main([command, str(bad), "--out",
+                         str(tmp_path / command)]) == 2
+        assert capsys.readouterr() == ("", out)
+
+
+def test_cli_probe_builds_one_cutoff(tmp_path, monkeypatch):
+    # validate, record_plan and run_probes share the scenario's cutoff
+    calls = []
+    real = scenario_module.make_cutoff
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "make_cutoff", counting)
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(minimal_config(n=6, N=4, probes=[
+        {"axis": "time", "field": "sigma_dot", "mode": "integral"}])))
+    assert cli_main(["probe", str(scn_file), "--out",
+                     str(tmp_path / "p")]) == 0
+    assert len(calls) == 1
+    assert probes.record_plan(parse_scenario_dict(minimal_config(probes=[]))) \
+        is None
+    assert len(calls) == 1
 
 
 def test_cli_validate_missing_file():
