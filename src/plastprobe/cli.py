@@ -2,8 +2,8 @@
 
 Subcommands: validate, run, probe, sweep, targets.  Scenario arguments
 accept either a path to a JSON file or one of the shipped benchmark
-names.  Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 I/O failure.
+names.  Exit codes: 0 success, 2 validation failure, 3 solver failure
+(constitutive.SolverFailure), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict
 
 from . import evolution, probes, report, scenario as scn_mod
+from .constitutive import SolverFailure
 from .report import ReportIOError
 from .scenario import BENCHMARKS, ScenarioError
 
@@ -174,7 +175,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except evolution.SOLVER_ERRORS as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ReportIOError as exc:

@@ -12,7 +12,8 @@ with A the elastic compliance, so the volumetric response is purely
 elastic.  When both A and the hardening map are isotropic the implicit
 system collapses to one scalar equation (radial return) and is solved in
 closed form, vectorized over quadrature points.  General SPD tensors go
-through a damped Newton iteration on the full system.
+through damped_newton, the Newton loop the global Rothe step (evolution)
+runs too; every failed solve raises SolverFailure.
 """
 
 from __future__ import annotations
@@ -34,13 +35,46 @@ RESIDUAL_TOL = 1e-12
 KINK_GUARD = 1e-10
 
 
-class LocalSolverError(RuntimeError):
-    """Local Newton failed to converge; carries the trial state for diagnosis."""
+class SolverFailure(RuntimeError):
+    """A failed nonlinear or linear solve: the Rothe step it failed in (set
+    by evolution.run; None outside a step), and the iterations taken and
+    the final residual norm where known."""
 
-    def __init__(self, message: str, trial_sigma=None, trial_xi=None):
+    def __init__(self, message, step_index=None, iterations=None, residual=None):
         super().__init__(message)
-        self.trial_sigma = trial_sigma
-        self.trial_xi = trial_xi
+        self.step_index = step_index
+        self.iterations = iterations
+        self.residual = residual
+
+    def __str__(self):
+        where = "" if self.step_index is None else f"step {self.step_index}: "
+        return where + super().__str__()
+
+
+def damped_newton(z, res, rn, residual, direction, norm, tol, max_iter):
+    """Newton with backtracking from z, whose residual res has norm rn.
+
+    Each iteration halves alpha from 1 while alpha > 1e-6 and takes the
+    first z + alpha direction(z, res, rn) whose residual norm is < (1 -
+    1e-4 alpha) rn, <= tol or not finite, else the last one.  Stops at
+    rn <= tol, at a non-finite rn (no step cures a NaN) or after max_iter
+    iterations; returns (z, res, rn, iterations) for the caller to judge.
+    """
+    iterations = 0
+    while tol < rn < np.inf and iterations < max_iter:
+        dz = direction(z, res, rn)
+        alpha = 1.0
+        while alpha > 1e-6:
+            z_try = z + alpha * dz
+            res_try = residual(z_try)
+            rn_try = norm(res_try)
+            if rn_try < rn * (1.0 - 1e-4 * alpha) or rn_try <= tol \
+                    or not np.isfinite(rn_try):
+                break
+            alpha *= 0.5
+        z, res, rn = z_try, res_try, rn_try
+        iterations += 1
+    return z, res, rn, iterations
 
 
 @dataclass(frozen=True)
@@ -236,14 +270,10 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
     """Damped Newton on the full implicit system at one point."""
     m = params.m
     A = params.elastic.matrix
-    a_inv = np.linalg.inv(A)
     kinematic = params.model == KINEMATIC
-    if kinematic:
-        H = params.hardening_tensor.matrix
-        z = np.concatenate([sigma0 + a_inv @ deps, xi0])
-    else:
-        H = float(params.hardening_modulus)
-        z = np.concatenate([sigma0 + a_inv @ deps, [xi0]])
+    H = (params.hardening_tensor.matrix if kinematic
+         else float(params.hardening_modulus))
+    z = np.concatenate([sigma0 + np.linalg.inv(A) @ deps, np.atleast_1d(xi0)])
 
     scale = max(1.0, float(norm(deps)), float(norm(sigma0)))
     tol = RESIDUAL_TOL * scale
@@ -265,37 +295,25 @@ def _general_update_point(sigma0, xi0, ep0, deps, dt, params):
         r2 = H * (xi - xi0) - dt * g / params.mu
         return np.concatenate([r1, [r2]])
 
+    def direction(zv, r, rn):
+        xi = zv[None, m:] if kinematic else zv[m:]
+        return np.linalg.solve(
+            _local_jacobian(zv[None, :m], xi, dt, params)[0], -r)
+
     r = residual(z)
-    rn = np.linalg.norm(r)
-    for _ in range(NEWTON_BUDGET):
-        if rn <= tol or not np.isfinite(rn):   # no step cures a NaN
-            break
-        xi = z[None, m:] if kinematic else z[m:]
-        dz = np.linalg.solve(_local_jacobian(z[None, :m], xi, dt, params)[0], -r)
-        alpha = 1.0
-        while alpha > 1e-6:
-            z_new = z + alpha * dz
-            r_new = residual(z_new)
-            rn_new = np.linalg.norm(r_new)
-            if rn_new < rn * (1.0 - 1e-4 * alpha) or rn_new <= tol \
-                    or not np.isfinite(rn_new):
-                break
-            alpha *= 0.5
-        z, r, rn = z_new, r_new, rn_new
+    z, r, rn, iters = damped_newton(z, r, np.linalg.norm(r), residual,
+                                    direction, np.linalg.norm, tol,
+                                    NEWTON_BUDGET)
     if not rn <= tol:                  # also a NaN residual
-        raise LocalSolverError(
+        raise SolverFailure(
             f"local update failed to converge (residual {rn:.3e}, tol {tol:.3e}); "
-            "dt/mu may be too extreme",
-            trial_sigma=sigma0 + a_inv @ deps, trial_xi=xi0)
+            "dt/mu may be too extreme", iterations=iters, residual=rn)
 
     sigma = z[:m]
-    xi = z[m:] if kinematic else float(z[m])
     if kinematic:
-        p_step = params.hardening_tensor.matrix @ (xi - xi0)
-    else:
-        p_step = deps - A @ (sigma - sigma0)
-    ep = ep0 + p_step
-    return sigma, xi, ep
+        xi = z[m:]
+        return sigma, xi, ep0 + H @ (xi - xi0)
+    return sigma, float(z[m]), ep0 + (deps - A @ (sigma - sigma0))
 
 
 def local_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
@@ -313,7 +331,7 @@ def local_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
     params : MaterialParams
 
     Returns the unique solution of the implicit system with residual below
-    1e-12 (scaled).  Raises LocalSolverError on non-convergence.
+    1e-12 (scaled).  Raises SolverFailure on non-convergence.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

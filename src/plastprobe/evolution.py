@@ -2,15 +2,16 @@
 
 Each step solves the nonlinear discrete equilibrium for the nodal
 displacement with the stress given by the pointwise backward-Euler
-update of the strain increment, using Newton iterations with the
-consistent tangent and a backtracking line search.  Newton starts from
-a predictor chosen by the regime of the converged state: from an
-elastic state, one exact solve with the elastic factors for the
-elastic trial stress (an elastic step needs no more); from a plastic
-state, the extrapolation 2 u_n - u_{n-1} (de Souza Neto, Peric & Owen
-2008).  A predictor is kept only if it lowers the residual, whose
-scale is always taken at the unpredicted start.  The Newton record
-counts linear solves, the elastic predictor's included.
+update of the strain increment, by constitutive.damped_newton with the
+consistent tangent.  Newton starts from a predictor chosen by the
+regime of the converged state: from an elastic state, one exact solve
+with the elastic factors for the elastic trial stress (an elastic step
+needs no more); from a plastic state, the extrapolation 2 u_n - u_{n-1}
+(de Souza Neto, Peric & Owen 2008).  A predictor is kept only if it
+lowers the residual, whose scale is always taken at the unpredicted
+start.  The Newton record counts linear solves, the elastic
+predictor's included.  A failed solve inside run() raises a
+SolverFailure marked with its step.
 
 Energy diagnostics mirroring the a-priori estimates (penalty energy,
 dissipation sums, suprema of the backward-difference rates) are
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import constitutive, tensors
-from .constitutive import (ConstitutiveState, MaterialParams, local_update,
-                           consistent_tangent, yield_excess)
+from .constitutive import (ConstitutiveState, MaterialParams, SolverFailure,
+                           consistent_tangent, damped_newton, local_update,
+                           yield_excess)
 from .fem import CG_RTOL, Grid
 
 NEWTON_MAX_ITER = 50
@@ -36,22 +38,6 @@ NEWTON_RTOL = 1e-10
 # eta = max(CG_RTOL, min(FORCING_MAX, |r| / scale)) relative accuracy
 # (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996)
 FORCING_MAX = 1e-2
-
-
-class GlobalSolverError(RuntimeError):
-    """Newton failed at some time step; carries diagnostics."""
-
-    def __init__(self, message, step_index=None, iterations=None, residual=None):
-        super().__init__(message)
-        self.step_index = step_index
-        self.iterations = iterations
-        self.residual = residual
-
-
-# every failure of the solvers inside run(): LinAlgError comes from a
-# singular elastic factorization or a CG solve that did not converge
-SOLVER_ERRORS = (GlobalSolverError, constitutive.LocalSolverError,
-                 np.linalg.LinAlgError)
 
 
 @dataclass
@@ -185,23 +171,15 @@ class FieldHistory:
             slice(r.start - k.start, r.stop - k.start)
             for r, k in zip(region, kept))]
 
-    def _rate(self, name: str, region=None, levels=slice(None), out=None):
-        """Backward-difference rate of name on region at the rate levels
-        levels (a slice of range(N)), written into out or a fresh array."""
+    def rate(self, name: str, region=None, levels=slice(None), out=None):
+        """Backward-difference rate of the stored field name on region
+        (see on_cells) at the rate levels levels (a slice of range(N)),
+        written into out or a fresh array."""
         arr = self.on_cells(name, region)
         start, stop, _ = levels.indices(arr.shape[0] - 1)
         out = np.subtract(arr[start + 1:stop + 1], arr[start:stop], out=out)
         out /= self.dt
         return out
-
-    def sigma_dot(self, region=None, levels=slice(None), out=None):
-        return self._rate("sigma", region, levels, out)
-
-    def xi_dot(self, region=None, levels=slice(None), out=None):
-        return self._rate("xi", region, levels, out)
-
-    def u_dot(self) -> np.ndarray:
-        return self._rate("u")
 
     def grad_u_dot(self, region=None, levels=slice(None), out=None):
         """(N, ncells, nqp, d, d) gradients of the backward-difference rates.
@@ -225,8 +203,7 @@ class FieldHistory:
         rows = out.reshape(out.shape[0], -1, grid.nqp, grid.d, grid.d,
                            copy=False)
         for i, k in enumerate(range(start, stop)):
-            ud = self.u[k + 1] - self.u[k]
-            ud /= self.dt
+            ud = self.rate("u", levels=slice(k, k + 1))[0]
             rows[i] = grid.gradient(ud, cells)
         return out
 
@@ -273,8 +250,7 @@ class _Stepper:
         self._factor = grid.factorize(K)
         self._elastic_solve = grid.make_solver(None, self._factor)
 
-    def step(self, u_n, state_n, t_n, dt, step_index=0, elastic_n=False,
-             u_prev=None):
+    def step(self, u_n, state_n, t_n, dt, elastic_n=False, u_prev=None):
         """One backward-Euler step from (u_n, state_n) at t_n.
 
         Returns (u, state, iterations, |r_free| / scale).  Newton starts
@@ -293,6 +269,8 @@ class _Stepper:
         scale is always taken at the unpredicted start.  iterations
         counts the linear solves: the elastic predictor's, kept or not,
         and one per Newton correction; extrapolation costs no solve.
+        Raises SolverFailure when |r_free| does not fall to NEWTON_RTOL
+        scale within NEWTON_MAX_ITER solves.
         """
         grid, params, data = self.grid, self.params, self.data
         t1 = t_n + dt
@@ -313,19 +291,35 @@ class _Stepper:
             upd = local_update(state_n, deps, dt, params)
             return force_of(upd.sigma), deps, upd
 
+        def norm_of(res):
+            return np.linalg.norm(res[0][free])
+
         def is_elastic(upd):
             return float(yield_excess(upd, params).max()) \
                 <= constitutive.KINK_GUARD
 
-        r, deps, upd = residual_of(u)
-        fint_scale = np.linalg.norm((r + load)[free])
+        def direction(u, res, rnorm):
+            r, deps, upd = res
+            solve = self._elastic_solve
+            if not is_elastic(upd):
+                # D gives the exact Jacobian K, so |K du + r| <= eta |r|
+                # with eta < 1 makes du a descent direction for |r|^2;
+                # the tangent is freed on return, before the next is built
+                D = consistent_tangent(state_n, deps, dt, params, updated=upd)
+                eta = max(CG_RTOL, min(FORCING_MAX, rnorm / scale))
+                solve = grid.make_solver(D, self._factor, rtol=eta)
+            return solve(-r).reshape(grid.nnodes, grid.d)
+
+        res = residual_of(u)
+        fint_scale = np.linalg.norm((res[0] + load)[free])
         scale = max(np.linalg.norm(load[free]), fint_scale, 1e-12)
-        rnorm = np.linalg.norm(r[free])
+        rnorm = norm_of(res)
 
         iters = 0
         u_pred = None
         if rnorm > NEWTON_RTOL * scale:
             if elastic_n:
+                r, deps, upd = res
                 r_trial = r if is_elastic(upd) else force_of(
                     state_n.sigma + params.elastic.inverse().apply(deps))
                 u_pred = u + self._elastic_solve(-r_trial).reshape(
@@ -335,49 +329,28 @@ class _Stepper:
                 u_pred = 2.0 * u_n - u_prev
                 u_pred[grid.dirichlet_nodes] = u[grid.dirichlet_nodes]
         if u_pred is not None:
-            r_pred, deps_pred, upd_pred = residual_of(u_pred)
-            rn_pred = np.linalg.norm(r_pred[free])
+            res_pred = residual_of(u_pred)
+            rn_pred = norm_of(res_pred)
             if rn_pred < rnorm:
-                u, r, deps, upd, rnorm = (u_pred, r_pred, deps_pred,
-                                          upd_pred, rn_pred)
-            # free these names' arrays before the first tangent is built
-            del r_pred, deps_pred, upd_pred
+                u, res, rnorm = u_pred, res_pred, rn_pred
+            # free the rejected arrays before the first tangent is built
+            del res_pred
 
-        while rnorm > NEWTON_RTOL * scale and iters < NEWTON_MAX_ITER:
-            solve = self._elastic_solve
-            if not is_elastic(upd):
-                # D gives the exact Jacobian K, so |K du + r| <= eta |r|
-                # with eta < 1 makes du a descent direction for |r|^2
-                D = consistent_tangent(state_n, deps, dt, params, updated=upd)
-                eta = max(CG_RTOL, min(FORCING_MAX, rnorm / scale))
-                solve = grid.make_solver(D, self._factor, rtol=eta)
-            du = solve(-r).reshape(grid.nnodes, grid.d)
-            del solve           # free this tangent before the next is built
-            alpha = 1.0
-            while True:
-                r_try, deps_try, upd_try = residual_of(u + alpha * du)
-                rn_try = np.linalg.norm(r_try[free])
-                if rn_try <= rnorm * (1.0 - 1e-4 * alpha) \
-                        or rn_try <= NEWTON_RTOL * scale or alpha < 1e-3:
-                    break
-                alpha *= 0.5
-            u = u + alpha * du
-            r, deps, upd = r_try, deps_try, upd_try
-            rnorm = rn_try
-            iters += 1
+        u, res, rnorm, newton = damped_newton(
+            u, res, rnorm, residual_of, direction, norm_of,
+            NEWTON_RTOL * scale, NEWTON_MAX_ITER - iters)
+        iters += newton
 
         if not (np.isfinite(rnorm) and np.isfinite(scale)):
-            raise GlobalSolverError(
-                f"non-finite residual at step {step_index} (t={t1:g}) "
-                f"after {iters} Newton iterations; check the data",
-                step_index=step_index, iterations=iters, residual=rnorm)
+            raise SolverFailure(f"non-finite residual at t={t1:g} after {iters}"
+                                " Newton iterations; check the data",
+                                iterations=iters, residual=rnorm)
         if rnorm > NEWTON_RTOL * scale:
-            raise GlobalSolverError(
-                f"Newton stalled at step {step_index} (t={t1:g}): "
-                f"residual {rnorm:.3e} vs scale {scale:.3e}; "
-                "consider a smaller dt or a larger mu",
-                step_index=step_index, iterations=iters, residual=rnorm)
-        return u, upd, iters, rnorm / scale
+            raise SolverFailure(
+                f"Newton stalled at t={t1:g}: residual {rnorm:.3e} vs scale "
+                f"{scale:.3e}; consider a smaller dt or a larger mu",
+                iterations=iters, residual=rnorm)
+        return u, res[2], iters, rnorm / scale
 
 
 def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
@@ -450,9 +423,12 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     u_prev = None
     for k in range(N):
         elastic_n = acc["overshoot_linf"][-1] <= constitutive.KINK_GUARD
-        u_new, state_new, iters, rel = stepper.step(
-            u, state, times[k], dt, step_index=k, elastic_n=elastic_n,
-            u_prev=u_prev)
+        try:
+            u_new, state_new, iters, rel = stepper.step(
+                u, state, times[k], dt, elastic_n=elastic_n, u_prev=u_prev)
+        except SolverFailure as exc:
+            exc.step_index = k
+            raise
         _accumulate_energy(acc, grid, params, state_new, state, u_new, u, dt)
         acc["newton_iters"].append(iters)
         acc["residual_rel"].append(rel)

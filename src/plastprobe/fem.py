@@ -30,6 +30,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from . import tensors
+from .constitutive import SolverFailure
 
 MODES = ("mixed", "all-dirichlet", "all-neumann-bottom")
 
@@ -285,7 +286,10 @@ class Grid:
                                  shape=(ndof, ndof)).tocsr()
 
     def factorize(self, K: sparse.csr_matrix):
-        """LU factors of the free block of the SPD matrix K (scipy SuperLU)."""
+        """LU factors of the free block of the SPD matrix K (scipy SuperLU).
+
+        Raises SolverFailure when SuperLU finds K singular.
+        """
         free = self.free_dofs
         if free.size == 0:
             raise ValueError("no free unknowns (all-Dirichlet with zero dofs?)")
@@ -295,7 +299,7 @@ class Grid:
             return sparse_linalg.splu(Kff, permc_spec="MMD_AT_PLUS_A",
                                       options=dict(SymmetricMode=True))
         except RuntimeError as exc:   # singular factorization
-            raise np.linalg.LinAlgError(str(exc))
+            raise SolverFailure(str(exc)) from exc
 
     def make_solver(self, D_qp: np.ndarray | None, factor,
                     rtol: float = CG_RTOL):
@@ -306,7 +310,8 @@ class Grid:
         and rtol is unused.  Otherwise CG solves with the stiffness K of
         the modulus field D_qp (as ``assemble_tangent`` would build it),
         preconditioned by factor, until |(K x - rhs)_free| <= rtol
-        |rhs_free|.  CG needs only products K x, which are summed element
+        |rhs_free|, and a solve that does not get there raises
+        SolverFailure.  CG needs only products K x, which are summed element
         by element from the element matrices (Hughes, Levit & Winget
         1983), so K is never assembled.  A hardening tangent stays
         spectrally close to the elastic stiffness, so with the elastic K0
@@ -351,8 +356,7 @@ class Grid:
             b[fixed] = 0.0
             x, info = sparse_linalg.cg(A, b, rtol=rtol, atol=0.0, M=M)
             if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"CG failed to converge (info={info})")
+                raise SolverFailure(f"CG failed to converge (info={info})")
             return x
         return solve
 

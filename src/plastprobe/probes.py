@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import evolution
-from .constitutive import KINEMATIC
+from .constitutive import KINEMATIC, SolverFailure
 from .evolution import FieldHistory
 from .fem import Cutoff
 
@@ -87,9 +87,11 @@ def _history_field(history: FieldHistory, name: str, region,
     elif name in FIELDS:
         if out is not None:
             out = out.reshape(out.shape[:-1] + _components(history, name))
-        arr = getattr(history, name)(region, levels, out)
         if name == "grad_u_dot":
+            arr = history.grad_u_dot(region, levels, out)
             arr = arr.reshape(arr.shape[:-2] + (-1,))
+        else:
+            arr = history.rate(SOURCE[name], region, levels, out)
     else:
         raise ValueError(f"unknown field {name!r}; choices: {FIELDS}")
     if arr.ndim == history.grid.d + 2:          # isotropic scalar xi / xi_dot
@@ -234,10 +236,12 @@ def table_keys(probe_list, N: int) -> list:
 
 
 def seminorm_table(history: FieldHistory, axis: str, field_name: str,
-                   cutoff: Cutoff, mode: str) -> SeminormTable:
-    """Weighted squared-L2 difference-quotient aggregate over a dyadic ladder."""
-    if mode not in ("sup", "integral"):
-        raise ValueError("mode must be 'sup' or 'integral'")
+                   cutoff: Cutoff) -> SeminormTable:
+    """Weighted squared-L2 difference-quotient aggregate over a dyadic ladder.
+
+    The table aggregates over t as the time integral; in_mode("sup")
+    derives the sup from the same per-level sums.
+    """
     if field_name not in FIELDS:
         raise ValueError(f"unknown field {field_name!r}; choices: {FIELDS}")
     grid = history.grid
@@ -306,10 +310,10 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
             per_t[t0:t1] = buf.sum(axis=tuple(range(1, buf.ndim)))
         per_t *= grid.qp_weight
         levels.append(per_t)
-    values = [_aggregate(per_t, mode, dt) for per_t in levels]
-    return SeminormTable(axis=axis, field=field_name, mode=mode, h=ladder,
-                         values=np.asarray(values), base=base, cap=cap,
-                         levels=tuple(levels), dt=dt)
+    values = [_aggregate(per_t, "integral", dt) for per_t in levels]
+    return SeminormTable(axis=axis, field=field_name, mode="integral",
+                         h=ladder, values=np.asarray(values), base=base,
+                         cap=cap, levels=tuple(levels), dt=dt)
 
 
 # -- exponent fits ------------------------------------------------------------
@@ -459,10 +463,8 @@ def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
     tables = tables or {}
 
     def normal(field_name):
-        table = tables.get(("normal", field_name))
-        if table is None:
-            return seminorm_table(history, "normal", field_name, cutoff,
-                                  "integral")
+        table = tables.get(("normal", field_name)) or seminorm_table(
+            history, "normal", field_name, cutoff)
         return table.in_mode("integral")
 
     t_dot_sig, t_dot_xi, t_sig, t_xi = (
@@ -518,7 +520,7 @@ def strip_gradient_norm(history: FieldHistory, h: float,
     if not strip.any():
         raise ValueError("empty strip")
     phi_sq = cutoff.qp_values[strip] ** 2
-    udot = history.u_dot()
+    udot = history.rate("u")
     nvals, evals = [], []
     for step in range(udot.shape[0]):
         g = grid.gradient(udot[step])[strip]
@@ -646,8 +648,7 @@ def run_probes(scenario, history: FieldHistory | None) -> ProbeReport:
     targets = target_exponents(scenario.d, scenario.model,
                                probe_regime(scenario))
     keys = table_keys(scenario.probes, scenario.N)
-    built = {key: seminorm_table(history, *key, cutoff, "integral")
-             for key in keys}
+    built = {key: seminorm_table(history, *key, cutoff) for key in keys}
     rows = []
     for probe in scenario.probes:
         table = built[probe["axis"], probe["field"]].in_mode(probe["mode"])
@@ -731,7 +732,7 @@ def mu_sweep(scenario, mus=None):
             history, report = evolution.run(
                 scenario.grid(), params, scenario.data, scenario.T,
                 scenario.N, record=record)
-        except evolution.SOLVER_ERRORS as exc:
+        except SolverFailure as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
                                       probe_summary=None, failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})

@@ -222,7 +222,8 @@ def test_criterion_6_time_nikolskii_exponent(kinematic_probe_run):
 
 def test_criterion_7_tangential_w12_boundedness(kinematic_probe_run):
     scn, hist, _, rep, _ = kinematic_probe_run
-    table = seminorm_table(hist, "tangential-1", "sigma", scn.cutoff(), "sup")
+    table = seminorm_table(hist, "tangential-1", "sigma",
+                           scn.cutoff()).in_mode("sup")
     lo, hi = scn.fit_window("space")
     mask = (table.h >= lo * (1 - 1e-9)) & (table.h <= hi * (1 + 1e-9))
     q = np.sqrt(table.values[mask]) / table.h[mask]

@@ -6,7 +6,8 @@ import pytest
 from plastprobe import tensors
 from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
                                      ConstitutiveState, MaterialParams,
-                                     consistent_tangent, kkt_residual,
+                                     SolverFailure, consistent_tangent,
+                                     damped_newton, kkt_residual,
                                      local_update, yield_excess)
 from plastprobe.tensors import Tensor4Sym, from_matrix, inner, norm
 
@@ -358,14 +359,13 @@ def test_kkt_exact_point_on_surface():
     assert out["alignment"] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_nonconvergence_raises_with_trial_state():
-    from plastprobe.constitutive import LocalSolverError
+def test_nonconvergence_raises_solver_failure():
     rng = np.random.default_rng(27)
     A = random_spd_tensor4(rng, 2)
     params = MaterialParams(elastic=A, model=KINEMATIC, kappa=1e-8, mu=1e-300,
                             hardening_tensor=random_spd_tensor4(rng, 2))
     state = ConstitutiveState.zeros(KINEMATIC, 2)
-    with pytest.raises((LocalSolverError, FloatingPointError, ValueError)):
+    with pytest.raises((SolverFailure, FloatingPointError, ValueError)):
         with np.errstate(all="raise"):
             local_update(state, from_matrix(np.diag([5.0, -5.0])), 1.0, params)
 
@@ -374,14 +374,13 @@ def test_nonconvergence_raises_with_trial_state():
 def test_nan_increment_raises_on_general_path(model):
     # a NaN residual fails both "rn <= tol" and "rn > tol"; it must not
     # come back as a converged state
-    from plastprobe.constitutive import LocalSolverError
     rng = np.random.default_rng(28)
     params = make_params(model=model, mu=0.1,
                          elastic=random_spd_tensor4(rng, 2),
                          hardening=random_spd_tensor4(rng, 2))
     assert not params.is_fast
     state = ConstitutiveState.zeros(model, 2, (1,))
-    with pytest.raises(LocalSolverError):
+    with pytest.raises(SolverFailure):
         local_update(state, np.full((1, 3), np.nan), 0.1, params)
 
 
@@ -390,7 +389,6 @@ def test_nan_increment_stops_after_one_residual(model, monkeypatch):
     # the residual norm is the one np.linalg.norm call per evaluation of
     # the residual; a NaN increment must not spend the Newton budget of
     # 100 iterations of 20 line-search halvings
-    from plastprobe.constitutive import LocalSolverError
     rng = np.random.default_rng(29)
     params = make_params(model=model, mu=0.1,
                          elastic=random_spd_tensor4(rng, 2),
@@ -404,13 +402,57 @@ def test_nan_increment_stops_after_one_residual(model, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     state = ConstitutiveState.zeros(model, 2, (1,))
-    with pytest.raises(LocalSolverError):
+    with pytest.raises(SolverFailure):
         local_update(state, np.full((1, 3), np.nan), 0.1, params)
     assert len(calls) == 1
     calls.clear()
     # a plastic point still converges through the damped Newton loop
     local_update(state, np.array([[3.0, -3.0, 1.0]]), 0.1, params)
     assert 2 <= len(calls) <= 50
+
+
+def _arctan_newton(z0, tol, max_iter):
+    """damped_newton on arctan z = 0, counting residual evaluations."""
+    evals = []
+
+    def residual(z):
+        evals.append(z)
+        return np.arctan(z)
+
+    def direction(z, r, rn):
+        return -(1.0 + z * z) * r
+
+    out = damped_newton(z0, np.arctan(z0), abs(np.arctan(z0)), residual,
+                        direction, abs, tol, max_iter)
+    return out, len(evals)
+
+
+def test_damped_newton_converges_through_halvings():
+    # from z = 2 the full Newton step on arctan overshoots to z = -3.54,
+    # where |arctan| grows: only halved steps converge
+    assert abs(2.0 - (1.0 + 4.0) * np.arctan(2.0)) > 2.0
+    (z, r, rn, iters), evals = _arctan_newton(2.0, 1e-12, 50)
+    assert rn <= 1e-12 and abs(z) <= 1e-12 and r == np.arctan(z)
+    assert evals > iters            # at least one trial was halved
+
+
+def test_damped_newton_stops_at_max_iter():
+    # two capped runs of one iteration each end where one run of two does
+    (z, _, rn, iters), _ = _arctan_newton(2.0, 1e-300, 2)
+    assert iters == 2 and rn > 1e-300
+    (z1, _, _, _), _ = _arctan_newton(2.0, 1e-300, 1)
+    (z2, _, _, iters), _ = _arctan_newton(z1, 1e-300, 1)
+    assert iters == 1 and z2 == z
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_damped_newton_takes_no_step_from_a_non_finite_start(start):
+    def never(*args):
+        raise AssertionError("no step may be taken")
+
+    z = np.array([1.0, 2.0])
+    out = damped_newton(z, z, start, never, never, never, 1e-12, 100)
+    assert out[0] is z and out[2] is start and out[3] == 0
 
 
 def test_validate_flags_bad_hardening():

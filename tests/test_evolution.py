@@ -8,7 +8,8 @@ from scipy.sparse.linalg import spsolve
 
 from plastprobe import evolution, fem, tensors
 from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
-                                     local_update, yield_excess)
+                                     SolverFailure, local_update,
+                                     yield_excess)
 from plastprobe.scenario import load_benchmark
 
 from oracles import integrate_pointwise_ode
@@ -139,11 +140,48 @@ def test_newton_error_reports_step(monkeypatch):
     # exhausting the iteration budget must raise with step diagnostics
     scn = load_benchmark("mixed-boundary-kinematic", n=4, N=2,
                          allow_coarse_dt=True)
+    # (step 0 is elastic: its elastic predictor alone solves it)
     monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
-    with pytest.raises(evolution.GlobalSolverError) as err:
+    with pytest.raises(SolverFailure, match="^step 1: Newton stalled") as err:
         evolution.run(scn.grid(), scn.material(), scn.data, scn.T, scn.N)
-    assert err.value.step_index is not None
+    assert err.value.step_index == 1
+    assert err.value.iterations is not None
     assert err.value.residual is not None
+
+
+def test_global_line_search_halves_an_overlong_step(monkeypatch):
+    # a solver returning twice the exact elastic step overshoots to -r:
+    # the line search must halve once and land on the exact step
+    scn = load_benchmark("elastic-only", n=4, N=2)
+    grid, params = scn.grid(), scn.material()
+    u0, state0 = evolution.initial_state(grid, params, scn.data)
+    calls = []
+    real_update = evolution.local_update
+
+    def counting_update(*args, **kwargs):
+        calls.append(1)
+        return real_update(*args, **kwargs)
+
+    def step():
+        calls.clear()
+        stepper = evolution._Stepper(grid, params, scn.data)
+        u, _, iters, rel = stepper.step(u0, state0, 0.0, scn.T / scn.N)
+        return u, iters, rel, len(calls)
+
+    monkeypatch.setattr(evolution, "local_update", counting_update)
+    u_ref, iters_ref, _, trials_ref = step()
+    real_solver = fem.Grid.make_solver
+
+    def doubled(self, *args, **kwargs):
+        solve = real_solver(self, *args, **kwargs)
+        return lambda rhs: 2.0 * solve(rhs)
+
+    monkeypatch.setattr(fem.Grid, "make_solver", doubled)
+    u, iters, rel, trials = step()
+    assert iters_ref == iters == 1
+    assert trials == trials_ref + 1 == 3      # start, alpha = 1, alpha = 1/2
+    assert rel <= evolution.NEWTON_RTOL
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-12)
 
 
 def test_nan_residual_is_not_accepted():
@@ -159,7 +197,7 @@ def test_nan_residual_is_not_accepted():
         def body_force(self, t, x):
             return np.full(x.shape, np.nan)
 
-    with pytest.raises(evolution.GlobalSolverError, match="non-finite") as err:
+    with pytest.raises(SolverFailure, match="non-finite") as err:
         evolution.run(scn.grid(), scn.material(), NanBody(), scn.T, scn.N)
     assert err.value.step_index == 0
 
@@ -246,8 +284,7 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
                     np.linalg.norm(fint[free]), 1e-12)
         solves.clear()
         u_prev, (u, state, _, _) = u, stepper.step(
-            u, state, times[k], dt, step_index=k, elastic_n=elastic_n,
-            u_prev=u_prev)
+            u, state, times[k], dt, elastic_n=elastic_n, u_prev=u_prev)
         for K, eta, rhs, du in solves:
             rnorm = np.linalg.norm(rhs[free])
             assert eta == pytest.approx(
@@ -619,8 +656,8 @@ def test_three_dimensional_homogeneous_run():
 @pytest.mark.parametrize("d, model", [(2, KINEMATIC), (2, ISOTROPIC),
                                       (3, KINEMATIC)])
 def test_history_rates_on_a_region_are_the_sliced_full_rates(d, model):
-    # sigma_dot/xi_dot/grad_u_dot on a box of cells keep every bit of the
-    # full-grid result, cut to that box
+    # the rates of sigma and xi, and grad_u_dot, on a box of cells keep
+    # every bit of the full-grid result, cut to that box
     grid = fem.build_grid(fem.Geometry(d=d, mode="mixed"), 4)
     rng = np.random.default_rng(45)
     N = 5
@@ -634,12 +671,15 @@ def test_history_rates_on_a_region_are_the_sliced_full_rates(d, model):
         ep=np.zeros(shp + (grid.m,)), grid=grid, params=None)
     region = tuple(slice(1, c - 1) if j % 2 == 0 else slice(0, c // 2 + 1)
                    for j, c in enumerate(grid.cell_counts))
-    for name in ("sigma_dot", "xi_dot", "grad_u_dot"):
-        full = getattr(hist, name)()
+    readers = {"sigma": lambda *a: hist.rate("sigma", *a),
+               "xi": lambda *a: hist.rate("xi", *a),
+               "grad_u_dot": hist.grad_u_dot}
+    for name, read in readers.items():
+        full = read()
         assert full.shape[:2] == (N, grid.ncells)
         expected = full.reshape((N,) + grid.cell_counts + full.shape[2:])[
             (slice(None),) + region]
-        got = getattr(hist, name)(region)
+        got = read(region)
         assert got.shape == expected.shape, name
         assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
 

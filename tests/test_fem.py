@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from plastprobe.constitutive import (ConstitutiveState, MaterialParams,
-                                     consistent_tangent)
+                                     SolverFailure, consistent_tangent)
 from plastprobe.datagen import DataGenerator, PolyProfile, SineProfile
 from plastprobe.fem import MODES, Geometry, build_grid, make_cutoff
 from plastprobe.tensors import Tensor4Sym, from_matrix
@@ -280,12 +280,14 @@ def test_assemble_tangent_bit_identical_to_coo_tocsr(d, n, mode):
 
 
 def test_singular_tangent_raises():
-    # a zero modulus field produces a singular system: surfaced as LinAlgError
+    # a zero modulus field produces a singular system: surfaced as the
+    # solver failure of a factorization, which belongs to no step
     g = build_grid(Geometry(d=2, mode="mixed"), 2)
     D = np.zeros((g.ncells, g.nqp, 3, 3))
     K = g.assemble_tangent(D)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(SolverFailure, match="singular") as err:
         g.factorize(K)
+    assert err.value.step_index is None
 
 
 @pytest.mark.parametrize("mode", ["mixed", "all-neumann-bottom"])

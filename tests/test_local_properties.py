@@ -11,7 +11,7 @@ strain increments and step ratios dt/mu from 1e-6 to 1e8:
 
 The radial-return path (isotropic tensors) takes every ratio.  The
 damped-Newton path (general SPD tensors) takes ratios up to 1e3: from
-1e4 on it raises LocalSolverError ("dt/mu may be too extreme") for a
+1e4 on it raises SolverFailure ("dt/mu may be too extreme") for a
 quarter or more of such problems.
 """
 

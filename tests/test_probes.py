@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from plastprobe import evolution, probes, tensors
-from plastprobe.constitutive import LocalSolverError
+from plastprobe.constitutive import SolverFailure
 from plastprobe.evolution import FieldHistory
 from plastprobe.fem import Geometry, build_grid, make_cutoff
 from plastprobe.probes import (SeminormTable, beta_lambda,
@@ -94,7 +94,7 @@ def test_seminorm_step_in_time_closed_form():
     sigma = np.zeros((N + 1, grid.ncells, grid.nqp, 3))
     sigma[times >= T / 2] = V
     hist = _history(grid, sigma, times)
-    table = seminorm_table(hist, "time", "sigma", cutoff, "integral")
+    table = seminorm_table(hist, "time", "sigma", cutoff)
     m = grid.integrate_qp(cutoff.qp_values**2) * float(V @ V)
     for h, s in table.rows():
         if h <= T / 4:
@@ -110,7 +110,7 @@ def test_seminorm_linear_in_time_closed_form():
     sigma = times[:, None, None, None] * V
     sigma = np.broadcast_to(sigma, (N + 1, grid.ncells, grid.nqp, 3)).copy()
     hist = _history(grid, sigma, times)
-    table = seminorm_table(hist, "time", "sigma", cutoff, "integral")
+    table = seminorm_table(hist, "time", "sigma", cutoff)
     m = grid.integrate_qp(cutoff.qp_values**2) * float(V @ V)
     for h, s in table.rows():
         assert s == pytest.approx(h**2 * (T - h) * m, rel=1e-12)
@@ -121,7 +121,7 @@ def test_seminorm_constant_field_all_zero():
     sigma = np.ones((9, grid.ncells, grid.nqp, 3))
     hist = _history(grid, sigma, np.linspace(0, 1, 9))
     for axis in ("time", "tangential-1", "normal"):
-        table = seminorm_table(hist, axis, "sigma", cutoff, "integral")
+        table = seminorm_table(hist, axis, "sigma", cutoff)
         assert np.all(table.values == 0.0)
         fit = fit_exponent(table)
         assert fit.identically_regular
@@ -134,8 +134,8 @@ def test_seminorm_tangential_of_normal_only_field_zero():
     sigma = np.broadcast_to(vals[None, ..., None],
                             (5, grid.ncells, grid.nqp, 1)).copy()
     hist = _history(grid, sigma.repeat(3, axis=-1), np.linspace(0, 1, 5))
-    table = seminorm_table(hist, "tangential-1", "sigma", cutoff, "sup")
-    assert np.all(table.values == 0.0)
+    table = seminorm_table(hist, "tangential-1", "sigma", cutoff)
+    assert np.all(table.in_mode("sup").values == 0.0)
 
 
 def test_seminorm_nesting_integral_below_sup():
@@ -145,8 +145,8 @@ def test_seminorm_nesting_integral_below_sup():
     hist = _history(grid, sigma, np.linspace(0, 1, 9))
     T = 1.0
     for axis in ("time", "normal", "tangential-1"):
-        ti = seminorm_table(hist, axis, "sigma", cutoff, "integral")
-        ts = seminorm_table(hist, axis, "sigma", cutoff, "sup")
+        ti = seminorm_table(hist, axis, "sigma", cutoff)
+        ts = ti.in_mode("sup")
         assert np.all(ti.values <= T * ts.values + 1e-15)
 
 
@@ -338,7 +338,7 @@ def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
         derived = built["normal", field_name].in_mode("integral")
         assert np.array_equal(
             derived.values,
-            real(hist, "normal", field_name, cutoff, "integral").values)
+            real(hist, "normal", field_name, cutoff).values)
     reused = report.interpolation
     for name in ("h", "lhs", "rhs", "ratio"):
         np.testing.assert_array_equal(getattr(reused, name),
@@ -378,7 +378,7 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
 
     def failing_run(grid, params, data, T, N, **kw):
         if params.mu < 0.01:
-            raise evolution.GlobalSolverError("forced failure", step_index=0)
+            raise SolverFailure("forced failure", step_index=0)
         return real_run(grid, params, data, T, N, **kw)
 
     monkeypatch.setattr(evolution, "run", failing_run)
@@ -389,21 +389,27 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
     assert len(oks) == 1 and oks[0].mu == 0.1
 
 
-@pytest.mark.parametrize("error", [
-    np.linalg.LinAlgError("CG failed to converge"),
-    LocalSolverError("local update failed to converge")])
-def test_mu_sweep_records_linear_and_local_failures(error, monkeypatch):
-    scn = load_benchmark("elastic-only", n=4, N=2, probes=[])
+@pytest.mark.parametrize("error", [("splu", None), ("cg", 1), ("local", 0)])
+def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
+                                                    monkeypatch):
+    # a solve made to fail where it arises, in the run at mu = 0.001 only,
+    # leaves run() as a SolverFailure marked with its step (none for the
+    # factorization before step 0); the sweep records it and goes on
+    kind, step = error
+    scn = load_benchmark("mixed-boundary-kinematic", n=4, N=2, probes=[],
+                         allow_coarse_dt=True)
     real_run = evolution.run
+    runs = []
 
-    def failing_run(grid, params, data, T, N, **kw):
-        if params.mu < 0.01:
-            raise error
+    def tracked_run(grid, params, data, T, N, **kw):
+        runs.append(params.mu)
         return real_run(grid, params, data, T, N, **kw)
 
-    monkeypatch.setattr(evolution, "run", failing_run)
+    monkeypatch.setattr(evolution, "run", tracked_run)
+    message = solver_fault(kind, armed=lambda: runs[-1] < 0.01)
     rep = mu_sweep(scn, mus=[0.1, 0.001])
-    assert rep.failures == [{"mu": 0.001, "error": str(error)}]
+    where = "" if step is None else f"step {step}: "
+    assert rep.failures == [{"mu": 0.001, "error": where + message}]
     assert [e.mu for e in rep.entries if e.failure is None] == [0.1]
 
 
@@ -420,7 +426,7 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
     hist = _history(grid, sigma, np.linspace(0, 1, 5))
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
     for mode in ("sup", "integral"):
-        table = seminorm_table(hist, axis, "sigma", cutoff, mode)
+        table = seminorm_table(hist, axis, "sigma", cutoff).in_mode(mode)
         assert table.h[0] == pytest.approx(0.25)
         for h, value in table.rows():
             k = int(round(h / table.base))
@@ -438,7 +444,7 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
             assert value > 0.0
             assert value == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        seminorm_table(hist, f"tangential-{d}", "sigma", cutoff, "sup")
+        seminorm_table(hist, f"tangential-{d}", "sigma", cutoff)
 
 
 def _whole_array_values(hist, table, cutoff):
@@ -535,17 +541,12 @@ def test_seminorm_table_bitwise_equals_whole_array_formula(
             monkeypatch.setattr(probes, "BLOCK_BYTES", level_bytes * (
                 levels_per_block or N + 1))
             for axis in axes:
+                table = seminorm_table(hist, axis, field_name, cutoff)
                 for mode in ("sup", "integral"):
                     where = (case, field_name, axis, mode)
-                    table = seminorm_table(hist, axis, field_name, cutoff,
-                                           mode)
-                    expected = _whole_array_values(hist, table, cutoff)
-                    assert np.array_equal(table.values, expected), where
-                    other = "integral" if mode == "sup" else "sup"
-                    assert np.array_equal(
-                        table.in_mode(other).values,
-                        seminorm_table(hist, axis, field_name, cutoff,
-                                       other).values), where
+                    moded = table.in_mode(mode)
+                    expected = _whole_array_values(hist, moded, cutoff)
+                    assert np.array_equal(moded.values, expected), where
 
 
 @pytest.mark.parametrize("axis, field_name", [
@@ -574,7 +575,7 @@ def test_seminorm_table_peak_memory(axis, field_name):
     assert support_share < 0.5
     tracemalloc.start()
     try:
-        seminorm_table(hist, axis, field_name, cutoff, "sup")
+        seminorm_table(hist, axis, field_name, cutoff)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

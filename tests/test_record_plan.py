@@ -115,17 +115,17 @@ def test_partial_record_reads_its_box_and_rejects_the_rest():
     for region in (box, inner):
         assert _same(part.on_cells("sigma", region),
                      full.on_cells("sigma", region))
-        assert _same(part.sigma_dot(region), full.sigma_dot(region))
+        assert _same(part.rate("sigma", region), full.rate("sigma", region))
     for region in ((slice(1, 7), slice(1, 4)), (slice(2, 8), slice(1, 4)),
                    (slice(2, 7), slice(0, 4)), None):
         with pytest.raises(ValueError, match="sigma"):
-            part.sigma_dot(region)
+            part.rate("sigma", region)
     with pytest.raises(ValueError, match="outside its kept box"):
         part.on_cells("xi", inner)
     with pytest.raises(ValueError, match="needs the whole grid"):
         part.grad_u_dot(inner)
     with pytest.raises(ValueError, match="needs the whole grid"):
-        part.u_dot()
+        part.rate("u")
 
 
 def test_partial_record_refuses_state_and_energy_diagnostics():

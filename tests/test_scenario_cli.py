@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import plastprobe
-from plastprobe import evolution, fem, probes, report
+from plastprobe import evolution, probes, report
 from plastprobe import scenario as scenario_module
 from plastprobe.cli import main as cli_main
 from plastprobe.scenario import (BENCHMARKS, ScenarioError, benchmark_path,
@@ -279,27 +279,29 @@ def test_cli_sweep_entries_carry_newton_block(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "probe", "sweep"])
 def test_cli_linear_solver_failure_exits_3(command, tmp_path, monkeypatch,
-                                           capsys):
-    # a singular elastic factorization surfaces as LinAlgError
-    def singular(grid, K):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(fem.Grid, "factorize", singular)
+                                           capsys, solver_fault):
+    # each solve made to fail where it arises: SuperLU before step 0, CG
+    # on the first plastic tangent (step 1), the local update at step 0
     scn_file = tmp_path / "scn.json"
-    scn_file.write_text(json.dumps(minimal_config(mu=[0.1, 0.05], N=2)))
-    assert cli_main([command, str(scn_file), "--out",
-                     str(tmp_path / "o")]) == 3
-    if command == "sweep":
-        # the sweep records each failed mu and writes a partial report
-        summary = json.loads(
-            (tmp_path / "o" / "sweep_summary.json").read_text())
-        assert all("singular matrix" in e["failure"]
-                   for e in summary["entries"])
-        assert "partial" in capsys.readouterr().err
-    else:
-        # raised out of the command, mapped to 3 by main
+    scn_file.write_text(json.dumps(minimal_config(
+        mu=[0.1, 0.05], N=2, data={"generator": "poly", "terms": [
+            {"tpoly": [0.0, 1.0], "linear": [[0.0, 1.0], [1.0, 0.0]]}]})))
+    for kind, step in (("splu", None), ("cg", 1), ("local", 0)):
+        message = solver_fault(kind)
+        if step is not None:
+            message = f"step {step}: {message}"
+        out = tmp_path / kind
+        assert cli_main([command, str(scn_file), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "solver failure: singular matrix" in err
+        if command == "sweep":
+            # the sweep records each failed mu and writes a partial report
+            summary = json.loads((out / "sweep_summary.json").read_text())
+            assert [e["failure"] for e in summary["entries"]] == [message] * 2
+            assert "partial" in err
+        else:
+            # raised out of the command, mapped to 3 by main
+            assert f"solver failure: {message}\n" in err
+        monkeypatch.undo()
 
 
 def test_cli_targets_output(capsys):
