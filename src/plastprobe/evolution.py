@@ -16,7 +16,9 @@ SolverFailure marked with its step.
 Energy diagnostics mirroring the a-priori estimates (penalty energy,
 dissipation sums, suprema of the backward-difference rates) are
 accumulated during the run so that mu-sweeps do not have to keep full
-field histories.
+field histories.  A kept FieldHistory is read by the probes through
+FieldHistory.read alone: each probe field of SOURCE on a box of cells,
+its components flattened.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class EnergyReport:
 
 # the fields run() can record at every time level
 RECORDED = ("u", "sigma", "xi", "ep")
+# the recorded field each probe field is read from (FieldHistory.read)
+SOURCE = {"sigma": "sigma", "xi": "xi", "sigma_dot": "sigma",
+          "xi_dot": "xi", "grad_u_dot": "u"}
 
 
 def _cell_count(box) -> int:
@@ -103,7 +108,8 @@ class FieldHistory:
     whole-grid field is (N+1, ncells, nqp[, m]) and one on an empty box
     has zero cells.  u is kept on the whole grid, (N+1, nnodes, d), or
     on an empty box.  Every read names absolute cells and raises
-    ValueError when they leave the field's box.
+    ValueError when they leave the field's box.  A probe reads a field
+    of SOURCE through read alone, which hides this layout.
     """
 
     times: np.ndarray
@@ -181,6 +187,32 @@ class FieldHistory:
         out /= self.dt
         return out
 
+    def read(self, name: str, region, levels=slice(None), out=None):
+        """Probe field name (a key of SOURCE) on region, (Nt, *box, nqp, K).
+
+        The components come flattened, K = 1 for the isotropic xi; region
+        None gives the whole grid, cells flat.  A stored field (sigma,
+        xi) is a view of its levels levels; a rate (sigma_dot, xi_dot,
+        grad_u_dot) is formed at the rate levels levels, into out (of
+        the returned shape) if given.
+        """
+        if name not in SOURCE:
+            raise ValueError(f"unknown field {name!r}; choices: "
+                             f"{tuple(SOURCE)}")
+        source = SOURCE[name]
+        comps = ((self.grid.d,) * 2 if source == "u"
+                 else getattr(self, source).shape[3:])
+        if out is not None:
+            out = out.reshape(out.shape[:-1] + comps)
+        if name == source:
+            arr = self.on_cells(name, region)[levels]
+        elif source == "u":
+            arr = self.grad_u_dot(region, levels, out)
+        else:
+            arr = self.rate(source, region, levels, out)
+        return arr.reshape(arr.shape[:arr.ndim - len(comps)]
+                           + (math.prod(comps),))
+
     def grad_u_dot(self, region=None, levels=slice(None), out=None):
         """(N, ncells, nqp, d, d) gradients of the backward-difference rates.
 
@@ -200,8 +232,8 @@ class FieldHistory:
         if out is None:
             out = np.empty((stop - start,) + box
                            + (grid.nqp, grid.d, grid.d))
-        rows = out.reshape(out.shape[0], -1, grid.nqp, grid.d, grid.d,
-                           copy=False)
+        rows = out.reshape(out.shape[0], math.prod(box), grid.nqp, grid.d,
+                           grid.d, copy=False)
         for i, k in enumerate(range(start, stop)):
             ud = self.rate("u", levels=slice(k, k + 1))[0]
             rows[i] = grid.gradient(ud, cells)

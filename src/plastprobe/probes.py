@@ -28,20 +28,22 @@ operations, and every level is still reduced over its whole
 C-contiguous row, so the sum adds the same values in the same order and
 the tables are bitwise equal to that formula; no sum may be reordered.
 
-A table reads its field on a read region (read_region): the support
-box, widened on a space axis by the ladder's largest shift along that
-axis.  On a space axis a stored field is only viewed there, and a rate
-is formed one block of levels at a time into a second block-sized
-buffer, with the same elementwise (w[k+1] - w[k]) / dt.  A time-axis
-table holds phi * w on the support box, its only array the size of its
-read region.  A table keeps its per-level integrals, so the other
+A table reads its field through FieldHistory.read, the one way a probe
+reads a history, on a read region (read_region): the support box,
+widened on a space axis by the ladder's largest shift along that axis.
+On a space axis a stored field is only viewed there, and a rate is
+formed one block of levels at a time into a second block-sized buffer,
+with the same elementwise (w[k+1] - w[k]) / dt.  A time-axis table
+holds phi * w on the support box, its only array the size of its read
+region.  A table keeps its per-level integrals, so the other
 aggregation over t of the same (axis, field) is derived from it
 (SeminormTable.in_mode), not rebuilt.
 
 The tables read a recorded box, not the whole grid: record_plan gives
 evolution.run, for each recorded field, the bounding box of the read
-regions of the tables run_probes builds (table_keys), and FieldHistory
-raises on a read outside it.  ep is read by no table and not recorded.
+regions of the tables run_probes builds (table_keys) that read it
+(evolution.SOURCE), and FieldHistory.read raises on a read outside it.
+ep is read by no table and not recorded.
 """
 
 from __future__ import annotations
@@ -56,59 +58,11 @@ from .constitutive import KINEMATIC, SolverFailure
 from .evolution import FieldHistory
 from .fem import Cutoff
 
-FIELDS = ("sigma", "xi", "sigma_dot", "xi_dot", "grad_u_dot")
-# the recorded field (evolution.RECORDED) each table field is read from
-SOURCE = {"sigma": "sigma", "sigma_dot": "sigma", "xi": "xi",
-          "xi_dot": "xi", "grad_u_dot": "u"}
 # the normal tables of the interpolation check, LHS terms first
 INTERPOLATION_FIELDS = ("sigma_dot", "xi_dot", "sigma", "xi")
 
 # size of the scratch buffer a table works through (at least one level)
 BLOCK_BYTES = 1 << 20
-
-
-# -- field access -------------------------------------------------------------
-
-
-def _history_field(history: FieldHistory, name: str, region,
-                   phi: np.ndarray | None = None, levels=slice(None),
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Field on a box of cells, (Nt, *box, nqp, ncomp); squared comps
-    sum to the norm^2.
-
-    region holds one cell slice per axis.  Given phi on the box
-    (*box, nqp), the field comes back multiplied by it: a rate is
-    weighted in place, a stored field in a weighted copy.  A rate is
-    formed at the rate levels levels only, into out if given, of shape
-    (levels, *box, nqp, ncomp).
-    """
-    if name in ("sigma", "xi"):
-        arr = history.on_cells(name, region)
-    elif name in FIELDS:
-        if out is not None:
-            out = out.reshape(out.shape[:-1] + _components(history, name))
-        if name == "grad_u_dot":
-            arr = history.grad_u_dot(region, levels, out)
-            arr = arr.reshape(arr.shape[:-2] + (-1,))
-        else:
-            arr = history.rate(SOURCE[name], region, levels, out)
-    else:
-        raise ValueError(f"unknown field {name!r}; choices: {FIELDS}")
-    if arr.ndim == history.grid.d + 2:          # isotropic scalar xi / xi_dot
-        arr = arr[..., None]
-    if phi is None:
-        return arr
-    if name in ("sigma", "xi"):
-        return arr * phi[..., None]
-    arr *= phi[..., None]
-    return arr
-
-
-def _components(history: FieldHistory, name: str) -> tuple:
-    """Shape of one quadrature point's value of field name."""
-    if name == "grad_u_dot":
-        return (history.grid.d,) * 2
-    return getattr(history, SOURCE[name]).shape[3:]
 
 
 def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
@@ -242,8 +196,6 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
     The table aggregates over t as the time integral; in_mode("sup")
     derives the sup from the same per-level sums.
     """
-    if field_name not in FIELDS:
-        raise ValueError(f"unknown field {field_name!r}; choices: {FIELDS}")
     grid = history.grid
     dt = history.dt
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
@@ -256,26 +208,29 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
         base, cap = _space_ladder(grid, ax)
     ladder = _ladder(base, cap)
     shifts = [int(round(h / base)) for h in ladder]
-    n_comp = math.prod(_components(history, field_name))
+    # a time-axis or stored field is read once; a rate on a space axis is
+    # formed per block of levels, and its zero-level read gives the shape
+    stored = field_name in evolution.RECORDED
+    once = axis == "time" or stored
+    arr = history.read(field_name, region,
+                       slice(None) if once else slice(0, 0))
+    if axis == "time":
+        # a stored read is a view of the history: weight it in a copy
+        arr = np.multiply(arr, phi[region][..., None],
+                          out=None if stored else arr)
+    n_comp = arr.shape[-1]
     level_size = grid.ncells * grid.nqp * n_comp
     block = max(1, BLOCK_BYTES // (level_size * np.dtype(float).itemsize))
-    stored = field_name in ("sigma", "xi")
     n_field = len(history.times) - (0 if stored else 1)
-    if axis == "time" or stored:
-        phi_box = phi[region] if axis == "time" else None
-        arr = _history_field(history, field_name, region, phi_box)
-
+    if once:
         def read(t0, t1):
             return arr[t0:t1]
     else:
-        # a rate on a space axis: each block of levels is formed anew
-        rates = np.empty((min(block, n_field),)
-                         + tuple(s.stop - s.start for s in region)
-                         + (grid.nqp, n_comp))
+        rates = np.empty((min(block, n_field),) + arr.shape[1:])
 
         def read(t0, t1):
-            return _history_field(history, field_name, region,
-                                  levels=slice(t0, t1), out=rates[:t1 - t0])
+            return history.read(field_name, region, slice(t0, t1),
+                                out=rates[:t1 - t0])
     scratch = np.empty(min(block, n_field) * level_size)
     levels = []
     for k in shifts:
@@ -319,6 +274,11 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
 # -- exponent fits ------------------------------------------------------------
 
 
+def _in_window(h: np.ndarray, window: tuple) -> np.ndarray:
+    """Mask of the steps h inside window, ends widened by 1e-9 relative."""
+    return (h >= window[0] * (1 - 1e-9)) & (h <= window[1] * (1 + 1e-9))
+
+
 @dataclass
 class FitResult:
     s_hat: float | None
@@ -340,7 +300,7 @@ def fit_exponent(table: SeminormTable, window: tuple | None = None) -> FitResult
     if np.all(table.values == 0.0):
         return FitResult(s_hat=None, r2=None, n_used=0, zero_rows=[],
                          identically_regular=True, window=window)
-    mask = (table.h >= window[0] * (1 - 1e-9)) & (table.h <= window[1] * (1 + 1e-9))
+    mask = _in_window(table.h, window)
     zero_rows = table.h[mask & (table.values == 0.0)].tolist()
     mask &= table.values > 0.0
     hs, vals = table.h[mask], table.values[mask]
@@ -478,9 +438,7 @@ def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
     degenerate = bool(np.all(rhs_base == 0.0))
     if window is None:
         window = (2.0 * t_sig.base, t_sig.cap / 2.0)
-    mask = ((t_sig.h >= window[0] * (1 - 1e-9))
-            & (t_sig.h <= window[1] * (1 + 1e-9))
-            & np.isfinite(ratio) & (ratio > 0))
+    mask = _in_window(t_sig.h, window) & np.isfinite(ratio) & (ratio > 0)
     spread = None
     if mask.any() and not degenerate:
         sel = ratio[mask]
@@ -626,7 +584,7 @@ def record_plan(scenario) -> dict | None:
     empty = tuple(slice(0, 0) for _ in grid.cell_counts)
     plan = dict.fromkeys(evolution.RECORDED, empty)
     for axis, field_name in keys:
-        source = SOURCE[field_name]
+        source = evolution.SOURCE[field_name]
         region = (grid.cell_box() if source == "u"
                   else read_region(grid, cutoff, axis))
         if plan[source] != empty:
@@ -711,7 +669,7 @@ def newton_summary(report: evolution.EnergyReport) -> dict:
             "max_relative_residual": float(res.max()) if res.size else None}
 
 
-def mu_sweep(scenario, mus=None):
+def mu_sweep(scenario):
     """Run the scenario once per mu and compare the uniform quantities.
 
     Spread ratios are max/min over the sweep; the overshoot decay slope
@@ -719,11 +677,7 @@ def mu_sweep(scenario, mus=None):
     runs are recorded as partial entries.  A run records the fields its
     probe tables read (record_plan), and nothing without probes.
     """
-    if mus is None:
-        mus = scenario.mu_list
-    mus = sorted((float(m) for m in mus), reverse=True)
-    if any(m <= 0 for m in mus):
-        raise ValueError("mu values must be positive")
+    mus = sorted((float(m) for m in scenario.mu_list), reverse=True)
     record = record_plan(scenario)
     entries, failures = [], []
     for mu in mus:

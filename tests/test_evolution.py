@@ -1,6 +1,7 @@
 """Rothe stepping: stationarity, elastic consistency, ODE oracle, invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -653,35 +654,72 @@ def test_three_dimensional_homogeneous_run():
     assert err <= 5e-3   # 32 backward-Euler steps
 
 
-@pytest.mark.parametrize("d, model", [(2, KINEMATIC), (2, ISOTROPIC),
-                                      (3, KINEMATIC)])
-def test_history_rates_on_a_region_are_the_sliced_full_rates(d, model):
-    # the rates of sigma and xi, and grad_u_dot, on a box of cells keep
-    # every bit of the full-grid result, cut to that box
+def _random_history(d, model):
     grid = fem.build_grid(fem.Geometry(d=d, mode="mixed"), 4)
     rng = np.random.default_rng(45)
     N = 5
     shp = (N + 1, grid.ncells, grid.nqp)
-    hist = evolution.FieldHistory(
+    return evolution.FieldHistory(
         times=np.linspace(0.0, 0.7, N + 1),
         u=rng.standard_normal((N + 1, grid.nnodes, d)),
         sigma=rng.standard_normal(shp + (grid.m,)),
         xi=rng.standard_normal(shp + ((grid.m,) if model == KINEMATIC
                                       else ())),
         ep=np.zeros(shp + (grid.m,)), grid=grid, params=None)
+
+
+@pytest.mark.parametrize("d, model", [(2, KINEMATIC), (2, ISOTROPIC),
+                                      (3, KINEMATIC), (3, ISOTROPIC)])
+def test_history_rates_on_a_region_are_the_sliced_full_rates(d, model):
+    # the rates of sigma and xi, and grad_u_dot, on a box of cells keep
+    # every bit of the full-grid result, cut to that box; read gives
+    # every probe field so, its components flattened, a stored one as a
+    # view of the history
+    hist = _random_history(d, model)
+    grid, N = hist.grid, len(hist.times) - 1
     region = tuple(slice(1, c - 1) if j % 2 == 0 else slice(0, c // 2 + 1)
                    for j, c in enumerate(grid.cell_counts))
+
+    def cut(full):
+        box = full.reshape(full.shape[:1] + grid.cell_counts + full.shape[2:])
+        return box[(slice(None),) + region]
+
     readers = {"sigma": lambda *a: hist.rate("sigma", *a),
                "xi": lambda *a: hist.rate("xi", *a),
                "grad_u_dot": hist.grad_u_dot}
     for name, read in readers.items():
         full = read()
         assert full.shape[:2] == (N, grid.ncells)
-        expected = full.reshape((N,) + grid.cell_counts + full.shape[2:])[
-            (slice(None),) + region]
+        expected = cut(full)
         got = read(region)
         assert got.shape == expected.shape, name
         assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
+    wholes = {"sigma": hist.sigma, "xi": hist.xi,
+              "sigma_dot": hist.rate("sigma"), "xi_dot": hist.rate("xi"),
+              "grad_u_dot": hist.grad_u_dot()}
+    assert set(wholes) == set(evolution.SOURCE)
+    for name, full in wholes.items():
+        expected = cut(full)
+        k = math.prod(expected.shape[2 + grid.d:])
+        got = hist.read(name, region)
+        assert got.shape == expected.shape[:2 + grid.d] + (k,), name
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
+        stored = evolution.SOURCE[name] == name
+        assert np.shares_memory(got, full) == stored, name
+    with pytest.raises(ValueError, match="unknown field 'ep'"):
+        hist.read("ep", region)
+
+
+@pytest.mark.parametrize("region", [None, (slice(1, 3), slice(0, 2))])
+def test_history_rates_on_an_empty_level_slice_are_empty(region):
+    hist = _random_history(2, KINEMATIC)
+    grid = hist.grid
+    box = ((grid.ncells,) if region is None
+           else tuple(s.stop - s.start for s in region))
+    rate = hist.rate("sigma", region, levels=slice(2, 2))
+    grad = hist.grad_u_dot(region, levels=slice(2, 2))
+    assert rate.shape == (0,) + box + (grid.nqp, grid.m)
+    assert grad.shape == (0,) + box + (grid.nqp, grid.d, grid.d)
 
 
 def test_setup_leaves_no_quadrature_point_stress_in_the_memo():

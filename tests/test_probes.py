@@ -373,7 +373,7 @@ def test_interpolation_ratio_stable_under_time_refinement():
 
 
 def test_mu_sweep_partial_report_on_failure(monkeypatch):
-    scn = load_benchmark("elastic-only", n=4, N=2, probes=[])
+    scn = load_benchmark("elastic-only", n=4, N=2, probes=[], mu=[0.1, 0.001])
     real_run = evolution.run
 
     def failing_run(grid, params, data, T, N, **kw):
@@ -382,7 +382,7 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
         return real_run(grid, params, data, T, N, **kw)
 
     monkeypatch.setattr(evolution, "run", failing_run)
-    rep = mu_sweep(scn, mus=[0.1, 0.001])
+    rep = mu_sweep(scn)
     assert len(rep.failures) == 1
     assert rep.failures[0]["mu"] == 0.001
     oks = [e for e in rep.entries if e.failure is None]
@@ -397,7 +397,7 @@ def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
     # factorization before step 0); the sweep records it and goes on
     kind, step = error
     scn = load_benchmark("mixed-boundary-kinematic", n=4, N=2, probes=[],
-                         allow_coarse_dt=True)
+                         mu=[0.1, 0.001], allow_coarse_dt=True)
     real_run = evolution.run
     runs = []
 
@@ -407,7 +407,7 @@ def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
 
     monkeypatch.setattr(evolution, "run", tracked_run)
     message = solver_fault(kind, armed=lambda: runs[-1] < 0.01)
-    rep = mu_sweep(scn, mus=[0.1, 0.001])
+    rep = mu_sweep(scn)
     where = "" if step is None else f"step {step}: "
     assert rep.failures == [{"mu": 0.001, "error": where + message}]
     assert [e.mu for e in rep.entries if e.failure is None] == [0.1]

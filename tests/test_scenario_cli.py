@@ -57,6 +57,15 @@ def test_schema_violation_names_field():
             data={"generator": "mystery", "terms": [{"tpoly": [1]}]}))
 
 
+def test_schema_probe_fields_are_the_fields_a_history_reads():
+    # a probe field the schema admits is one FieldHistory.read serves,
+    # from a field that run() can record
+    schema_fields = scenario_module.SCHEMA["properties"]["probes"]["items"][
+        "properties"]["field"]["enum"]
+    assert tuple(schema_fields) == tuple(evolution.SOURCE)
+    assert set(evolution.SOURCE.values()) <= set(evolution.RECORDED)
+
+
 def test_hardening_model_mismatch_rejected():
     with pytest.raises(ScenarioError, match="kinematic"):
         parse_scenario_dict(minimal_config(
