@@ -29,7 +29,7 @@ EXIT_IO = 4
 def _load(arg: str):
     try:
         return scn_mod.resolve_scenario_arg(arg)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 

@@ -165,9 +165,6 @@ class ConstitutiveState:
     xi: np.ndarray
     ep: np.ndarray
 
-    def copy(self) -> "ConstitutiveState":
-        return ConstitutiveState(self.sigma.copy(), self.xi.copy(), self.ep.copy())
-
     @classmethod
     def zeros(cls, model: str, d: int, shape: tuple = ()) -> "ConstitutiveState":
         m = tensors.num_components(d)

@@ -240,21 +240,16 @@ class FieldHistory:
         return out
 
 
-def initial_stress(grid: Grid, data) -> np.ndarray:
-    """sigma0(0) at the quadrature points, (ncells, nqp, m).
-
-    Only set-up reads it (a step reads sigma0 on the Neumann face), so
-    it is evaluated on a writeable copy of the points, which the data
-    generator's profile memo does not keep.
-    """
-    sigma0 = data.sigma0(0.0, np.array(grid.qp_points))
-    return sigma0.reshape(grid.ncells, grid.nqp, grid.m)
-
-
 def initial_state(grid: Grid, params: MaterialParams, data):
-    """Initial nodal displacement and quadrature-point state at t = 0."""
+    """Initial nodal displacement and quadrature-point state at t = 0.
+
+    Only set-up reads sigma0(0) at the quadrature points (a step reads
+    sigma0 on the Neumann face), so it is evaluated on a writeable copy
+    of the points, which the data generator's profile memo does not keep.
+    """
     u0 = data.u0(0.0, grid.nodes)
-    sigma0 = initial_stress(grid, data)
+    sigma0 = data.sigma0(0.0, np.array(grid.qp_points)).reshape(
+        grid.ncells, grid.nqp, grid.m)
     strain = grid.sym_gradient(u0)
     ep0 = strain - params.elastic.apply(sigma0)
     if params.model == constitutive.KINEMATIC:

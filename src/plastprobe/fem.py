@@ -384,19 +384,16 @@ def _bump(x, lo, hi, w):
 class Cutoff:
     """Smooth localization weight phi, sampled at the quadrature points.
 
-    phi vanishes within eps0 of the Dirichlet/Neumann interface line and
-    of the outer faces (except the declared bottom portion), equals one
-    on a core region, and is constant in x_d on [0, h0].
+    Built by make_cutoff(grid, eps0, h0, side): phi vanishes within eps0
+    of the Dirichlet/Neumann interface line and of the outer faces
+    (except the declared bottom portion), equals one on a core region,
+    and is constant in x_d on [0, h0].
 
     support is the box of cells outside which every qp_values entry is
     exactly 0: per cell axis, the slice spanned by the cells with a
     nonzero value (the exact support, phi being a tensor product).
     """
 
-    eps0: float
-    h0: float
-    side: str
-    grid: Grid = field(repr=False)
     qp_values: np.ndarray = field(repr=False)
     _axis_funcs: list = field(repr=False, default_factory=list)
     support: tuple = ()
@@ -456,8 +453,7 @@ def make_cutoff(grid: Grid, eps0: float, h0: float,
 
     funcs.append(phi_d)
 
-    cutoff = Cutoff(eps0=eps0, h0=h0, side=side, grid=grid,
-                    qp_values=np.empty(0), _axis_funcs=funcs)
+    cutoff = Cutoff(qp_values=np.empty(0), _axis_funcs=funcs)
     cutoff.qp_values = cutoff(grid.qp_coords)
     nonzero = (cutoff.qp_values != 0.0).any(axis=1).reshape(grid.cell_counts)
     cutoff.support = tuple(

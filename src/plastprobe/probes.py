@@ -365,24 +365,6 @@ def target_exponents(d: int, model: str, boundary: str) -> ExponentTargets:
                            alpha=a)
 
 
-def beta_lambda(p: float, d: int) -> tuple[float, float, bool]:
-    """Anisotropic-embedding parameters: beta(p, d) and lambda(beta, d).
-
-    Returns (beta, lambda, degenerate); for d = 2 the admissible range
-    for p is unbounded above (flagged degenerate).
-    """
-    degenerate = d == 2
-    if p <= 2:
-        raise ValueError("p must exceed 2")
-    if d > 2:
-        p_max = 2.0 * (d - 1) / (d - 2)
-        if p >= p_max:
-            raise ValueError(f"p must lie in (2, {p_max:g}) for d={d}")
-    beta = (p - 2.0) / (4.0 * (d - 1) - 2.0 * p * (d - 2))
-    lam = 1.0 / (2.0 * beta * (d - 1) + 1.0)
-    return float(beta), float(lam), degenerate
-
-
 # -- interpolation-lemma ratio check -----------------------------------------
 
 
@@ -447,52 +429,6 @@ def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
                                ratio=ratio, flagged=flagged,
                                degenerate=degenerate, window=window,
                                spread=spread)
-
-
-# -- strip gradient diagnostics -----------------------------------------------
-
-
-@dataclass
-class StripReport:
-    h: float
-    n_cell_layers: int
-    times: np.ndarray
-    normal_grad_strip: np.ndarray    # per-step int_strip |D_d udot phi|^2
-    sym_grad_strip: np.ndarray       # per-step int_strip |E(udot) phi|^2
-    normal_grad_time_integral: float
-    sym_grad_time_integral: float
-
-
-def strip_gradient_norm(history: FieldHistory, h: float,
-                        cutoff: Cutoff) -> StripReport:
-    """Velocity-gradient energies on the boundary strip x_d in (0, h)."""
-    grid = history.grid
-    k = int(round(h * grid.n))
-    if abs(k - h * grid.n) > 1e-9 or k < 1:
-        raise ValueError(f"h={h:g} is not a positive multiple of 1/n")
-    if h >= cutoff.h0 + 1e-12:
-        raise ValueError(f"h={h:g} must stay below the cutoff plateau h0")
-    cells = grid.cell_counts
-    layer_idx = np.unravel_index(np.arange(grid.ncells), cells)[grid.d - 1]
-    strip = layer_idx < k
-    if not strip.any():
-        raise ValueError("empty strip")
-    phi_sq = cutoff.qp_values[strip] ** 2
-    udot = history.rate("u")
-    nvals, evals = [], []
-    for step in range(udot.shape[0]):
-        g = grid.gradient(udot[step])[strip]
-        dd = g[..., :, grid.d - 1]
-        nvals.append(((dd**2).sum(axis=-1) * phi_sq).sum() * grid.qp_weight)
-        e = grid.sym_gradient(udot[step])[strip]
-        evals.append(((e**2).sum(axis=-1) * phi_sq).sum() * grid.qp_weight)
-    dt = history.dt
-    nvals = np.asarray(nvals)
-    evals = np.asarray(evals)
-    return StripReport(h=h, n_cell_layers=k, times=history.times[1:],
-                       normal_grad_strip=nvals, sym_grad_strip=evals,
-                       normal_grad_time_integral=float(nvals.sum() * dt),
-                       sym_grad_time_integral=float(evals.sum() * dt))
 
 
 # -- probe orchestration and mu sweeps ----------------------------------------

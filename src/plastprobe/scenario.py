@@ -197,13 +197,10 @@ def parse_scenario_dict(cfg: dict) -> Scenario:
 
 def parse_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path} is not valid JSON: {exc}")
+    try:
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:      # JSONDecodeError included
+        raise ScenarioError(f"cannot read scenario {path}: {exc}")
     scenario = parse_scenario_dict(cfg)
     if scenario.config["name"] == "unnamed":
         scenario.config["name"] = path.stem
@@ -223,6 +220,11 @@ def validate(scenario: Scenario) -> list[str]:
         scenario.cutoff()
     except ValueError as exc:
         violations.append(f"cutoff: {exc}")
+
+    d = scenario.d
+    for axis in (probe["axis"] for probe in scenario.probes):
+        if axis.startswith("tangential-") and int(axis.split("-")[1]) >= d:
+            violations.append(f"probe axis {axis} out of range for d={d}")
 
     grid = scenario.grid()
     _, state = evolution.initial_state(grid, params, scenario.data)

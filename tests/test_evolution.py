@@ -429,11 +429,16 @@ def test_bad_previous_displacement_is_rejected():
                                atol=1e-9)
 
 
+def _sigma0(scn):
+    """sigma0(0) at the quadrature points, as the initial state holds it."""
+    return evolution.initial_state(scn.grid(), scn.material(),
+                                   scn.data)[1].sigma
+
+
 def test_safety_load_check_benchmarks():
     scn = load_benchmark("mixed-boundary-kinematic", n=4, N=8,
                          allow_coarse_dt=True)
-    rep = evolution.safety_load_check(
-        evolution.initial_stress(scn.grid(), scn.data), scn.material())
+    rep = evolution.safety_load_check(_sigma0(scn), scn.material())
     assert rep.passed
     assert rep.margin == pytest.approx(1.0)        # sigma0(0) = 0
 
@@ -447,8 +452,7 @@ def test_safety_load_margin_scan_oracle():
     from plastprobe.scenario import parse_scenario_dict
     scn = parse_scenario_dict(scn.config)
     grid = scn.grid()
-    rep = evolution.safety_load_check(
-        evolution.initial_stress(grid, scn.data), scn.material())
+    rep = evolution.safety_load_check(_sigma0(scn), scn.material())
     fine = build_grid(Geometry(d=2, mode="mixed"), 4 * grid.n)
     s0 = scn.data.sigma0(0.0, fine.qp_coords.reshape(-1, 2))
     margin_fine = scn.material().kappa - tensors.norm(tensors.dev(s0)).max()
@@ -467,8 +471,7 @@ def test_safety_load_fails_at_equality():
     peak = tensors.norm(tensors.dev(s0)).max()
     scn.config["kappa"] = float(peak)
     scn2 = parse_scenario_dict(scn.config)
-    rep = evolution.safety_load_check(
-        evolution.initial_stress(grid, scn2.data), scn2.material())
+    rep = evolution.safety_load_check(_sigma0(scn2), scn2.material())
     assert not rep.passed
 
 
@@ -499,8 +502,7 @@ def test_safety_margin_is_translated_pair_gap_at_every_time(model):
             xi0 = mag - dev0
             g = mag - xi0
         gap = max(gap, float(g.max()))
-    rep = evolution.safety_load_check(
-        evolution.initial_stress(grid, scn.data), params)
+    rep = evolution.safety_load_check(_sigma0(scn), params)
     assert rep.passed
     assert gap == pytest.approx(params.kappa - rep.margin, rel=1e-12)
 
@@ -509,8 +511,7 @@ def test_weak_divergence_defect_small_for_generators():
     scn = load_benchmark("mixed-boundary-kinematic", n=8, N=8,
                          allow_coarse_dt=True)
     grid = scn.grid()
-    defect = evolution.weak_divergence_defect(
-        grid, scn.data, evolution.initial_stress(grid, scn.data))
+    defect = evolution.weak_divergence_defect(grid, scn.data, _sigma0(scn))
     assert defect <= 1e-9
 
 
@@ -740,4 +741,4 @@ def test_setup_leaves_no_quadrature_point_stress_in_the_memo():
         assert key in keys
     memoized = data.sigma0(0.0, grid.qp_points)
     assert hist.sigma[0].tobytes() == memoized.tobytes()
-    assert evolution.initial_stress(grid, data).tobytes() == memoized.tobytes()
+    assert _sigma0(scn).tobytes() == memoized.tobytes()

@@ -4,15 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from plastprobe import evolution, probes, tensors
+from plastprobe import evolution, probes
 from plastprobe.constitutive import SolverFailure
 from plastprobe.evolution import FieldHistory
 from plastprobe.fem import Geometry, build_grid, make_cutoff
-from plastprobe.probes import (SeminormTable, beta_lambda,
-                               diff_quotient, fit_exponent, interpolation_check,
-                               mu_sweep, seminorm_table, strip_gradient_norm,
+from plastprobe.probes import (SeminormTable, diff_quotient, fit_exponent,
+                               interpolation_check, mu_sweep, seminorm_table,
                                target_exponents)
 from plastprobe.scenario import load_benchmark
 
@@ -190,10 +188,6 @@ def test_target_exponents_isotropic_neumann_d3():
     expected = (-1 + np.sqrt(97)) / 16
     assert t.sigma_normal == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.55306, abs=1e-5)
-    beta, lam, degenerate = beta_lambda(3.0, 3)
-    assert beta == pytest.approx(0.5)
-    assert lam == pytest.approx(1 / 3)
-    assert not degenerate
 
 
 def test_target_exponents_isotropic_dirichlet_matches_kinematic():
@@ -207,58 +201,6 @@ def test_alpha_consistency_normal_rate_is_third():
     for d in (2, 3):
         t = target_exponents(d, "isotropic", "neumann")
         assert t.sigdot_normal == pytest.approx(t.alpha / 3, abs=1e-14)
-
-
-def test_beta_lambda_validation():
-    with pytest.raises(ValueError):
-        beta_lambda(2.0, 3)
-    with pytest.raises(ValueError):
-        beta_lambda(4.0, 3)
-    beta, lam, degenerate = beta_lambda(6.0, 2)
-    assert degenerate
-    assert beta == pytest.approx(1.0)
-    assert lam == pytest.approx(1 / 3)
-
-
-def test_strip_gradient_rigid_motion_zero():
-    grid = build_grid(Geometry(d=2, mode="mixed"), 8)
-    cutoff = make_cutoff(grid, eps0=0.15, h0=0.2)
-    times = np.linspace(0, 1, 3)
-    u = np.empty((3, grid.nnodes, 2))
-    W = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for k, t in enumerate(times):
-        u[k] = t * (grid.nodes @ W.T) + t * np.array([0.3, -0.2])
-    hist = _history(grid, np.zeros((3, grid.ncells, grid.nqp, 3)), times, u=u)
-    rep = strip_gradient_norm(hist, h=1 / 8, cutoff=cutoff)
-    assert np.abs(rep.sym_grad_strip).max() <= 1e-26
-
-
-def test_strip_gradient_linear_closed_form():
-    grid, cutoff = _grid_and_cutoff(n=16)
-    c = 1.7
-    times = np.linspace(0, 1, 3)
-    u = np.empty((3, grid.nnodes, 2))
-    for k, t in enumerate(times):
-        u[k] = 0.0
-        u[k][:, 0] = t * c * grid.nodes[:, 1]      # D_d udot = (c, 0)
-    hist = _history(grid, np.zeros((3, grid.ncells, grid.nqp, 3)), times, u=u)
-    h = 1 / 16
-    rep = strip_gradient_norm(hist, h=h, cutoff=cutoff)
-    # independent 1d quadrature of the phi^2 cross-section
-    area, _ = quad(lambda x1: cutoff(np.array([x1, h / 2]))**2, -1, 1,
-                   limit=200)
-    expected = c**2 * h * area
-    np.testing.assert_allclose(rep.normal_grad_strip, expected, rtol=2e-3)
-
-
-def test_strip_gradient_validation():
-    grid, cutoff = _grid_and_cutoff(n=8)
-    hist = _history(grid, np.zeros((3, grid.ncells, grid.nqp, 3)),
-                    np.linspace(0, 1, 3))
-    with pytest.raises(ValueError):
-        strip_gradient_norm(hist, h=0.25, cutoff=cutoff)  # above h0
-    with pytest.raises(ValueError):
-        strip_gradient_norm(hist, h=0.05, cutoff=cutoff)  # not a multiple
 
 
 def test_interpolation_check_elastic_history_flagged():
@@ -345,17 +287,6 @@ def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
                                       getattr(fresh, name))
     assert (reused.flagged, reused.degenerate, reused.spread) \
         == (fresh.flagged, fresh.degenerate, fresh.spread)
-
-
-def test_strip_gradient_doubles_with_h_on_smooth_run():
-    # smooth elastic velocity field: strip energy scales like h (within 20%)
-    scn = load_benchmark("elastic-only", n=16, N=4)
-    grid = scn.grid()
-    hist, _ = evolution.run(grid, scn.material(), scn.data, scn.T, scn.N)
-    cutoff = make_cutoff(grid, eps0=0.15, h0=0.25)
-    v1 = strip_gradient_norm(hist, 1 / 16, cutoff).normal_grad_time_integral
-    v2 = strip_gradient_norm(hist, 2 / 16, cutoff).normal_grad_time_integral
-    assert v2 / v1 == pytest.approx(2.0, rel=0.2)
 
 
 def test_interpolation_ratio_stable_under_time_refinement():

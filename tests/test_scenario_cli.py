@@ -149,18 +149,24 @@ def test_reproducible_rerun_byte_identical(tmp_path):
 def test_cli_validate_ok_and_failure(tmp_path, capsys):
     assert cli_main(["validate", "elastic-only"]) == 0
     assert capsys.readouterr().out == "elastic-only: ok\n"
-    bad = tmp_path / "bad.json"
-    cfg = minimal_config()
-    cfg["data"]["terms"][0]["tpoly"] = [8.0, 1.0]
-    bad.write_text(json.dumps(cfg))
-    assert cli_main(["validate", str(bad)]) == 2
-    # validate reports violations on stdout, the other commands on stderr
-    out, err = capsys.readouterr()
-    assert out.startswith("violation: safety load violated") and err == ""
-    for command in ("run", "probe", "sweep"):
-        assert cli_main([command, str(bad), "--out",
-                         str(tmp_path / command)]) == 2
-        assert capsys.readouterr() == ("", out)
+    safety = minimal_config()
+    safety["data"]["terms"][0]["tpoly"] = [8.0, 1.0]
+    # a probe on a tangential axis that d = 2 does not have
+    axis = minimal_config(probes=[
+        {"axis": "tangential-2", "field": "sigma", "mode": "sup"}])
+    for cfg, message in ((safety, "violation: safety load violated"),
+                         (axis, "violation: probe axis tangential-2 out of "
+                                "range for d=2\n")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert cli_main(["validate", str(bad)]) == 2
+        # validate reports violations on stdout, the other commands on stderr
+        out, err = capsys.readouterr()
+        assert out.startswith(message) and err == ""
+        for command in ("run", "probe", "sweep"):
+            assert cli_main([command, str(bad), "--out",
+                             str(tmp_path / command)]) == 2
+            assert capsys.readouterr() == ("", out)
 
 
 def test_cli_probe_builds_one_cutoff(tmp_path, monkeypatch):
@@ -184,8 +190,19 @@ def test_cli_probe_builds_one_cutoff(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_validate_missing_file():
-    assert cli_main(["validate", "/nonexistent/scn.json"]) == 2
+def test_cli_validate_missing_file(tmp_path, capsys):
+    # a missing file, a directory and a file that is not UTF-8 all exit 2
+    # with one error line, as does a file that is not JSON
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "caf\xe9"}')
+    not_json = tmp_path / "broken.json"
+    not_json.write_text("{")
+    for path in (tmp_path / "missing.json", tmp_path, not_utf8, not_json):
+        assert cli_main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read scenario {path}: ")
+        assert err.count("\n") == 1
 
 
 def test_cli_run_and_probe(tmp_path):
