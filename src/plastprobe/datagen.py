@@ -25,18 +25,25 @@ from . import tensors
 from .tensors import Tensor4Sym
 
 
+def _coeffs(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape (zeros for None)."""
+    if value is None:
+        return np.zeros(shape)
+    arr = np.asarray(value, float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
 class PolyProfile:
     """g_i(x) = c_i + L_ij x_j + 0.5 x . Q_i . x with symmetric Q_i."""
 
     def __init__(self, d, linear=None, quadratic=None, const=None):
         self.d = d
-        self.L = np.zeros((d, d)) if linear is None else np.asarray(linear, float)
-        self.c = np.zeros(d) if const is None else np.asarray(const, float)
-        if quadratic is None:
-            self.Q = np.zeros((d, d, d))
-        else:
-            Q = np.asarray(quadratic, float)
-            self.Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
+        self.L = _coeffs(linear, (d, d), "linear")
+        self.c = _coeffs(const, (d,), "const")
+        Q = _coeffs(quadratic, (d, d, d), "quadratic")
+        self.Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
     def value(self, x):
         quad = 0.5 * np.einsum("ijk,...j,...k->...i", self.Q, x, x)
@@ -56,10 +63,9 @@ class SineProfile:
 
     def __init__(self, d, amp, freq, phase=None):
         self.d = d
-        self.amp = np.asarray(amp, float)
-        self.freq = np.asarray(freq, float)
-        self.phase = (np.zeros((d, d)) if phase is None
-                      else np.asarray(phase, float))
+        self.amp = _coeffs(amp, (d,), "amp")
+        self.freq = _coeffs(freq, (d, d), "freq")
+        self.phase = _coeffs(phase, (d, d), "phase")
 
     def _args(self, x):
         # arg[..., i, j] = freq_ij x_j + phase_ij

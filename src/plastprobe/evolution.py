@@ -46,7 +46,8 @@ FORCING_MAX = 1e-2
 class EnergyReport:
     """Discrete energy diagnostics and the Newton record of a trajectory.
 
-    Arrays indexed by time level (length N+1) or by step (length N).
+    Arrays only, indexed by time level (length N+1) or by step (length
+    N); probes.energy_summary derives the scalars of a run from them.
     newton_iters and residual_rel (the final |r| / scale) are recorded
     by run() only; a report recomputed from a history leaves them empty.
     """
@@ -61,26 +62,6 @@ class EnergyReport:
     dissipation_cum: np.ndarray
     newton_iters: np.ndarray
     residual_rel: np.ndarray
-
-    @property
-    def sup_sigdot(self) -> float:
-        return float(self.sigdot_l2.max()) if self.sigdot_l2.size else 0.0
-
-    @property
-    def sup_xidot(self) -> float:
-        return float(self.xidot_l2.max()) if self.xidot_l2.size else 0.0
-
-    @property
-    def sup_udot_h1(self) -> float:
-        return float(self.udot_h1.max()) if self.udot_h1.size else 0.0
-
-    @property
-    def dissipation_total(self) -> float:
-        return float(self.dissipation_cum[-1]) if self.dissipation_cum.size else 0.0
-
-    def uniform_bound_lhs(self) -> float:
-        """E_pen(T) + dissipation, the mu-uniform quantity of the estimates."""
-        return float(self.e_pen[-1]) + self.dissipation_total
 
 
 # the fields run() can record at every time level

@@ -35,9 +35,10 @@ On a space axis a stored field is only viewed there, and a rate is
 formed one block of levels at a time into a second block-sized buffer,
 with the same elementwise (w[k+1] - w[k]) / dt.  A time-axis table
 holds phi * w on the support box, its only array the size of its read
-region.  A table keeps its per-level integrals, so the other
-aggregation over t of the same (axis, field) is derived from it
-(SeminormTable.in_mode), not rebuilt.
+region.  A table is its ladder h and, per rung, the per-level
+integrals; SeminormTable.values(mode) aggregates them over t, so a
+probe's sup or integral and the ratio check's integral of the same
+(axis, field) come from one table.
 
 The tables read a recorded box, not the whole grid: record_plan gives
 evolution.run, for each recorded field, the bounding box of the read
@@ -49,7 +50,7 @@ ep is read by no table and not recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,23 +114,14 @@ def _space_axis(axis: str, d: int) -> int:
 class SeminormTable:
     axis: str
     field: str
-    mode: str                  # "sup" | "integral" aggregation over t
     h: np.ndarray
-    values: np.ndarray
-    base: float                # ladder base step (cell size or dt)
-    cap: float                 # largest admissible h
-    levels: tuple = ()         # per rung, its per-time-level integrals
-    dt: float = 0.0            # time step of the "integral" aggregation
+    levels: tuple              # per rung, its per-time-level integrals
+    dt: float                  # time step of the "integral" aggregation
 
-    def rows(self):
-        return list(zip(self.h.tolist(), self.values.tolist()))
-
-    def in_mode(self, mode: str) -> SeminormTable:
-        """This table aggregated over t as mode, from its per-level sums."""
-        if mode == self.mode:
-            return self
-        values = [_aggregate(per_t, mode, self.dt) for per_t in self.levels]
-        return replace(self, mode=mode, values=np.asarray(values))
+    def values(self, mode: str) -> np.ndarray:
+        """S(h) per rung, aggregated over t as mode: "sup" or "integral"."""
+        return np.asarray([_aggregate(per_t, mode, self.dt)
+                           for per_t in self.levels])
 
 
 def _ladder(base: float, cap: float) -> np.ndarray:
@@ -191,11 +183,8 @@ def table_keys(probe_list, N: int) -> list:
 
 def seminorm_table(history: FieldHistory, axis: str, field_name: str,
                    cutoff: Cutoff) -> SeminormTable:
-    """Weighted squared-L2 difference-quotient aggregate over a dyadic ladder.
-
-    The table aggregates over t as the time integral; in_mode("sup")
-    derives the sup from the same per-level sums.
-    """
+    """Per-level weighted squared-L2 difference quotients over a dyadic
+    ladder; values(mode) aggregates them over t."""
     grid = history.grid
     dt = history.dt
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
@@ -265,10 +254,8 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
             per_t[t0:t1] = buf.sum(axis=tuple(range(1, buf.ndim)))
         per_t *= grid.qp_weight
         levels.append(per_t)
-    values = [_aggregate(per_t, "integral", dt) for per_t in levels]
-    return SeminormTable(axis=axis, field=field_name, mode="integral",
-                         h=ladder, values=np.asarray(values), base=base,
-                         cap=cap, levels=tuple(levels), dt=dt)
+    return SeminormTable(axis=axis, field=field_name, h=ladder,
+                         levels=tuple(levels), dt=dt)
 
 
 # -- exponent fits ------------------------------------------------------------
@@ -289,21 +276,20 @@ class FitResult:
     window: tuple
 
 
-def fit_exponent(table: SeminormTable, window: tuple | None = None) -> FitResult:
+def fit_exponent(h: np.ndarray, values: np.ndarray,
+                 window: tuple) -> FitResult:
     """Least-squares slope of log S(h) vs log h over the window; s = slope/2.
 
-    Zero rows are excluded and flagged; an all-zero table is the
+    Zero rows are excluded and flagged; all-zero values are the
     distinguished "identically regular" outcome rather than a fit.
     """
-    if window is None:
-        window = (2.0 * table.base, table.cap / 2.0)
-    if np.all(table.values == 0.0):
+    if np.all(values == 0.0):
         return FitResult(s_hat=None, r2=None, n_used=0, zero_rows=[],
                          identically_regular=True, window=window)
-    mask = _in_window(table.h, window)
-    zero_rows = table.h[mask & (table.values == 0.0)].tolist()
-    mask &= table.values > 0.0
-    hs, vals = table.h[mask], table.values[mask]
+    mask = _in_window(h, window)
+    zero_rows = h[mask & (values == 0.0)].tolist()
+    mask &= values > 0.0
+    hs, vals = h[mask], values[mask]
     if hs.size < 2:
         return FitResult(s_hat=None, r2=None, n_used=int(hs.size),
                          zero_rows=zero_rows, identically_regular=False,
@@ -386,64 +372,40 @@ class InterpolationReport:
                 for h, l, r, q in zip(self.h, self.lhs, self.rhs, self.ratio)]
 
 
-def interpolation_check(history: FieldHistory, cutoff: Cutoff, delta: float,
-                        window: tuple | None = None,
-                        tables: dict | None = None) -> InterpolationReport:
+def interpolation_check(tables: dict, delta: float,
+                        window: tuple) -> InterpolationReport:
     """Ratio of the time-interpolation estimate per normal shift h.
 
     LHS(h) integrates |phi Delta_d^h sigma_dot|^2 + |phi Delta_d^h xi_dot|^2
     over space-time, RHS(h) is the same quantity for the fields themselves
     raised to the power 1/3 - delta.  Degenerate (all-elastic) histories
-    are flagged, not failed.  tables maps (axis, field) to a table of
-    either mode already built from this history and cutoff; its integral
-    aggregation is derived, and the tables not given are built here.
+    are flagged, not failed.  tables maps ("normal", field) of each of
+    INTERPOLATION_FIELDS to its table; each enters as values("integral").
     """
     if not 0.0 < delta < 1.0 / 3.0:
         raise ValueError("delta must lie in (0, 1/3)")
-    if len(history.times) < 9:
-        raise ValueError("need at least 8 time steps for the ratio check")
-    tables = tables or {}
-
-    def normal(field_name):
-        table = tables.get(("normal", field_name)) or seminorm_table(
-            history, "normal", field_name, cutoff)
-        return table.in_mode("integral")
-
-    t_dot_sig, t_dot_xi, t_sig, t_xi = (
-        normal(f) for f in INTERPOLATION_FIELDS)
-    lhs = t_dot_sig.values + t_dot_xi.values
-    rhs_base = t_sig.values + t_xi.values
+    dot_sig, dot_xi, sig, xi = (tables["normal", f].values("integral")
+                                for f in INTERPOLATION_FIELDS)
+    h = tables["normal", "sigma"].h
+    lhs = dot_sig + dot_xi
+    rhs_base = sig + xi
     exponent = 1.0 / 3.0 - delta
     rhs = np.where(rhs_base > 0, rhs_base**exponent, 0.0)
     ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.inf)
-    flagged = t_sig.h[rhs_base == 0.0].tolist()
+    flagged = h[rhs_base == 0.0].tolist()
     degenerate = bool(np.all(rhs_base == 0.0))
-    if window is None:
-        window = (2.0 * t_sig.base, t_sig.cap / 2.0)
-    mask = _in_window(t_sig.h, window) & np.isfinite(ratio) & (ratio > 0)
+    mask = _in_window(h, window) & np.isfinite(ratio) & (ratio > 0)
     spread = None
     if mask.any() and not degenerate:
         sel = ratio[mask]
         spread = float(sel.max() / sel.min())
-    return InterpolationReport(delta=delta, h=t_sig.h, lhs=lhs, rhs=rhs,
+    return InterpolationReport(delta=delta, h=h, lhs=lhs, rhs=rhs,
                                ratio=ratio, flagged=flagged,
                                degenerate=degenerate, window=window,
                                spread=spread)
 
 
 # -- probe orchestration and mu sweeps ----------------------------------------
-
-
-TARGET_KEYS = {
-    ("normal", "sigma"): "sigma_normal",
-    ("normal", "xi"): "sigma_normal",
-    ("time", "sigma_dot"): "sigdot_time",
-    ("time", "xi_dot"): "sigdot_time",
-    ("time", "grad_u_dot"): "sigdot_time",
-    ("normal", "sigma_dot"): "sigdot_normal",
-    ("normal", "xi_dot"): "sigdot_normal",
-    ("normal", "grad_u_dot"): "sigdot_normal",
-}
 
 
 def probe_regime(scenario) -> str:
@@ -457,16 +419,17 @@ def probe_regime(scenario) -> str:
 
 def target_for(axis: str, field_name: str, targets: ExponentTargets,
                model: str) -> float | None:
-    """Theory exponent a probe row is compared against (None: no claim)."""
+    """Theory exponent a probe row is compared against (None: no claim).
+
+    sigma and xi: sigma_normal on the normal axis, and 1.0 on the others
+    (W^{1,2} in the tangent directions, W^{1,2}(0,T; L^2) data
+    regularity in time).  A rate: sigdot_<time|tangential|normal>.
+    """
     if field_name == "grad_u_dot" and model != KINEMATIC:
         return None
-    if axis.startswith("tangential"):
-        if field_name in ("sigma", "xi"):
-            return 1.0                      # W^{1,2} in the tangent directions
-        return targets.sigdot_tangential
-    if axis == "time" and field_name in ("sigma", "xi"):
-        return 1.0                          # W^{1,2}(0,T; L^2) data regularity
-    return getattr(targets, TARGET_KEYS.get((axis, field_name), ""), None)
+    if field_name in ("sigma", "xi"):
+        return targets.sigma_normal if axis == "normal" else 1.0
+    return getattr(targets, "sigdot_" + axis.split("-")[0])
 
 
 @dataclass
@@ -474,7 +437,8 @@ class ProbeRow:
     axis: str
     field: str
     mode: str
-    table: SeminormTable
+    h: np.ndarray
+    values: np.ndarray         # its table's values(mode)
     fit: FitResult
     target: float | None
 
@@ -534,9 +498,9 @@ def run_probes(scenario, history: FieldHistory | None) -> ProbeReport:
     """Evaluate every probe the scenario requests, plus the Lemma ratio.
 
     One table is built per (axis, field) of table_keys, weighted by the
-    scenario's cutoff; a probe or ratio term asking for its other
-    aggregation over t derives it from the per-level sums.  history may
-    be None when there are no probes.
+    scenario's cutoff; a probe and a ratio term read their aggregation
+    over t from it (values).  history may be None when there are no
+    probes.
     """
     cutoff = scenario.cutoff()
     targets = target_exponents(scenario.d, scenario.model,
@@ -545,19 +509,19 @@ def run_probes(scenario, history: FieldHistory | None) -> ProbeReport:
     built = {key: seminorm_table(history, *key, cutoff) for key in keys}
     rows = []
     for probe in scenario.probes:
-        table = built[probe["axis"], probe["field"]].in_mode(probe["mode"])
-        window = scenario.fit_window(
-            "time" if probe["axis"] == "time" else "space")
-        fit = fit_exponent(table, window=window)
-        rows.append(ProbeRow(axis=probe["axis"], field=probe["field"],
-                             mode=probe["mode"], table=table, fit=fit,
-                             target=target_for(probe["axis"], probe["field"],
-                                               targets, scenario.model)))
+        axis, field_name, mode = probe["axis"], probe["field"], probe["mode"]
+        table = built[axis, field_name]
+        values = table.values(mode)
+        window = scenario.fit_window("time" if axis == "time" else "space")
+        rows.append(ProbeRow(axis=axis, field=field_name, mode=mode,
+                             h=table.h, values=values,
+                             fit=fit_exponent(table.h, values, window),
+                             target=target_for(axis, field_name, targets,
+                                               scenario.model)))
     interp = None
     if _checks_interpolation(scenario.probes, scenario.N):
-        interp = interpolation_check(history, cutoff, scenario.delta,
-                                     window=scenario.fit_window("space"),
-                                     tables=built)
+        interp = interpolation_check(built, scenario.delta,
+                                     scenario.fit_window("space"))
     return ProbeReport(rows=rows, targets=targets, interpolation=interp,
                        delta=scenario.delta)
 
@@ -584,17 +548,26 @@ _SWEEP_QUANTITIES = ("sup_sigdot", "sup_xidot", "sup_udot_h1",
                      "uniform_bound_lhs", "e_pen_final")
 
 
+def _sup(arr: np.ndarray) -> float:
+    return float(arr.max()) if arr.size else 0.0
+
+
 def energy_summary(report: evolution.EnergyReport) -> dict:
+    """The scalar diagnostics of a run; uniform_bound_lhs is E_pen(T) plus
+    the dissipation, the mu-uniform quantity of the estimates."""
+    e_pen = float(report.e_pen[-1])
+    dissipation = (float(report.dissipation_cum[-1])
+                   if report.dissipation_cum.size else 0.0)
     return {
-        "sup_sigdot": report.sup_sigdot,
-        "sup_xidot": report.sup_xidot,
-        "sup_udot_h1": report.sup_udot_h1,
-        "e_pen_final": float(report.e_pen[-1]),
+        "sup_sigdot": _sup(report.sigdot_l2),
+        "sup_xidot": _sup(report.xidot_l2),
+        "sup_udot_h1": _sup(report.udot_h1),
+        "e_pen_final": e_pen,
         "overshoot_l2_final": float(report.overshoot_l2[-1]),
         "overshoot_linf_final": float(report.overshoot_linf[-1]),
         "overshoot_linf_max": float(report.overshoot_linf.max()),
-        "dissipation_total": report.dissipation_total,
-        "uniform_bound_lhs": report.uniform_bound_lhs(),
+        "dissipation_total": dissipation,
+        "uniform_bound_lhs": e_pen + dissipation,
     }
 
 

@@ -99,7 +99,7 @@ def write_table_csvs(out_dir: Path, probe_report: ProbeReport,
     for row in probe_report.rows:
         name = f"seminorm_{row.axis}_{row.field}_{row.mode}.csv"
         rows = [[row.axis, row.field, row.mode, h, v]
-                for h, v in row.table.rows()]
+                for h, v in zip(row.h.tolist(), row.values.tolist())]
         _write_csv(out_dir / name, ["axis", "field", "mode", "h", "value"],
                    rows, fmt)
         names.append(name)

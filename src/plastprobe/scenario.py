@@ -4,9 +4,10 @@ A scenario is a JSON document selecting the hardening model, grid,
 time discretization, penalty parameter(s), material tensors, a named
 closed-form data generator, the cutoff, and the probe selections.
 A Scenario builds its grid and cutoff once, for every caller.
-Validation runs the ellipticity and cutoff checks, then the safety-load,
-weak-divergence and initial-plastic-strain checks on one initial state
-(evolution.initial_state), and returns violations as data.
+Validation runs the ellipticity, cutoff and declared fit-window checks,
+then the safety-load, weak-divergence and initial-plastic-strain checks
+on one initial state (evolution.initial_state), and returns violations
+as data.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from . import evolution, tensors
 
 SCHEMA = json.loads(resources.files("plastprobe")
                     .joinpath("scenario.schema.json").read_text())
+# built without jsonschema.validate's check of the schema against its
+# metaschema, nearly all of a parse's time; the tests run that check
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 DEFAULTS = {
     "name": "unnamed",
@@ -58,18 +62,18 @@ def _build_tensor(cfg: dict, d: int, role: str) -> Tensor4Sym:
 def _build_generator(cfg: dict, elastic: Tensor4Sym, d: int) -> DataGenerator:
     terms = []
     for k, term in enumerate(cfg["terms"]):
-        if "tpoly" not in term:
-            raise ScenarioError(f"data.terms[{k}]: missing tpoly")
-        if cfg["generator"] == "poly":
-            prof = PolyProfile(d, linear=term.get("linear"),
-                               quadratic=term.get("quadratic"),
-                               const=term.get("const"))
-        else:
-            try:
+        try:
+            if cfg["generator"] == "poly":
+                prof = PolyProfile(d, linear=term.get("linear"),
+                                   quadratic=term.get("quadratic"),
+                                   const=term.get("const"))
+            else:
                 prof = SineProfile(d, amp=term["amp"], freq=term["freq"],
                                    phase=term.get("phase"))
-            except KeyError as exc:
-                raise ScenarioError(f"data.terms[{k}]: sine needs {exc}")
+        except KeyError as exc:
+            raise ScenarioError(f"data.terms[{k}]: sine needs {exc}")
+        except ValueError as exc:
+            raise ScenarioError(f"data.terms[{k}]: {exc}")
         terms.append((list(term["tpoly"]), prof))
     return DataGenerator(terms, elastic)
 
@@ -175,9 +179,8 @@ class Scenario:
 
 def parse_scenario_dict(cfg: dict) -> Scenario:
     """Validate against the schema, fill defaults, build the pieces."""
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(SCHEMA_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ScenarioError(f"schema violation at {path}: {exc.message}")
     resolved = copy.deepcopy(cfg)
@@ -209,17 +212,18 @@ def parse_scenario(path: str | Path) -> Scenario:
 
 def validate(scenario: Scenario) -> list[str]:
     """Semantic checks; an empty list means the scenario is runnable."""
-    violations = []
-    try:
-        params = scenario.material()
-    except ScenarioError as exc:
-        return [str(exc)]
-    violations.extend(params.validate())
+    params = scenario.material()
+    violations = params.validate()
 
     try:
         scenario.cutoff()
     except ValueError as exc:
         violations.append(f"cutoff: {exc}")
+
+    for axis, (lo, hi) in scenario.config.get("fit_window", {}).items():
+        if not lo < hi:
+            violations.append(
+                f"fit_window.{axis}: [{lo:g}, {hi:g}] needs lo < hi")
 
     d = scenario.d
     for axis in (probe["axis"] for probe in scenario.probes):

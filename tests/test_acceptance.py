@@ -13,7 +13,7 @@ from plastprobe import evolution, probes, tensors
 from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, ConstitutiveState,
                                      MaterialParams, consistent_tangent,
                                      local_update)
-from plastprobe.probes import SeminormTable, fit_exponent, seminorm_table
+from plastprobe.probes import fit_exponent, seminorm_table
 from plastprobe.scenario import BENCHMARKS, load_benchmark
 from plastprobe.tensors import Tensor4Sym, penalty, penalty_energy
 
@@ -222,11 +222,10 @@ def test_criterion_6_time_nikolskii_exponent(kinematic_probe_run):
 
 def test_criterion_7_tangential_w12_boundedness(kinematic_probe_run):
     scn, hist, _, rep, _ = kinematic_probe_run
-    table = seminorm_table(hist, "tangential-1", "sigma",
-                           scn.cutoff()).in_mode("sup")
+    table = seminorm_table(hist, "tangential-1", "sigma", scn.cutoff())
     lo, hi = scn.fit_window("space")
     mask = (table.h >= lo * (1 - 1e-9)) & (table.h <= hi * (1 + 1e-9))
-    q = np.sqrt(table.values[mask]) / table.h[mask]
+    q = np.sqrt(table.values("sup")[mask]) / table.h[mask]
     spread = float(q.max() / q.min())
     row = _row(rep, "tangential-1", "sigma")
     ok = spread <= 2.0 and row["s_hat"] >= 0.9
@@ -343,9 +342,7 @@ def test_criterion_10_fit_self_test():
     h = np.array([1 / 128, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4])
     worst = 0.0
     for s in (0.2, 0.5, 0.6, 1.0):
-        table = SeminormTable(axis="normal", field="sigma", mode="sup", h=h,
-                              values=2.3 * h ** (2 * s), base=h[0], cap=h[-1])
-        fit = fit_exponent(table, window=(h[0], h[-1]))
+        fit = fit_exponent(h, 2.3 * h ** (2 * s), (h[0], h[-1]))
         worst = max(worst, abs(fit.s_hat - s))
     _report(10, "exponent-fit self-test", worst <= 0.02,
             f"worst |s_hat - s| = {worst:.4f} over s in {{0.2, 0.5, 0.6, 1.0}}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from plastprobe import evolution, fem, tensors
+from plastprobe import evolution, fem, probes, tensors
 from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
                                      SolverFailure, local_update,
                                      yield_excess)
@@ -615,13 +615,15 @@ def test_energy_diagnostics_match_ode_oracle_values():
         hist, rep = evolution.run(scn.grid(), scn.material(), scn.data,
                                   scn.T, scn.N)
         oracle = _oracle_energy_summary(scn, hist)
+        summary = probes.energy_summary(rep)
         assert abs(rep.e_pen[-1] - oracle["e_pen_final"]) <= 1e-5
         assert abs(rep.overshoot_l2[-1] - oracle["overshoot_l2_final"]) <= 1e-5
         assert abs(rep.overshoot_linf[-1]
                    - oracle["overshoot_linf_final"]) <= 1e-5
-        assert abs(rep.sup_sigdot - oracle["sup_sigdot"]) <= 1e-5
-        assert abs(rep.sup_xidot - oracle["sup_xidot"]) <= 1e-5
-        gaps[N] = abs(rep.dissipation_total - oracle["dissipation_total"])
+        assert abs(summary["sup_sigdot"] - oracle["sup_sigdot"]) <= 1e-5
+        assert abs(summary["sup_xidot"] - oracle["sup_xidot"]) <= 1e-5
+        gaps[N] = abs(summary["dissipation_total"]
+                      - oracle["dissipation_total"])
     assert gaps[4096] <= 5e-4
     assert gaps[2048] / gaps[4096] == pytest.approx(2.0, abs=0.5)
 

@@ -7,13 +7,18 @@ strain increments and step ratios dt/mu from 1e-6 to 1e8:
 * the discrete dissipation is non-negative: from a feasible state,
   deps . ds - A ds . ds - (hardening quadratic of dxi) >= 0;
 * no overshoot: the yield excess of the update never exceeds the one of
-  the elastic trial state, and the update stays on the trial side.
+  the elastic trial state, and the update stays on the trial side;
+* the update solves the implicit system: the residuals
+  A (sigma+ - sigma-) + dt P - deps and H (xi+ - xi-) - dt P (isotropic:
+  dt g / mu in place of dt P) are at most 1e-10 (1 + dt/mu) scale.
 
 Both paths take every ratio.  The radial-return path (isotropic
 tensors) always returns.  The damped-Newton path (general SPD tensors)
 raises SolverFailure ("dt/mu may be too extreme") for most problems
 from 1e4 on; that is allowed, but a state it returns must meet every
-invariant, so an unconverged update never passes as converged.
+invariant, so an unconverged update never passes as converged.  The
+residual check is the one that catches it: many unconverged states meet
+the three inequalities above.
 """
 
 import numpy as np
@@ -28,7 +33,8 @@ from plastprobe.constitutive import (ISOTROPIC, KINEMATIC,  # noqa: E402
                                      ConstitutiveState, MaterialParams,
                                      SolverFailure, beta_of, local_update,
                                      yield_excess)
-from plastprobe.tensors import Tensor4Sym, dev, inner, norm  # noqa: E402
+from plastprobe.tensors import (Tensor4Sym, dev, inner, norm,  # noqa: E402
+                                penalty)
 
 from oracles import random_spd_tensor4  # noqa: E402
 
@@ -107,6 +113,23 @@ def hardening_quadratic(params, dxi):
     return params.hardening_modulus * dxi**2
 
 
+def implicit_residual(params, state, new, deps, dt):
+    """Norm of the backward-Euler residual of new, per point."""
+    if params.model == KINEMATIC:
+        p = penalty(beta_of(new, params), params.kappa, params.mu)
+        r_xi = norm(params.hardening_tensor.apply(new.xi - state.xi) - dt * p)
+    else:
+        s_vec = dev(new.sigma)
+        s = norm(s_vec)
+        g = np.maximum(s - params.kappa - new.xi, 0.0)
+        p = (g / (params.mu * np.where(s > 0, s, 1.0)))[:, None] * s_vec
+        r_xi = np.abs(params.hardening_modulus * (new.xi - state.xi)
+                      - dt * g / params.mu)
+    r_sigma = norm(params.elastic.apply(new.sigma - state.sigma) + dt * p
+                   - deps)
+    return np.hypot(r_sigma, r_xi)
+
+
 def check_invariants(params, state, deps, dt):
     new = local_update(state, deps, dt, params)
     scale = 1.0 + norm(deps) + norm(state.sigma) + norm(new.sigma)
@@ -124,6 +147,10 @@ def check_invariants(params, state, deps, dt):
     ex_tr, beta_tr = trial_excess(state, deps, params)
     ex_new = yield_excess(new, params)
     assert np.all(ex_new <= ex_tr + 1e-10 * scale)
+
+    # the returned state solves the implicit system
+    residual = implicit_residual(params, state, new, deps, dt)
+    assert np.all(residual <= 1e-10 * (1.0 + dt / params.mu) * scale)
     return new, beta_tr
 
 

@@ -9,10 +9,11 @@ from plastprobe import evolution, probes
 from plastprobe.constitutive import SolverFailure
 from plastprobe.evolution import FieldHistory
 from plastprobe.fem import Geometry, build_grid, make_cutoff
-from plastprobe.probes import (SeminormTable, diff_quotient, fit_exponent,
+from plastprobe.probes import (INTERPOLATION_FIELDS, ExponentTargets,
+                               diff_quotient, fit_exponent,
                                interpolation_check, mu_sweep, seminorm_table,
-                               target_exponents)
-from plastprobe.scenario import load_benchmark
+                               target_exponents, target_for)
+from plastprobe.scenario import SCHEMA, load_benchmark
 
 
 def _grid_and_cutoff(n=4, mode="mixed"):
@@ -31,6 +32,12 @@ def _history(grid, sigma, times, xi=None, u=None, ep=None):
         u = np.zeros((shape[0], grid.nnodes, grid.d))
     return FieldHistory(times=times, u=u, sigma=sigma, xi=xi, ep=ep,
                         grid=grid, params=None)
+
+
+def _normal_tables(hist, cutoff):
+    """The normal tables of the interpolation check, built afresh."""
+    return {("normal", f): seminorm_table(hist, "normal", f, cutoff)
+            for f in INTERPOLATION_FIELDS}
 
 
 def test_diff_quotient_constant_field_zero():
@@ -94,7 +101,7 @@ def test_seminorm_step_in_time_closed_form():
     hist = _history(grid, sigma, times)
     table = seminorm_table(hist, "time", "sigma", cutoff)
     m = grid.integrate_qp(cutoff.qp_values**2) * float(V @ V)
-    for h, s in table.rows():
+    for h, s in zip(table.h, table.values("integral")):
         if h <= T / 4:
             assert s == pytest.approx(m * h, rel=1e-12)
 
@@ -110,7 +117,7 @@ def test_seminorm_linear_in_time_closed_form():
     hist = _history(grid, sigma, times)
     table = seminorm_table(hist, "time", "sigma", cutoff)
     m = grid.integrate_qp(cutoff.qp_values**2) * float(V @ V)
-    for h, s in table.rows():
+    for h, s in zip(table.h, table.values("integral")):
         assert s == pytest.approx(h**2 * (T - h) * m, rel=1e-12)
 
 
@@ -120,8 +127,9 @@ def test_seminorm_constant_field_all_zero():
     hist = _history(grid, sigma, np.linspace(0, 1, 9))
     for axis in ("time", "tangential-1", "normal"):
         table = seminorm_table(hist, axis, "sigma", cutoff)
-        assert np.all(table.values == 0.0)
-        fit = fit_exponent(table)
+        values = table.values("integral")
+        assert np.all(values == 0.0)
+        fit = fit_exponent(table.h, values, (table.h[0], table.h[-1]))
         assert fit.identically_regular
 
 
@@ -133,7 +141,7 @@ def test_seminorm_tangential_of_normal_only_field_zero():
                             (5, grid.ncells, grid.nqp, 1)).copy()
     hist = _history(grid, sigma.repeat(3, axis=-1), np.linspace(0, 1, 5))
     table = seminorm_table(hist, "tangential-1", "sigma", cutoff)
-    assert np.all(table.in_mode("sup").values == 0.0)
+    assert np.all(table.values("sup") == 0.0)
 
 
 def test_seminorm_nesting_integral_below_sup():
@@ -143,18 +151,15 @@ def test_seminorm_nesting_integral_below_sup():
     hist = _history(grid, sigma, np.linspace(0, 1, 9))
     T = 1.0
     for axis in ("time", "normal", "tangential-1"):
-        ti = seminorm_table(hist, axis, "sigma", cutoff)
-        ts = ti.in_mode("sup")
-        assert np.all(ti.values <= T * ts.values + 1e-15)
+        table = seminorm_table(hist, axis, "sigma", cutoff)
+        assert np.all(table.values("integral")
+                      <= T * table.values("sup") + 1e-15)
 
 
 def test_fit_exponent_power_law_self_test():
     h = np.array([1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4])
     for s in (0.2, 0.5, 0.6, 1.0):
-        table = SeminormTable(axis="normal", field="sigma", mode="sup",
-                              h=h, values=3.7 * h ** (2 * s), base=1 / 64,
-                              cap=1 / 4)
-        fit = fit_exponent(table, window=(1 / 64, 1 / 4))
+        fit = fit_exponent(h, 3.7 * h ** (2 * s), (1 / 64, 1 / 4))
         assert fit.s_hat == pytest.approx(s, abs=0.02)
         assert fit.r2 >= 0.999
 
@@ -162,9 +167,7 @@ def test_fit_exponent_power_law_self_test():
 def test_fit_excludes_zero_rows():
     h = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2])
     vals = np.array([0.0, 1e-3, 4e-3, 1.6e-2])
-    table = SeminormTable(axis="normal", field="sigma", mode="sup", h=h,
-                          values=vals, base=1 / 16, cap=1 / 2)
-    fit = fit_exponent(table, window=(1 / 16, 1 / 2))
+    fit = fit_exponent(h, vals, (1 / 16, 1 / 2))
     assert fit.zero_rows == [1 / 16]
     assert fit.s_hat == pytest.approx(1.0, abs=0.02)
 
@@ -203,22 +206,86 @@ def test_alpha_consistency_normal_rate_is_third():
         assert t.sigdot_normal == pytest.approx(t.alpha / 3, abs=1e-14)
 
 
+# the target of each (axis, field), written out: an ExponentTargets
+# field name or a constant (grad_u_dot has none for the isotropic model)
+EXPECTED_TARGETS = {
+    ("time", "sigma"): 1.0,
+    ("time", "xi"): 1.0,
+    ("time", "sigma_dot"): "sigdot_time",
+    ("time", "xi_dot"): "sigdot_time",
+    ("time", "grad_u_dot"): "sigdot_time",
+    ("tangential-1", "sigma"): 1.0,
+    ("tangential-1", "xi"): 1.0,
+    ("tangential-1", "sigma_dot"): "sigdot_tangential",
+    ("tangential-1", "xi_dot"): "sigdot_tangential",
+    ("tangential-1", "grad_u_dot"): "sigdot_tangential",
+    ("tangential-2", "sigma"): 1.0,
+    ("tangential-2", "xi"): 1.0,
+    ("tangential-2", "sigma_dot"): "sigdot_tangential",
+    ("tangential-2", "xi_dot"): "sigdot_tangential",
+    ("tangential-2", "grad_u_dot"): "sigdot_tangential",
+    ("normal", "sigma"): "sigma_normal",
+    ("normal", "xi"): "sigma_normal",
+    ("normal", "sigma_dot"): "sigdot_normal",
+    ("normal", "xi_dot"): "sigdot_normal",
+    ("normal", "grad_u_dot"): "sigdot_normal",
+}
+PROBE_ENUMS = SCHEMA["properties"]["probes"]["items"]["properties"]
+
+
+@pytest.mark.parametrize("model", ["kinematic", "isotropic"])
+@pytest.mark.parametrize("field_name", PROBE_ENUMS["field"]["enum"])
+@pytest.mark.parametrize("axis", PROBE_ENUMS["axis"]["enum"])
+def test_target_for_every_probe_pair(axis, field_name, model):
+    # distinct values, so each row must read the right field
+    targets = ExponentTargets(model=model, boundary="neumann", d=3,
+                              sigma_normal=0.11, sigdot_time=0.22,
+                              sigdot_tangential=0.33, sigdot_normal=0.44,
+                              alpha=0.55)
+    expected = EXPECTED_TARGETS[axis, field_name]
+    if field_name == "grad_u_dot" and model == "isotropic":
+        expected = None
+    elif isinstance(expected, str):
+        expected = getattr(targets, expected)
+    assert target_for(axis, field_name, targets, model) == expected
+
+
 def test_interpolation_check_elastic_history_flagged():
     grid, cutoff = _grid_and_cutoff(n=4)
     N = 12
     sigma = np.ones((N + 1, grid.ncells, grid.nqp, 3))
     hist = _history(grid, sigma, np.linspace(0, 1, N + 1))
-    rep = interpolation_check(hist, cutoff, delta=0.05)
+    rep = interpolation_check(_normal_tables(hist, cutoff), 0.05,
+                              (0.25, 0.5))
     assert rep.degenerate
     assert rep.spread is None
 
 
-def test_interpolation_check_requires_enough_steps():
-    grid, cutoff = _grid_and_cutoff(n=4)
-    sigma = np.ones((4, grid.ncells, grid.nqp, 3))
-    hist = _history(grid, sigma, np.linspace(0, 1, 4))
-    with pytest.raises(ValueError):
-        interpolation_check(hist, cutoff, delta=0.05)
+def test_interpolation_check_requires_enough_steps(monkeypatch):
+    # run_probes checks the ratio from N = 8 steps on; below that it
+    # builds the probes' own tables only
+    probe_list = [{"axis": "time", "field": "sigma_dot", "mode": "integral"},
+                  {"axis": "tangential-1", "field": "sigma", "mode": "sup"}]
+    real = probes.seminorm_table
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "seminorm_table", counting)
+    for N, checked in ((7, False), (8, True)):
+        scn = load_benchmark("mixed-boundary-kinematic", n=4, N=N, mu=0.05,
+                             allow_coarse_dt=True, probes=probe_list)
+        hist, _ = evolution.run(scn.grid(), scn.material(), scn.data,
+                                scn.T, scn.N)
+        calls.clear()
+        report = probes.run_probes(scn, hist)
+        assert (report.interpolation is not None) == checked
+        expected = [(p["axis"], p["field"]) for p in probe_list]
+        if checked:
+            expected += [("normal", f) for f in INTERPOLATION_FIELDS]
+        assert calls == expected
 
 
 def test_mu_sweep_elastic_spreads_exactly_one():
@@ -260,9 +327,9 @@ def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
                          allow_coarse_dt=True)
     hist, _ = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
                             scn.N)
-    cutoff = scn.cutoff()
-    window = scn.fit_window("space")
-    fresh = interpolation_check(hist, cutoff, scn.delta, window=window)
+    fresh_tables = _normal_tables(hist, scn.cutoff())
+    fresh = interpolation_check(fresh_tables, scn.delta,
+                                scn.fit_window("space"))
     calls = []
     real = probes.seminorm_table
 
@@ -272,15 +339,14 @@ def test_run_probes_reuses_probe_tables_for_interpolation(monkeypatch):
 
     monkeypatch.setattr(probes, "seminorm_table", counting)
     report = probes.run_probes(scn, hist)
-    # one table per (axis, field): the ratio's normal sigma/xi integral
-    # tables derive from the sup rows
+    # one table per (axis, field): the ratio's normal sigma/xi integrals
+    # come from the tables of the sup rows
     assert len(calls) == len(scn.probes)
-    built = {(row.axis, row.field): row.table for row in report.rows}
-    for field_name in ("sigma", "xi", "sigma_dot", "xi_dot"):
-        derived = built["normal", field_name].in_mode("integral")
+    normal_rows = [row for row in report.rows if row.axis == "normal"]
+    assert {row.field for row in normal_rows} == set(INTERPOLATION_FIELDS)
+    for row in normal_rows:
         assert np.array_equal(
-            derived.values,
-            real(hist, "normal", field_name, cutoff).values)
+            row.values, fresh_tables["normal", row.field].values(row.mode))
     reused = report.interpolation
     for name in ("h", "lhs", "rhs", "ratio"):
         np.testing.assert_array_equal(getattr(reused, name),
@@ -297,7 +363,8 @@ def test_interpolation_ratio_stable_under_time_refinement():
                              allow_coarse_dt=True)
         hist, _ = evolution.run(scn.grid(), scn.material(), scn.data,
                                 scn.T, scn.N)
-        reps.append(interpolation_check(hist, scn.cutoff(), delta=0.05))
+        reps.append(interpolation_check(_normal_tables(hist, scn.cutoff()),
+                                        0.05, scn.fit_window("space")))
     for r1, r2 in zip(reps[0].ratio, reps[1].ratio):
         if np.isfinite(r1) and np.isfinite(r2) and r1 > 0:
             assert 0.5 <= r2 / r1 <= 2.0
@@ -356,11 +423,11 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
     sigma = rng.standard_normal((5, grid.ncells, grid.nqp, grid.m))
     hist = _history(grid, sigma, np.linspace(0, 1, 5))
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
+    table = seminorm_table(hist, axis, "sigma", cutoff)
+    assert table.h[0] == pytest.approx(0.25)
     for mode in ("sup", "integral"):
-        table = seminorm_table(hist, axis, "sigma", cutoff).in_mode(mode)
-        assert table.h[0] == pytest.approx(0.25)
-        for h, value in table.rows():
-            k = int(round(h / table.base))
+        for h, value in zip(table.h, table.values(mode)):
+            k = int(round(h / table.h[0]))
             dq = diff_quotient(sigma, axis, k, grid)
             if axis == "time":
                 w = phi
@@ -378,9 +445,10 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
         seminorm_table(hist, f"tangential-{d}", "sigma", cutoff)
 
 
-def _whole_array_values(hist, table, cutoff):
+def _whole_array_values(hist, table, mode, cutoff):
     """Each rung by the whole-array formula: one field-sized weighted
-    difference, its square and one sum per rung (the reference order)."""
+    difference, its square and one sum per rung (the reference order),
+    aggregated over t as mode."""
     grid = hist.grid
     u_dot = np.diff(hist.u, axis=0) / hist.dt
     arr = {"sigma": hist.sigma, "xi": hist.xi,
@@ -400,7 +468,7 @@ def _whole_array_values(hist, table, cutoff):
         moved = np.moveaxis(shaped, 1 + ax, 1)
     values = []
     for h in table.h:
-        k = int(round(h / table.base))
+        k = int(round(h / table.h[0]))
         if table.axis == "time":
             diff = arr[k:] - arr[:-k]
         else:
@@ -409,7 +477,7 @@ def _whole_array_values(hist, table, cutoff):
             diff = diff * phi_s[unshifted][None, ..., None]
         per_t = ((diff**2).sum(axis=tuple(range(1, diff.ndim)))
                  * grid.qp_weight)
-        values.append(per_t.max() if table.mode == "sup"
+        values.append(per_t.max() if mode == "sup"
                       else per_t[:-1].sum() * hist.dt)
     return np.asarray(values)
 
@@ -475,9 +543,9 @@ def test_seminorm_table_bitwise_equals_whole_array_formula(
                 table = seminorm_table(hist, axis, field_name, cutoff)
                 for mode in ("sup", "integral"):
                     where = (case, field_name, axis, mode)
-                    moded = table.in_mode(mode)
-                    expected = _whole_array_values(hist, moded, cutoff)
-                    assert np.array_equal(moded.values, expected), where
+                    expected = _whole_array_values(hist, table, mode, cutoff)
+                    assert np.array_equal(table.values(mode), expected), \
+                        where
 
 
 @pytest.mark.parametrize("axis, field_name", [

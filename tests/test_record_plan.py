@@ -82,11 +82,14 @@ def test_record_plan_gives_bitwise_equal_probe_report(name):
         assert (b.axis, b.field, b.mode, b.target) \
             == (a.axis, a.field, a.mode, a.target)
         for key in ("h", "values"):
-            assert _same(getattr(a.table, key), getattr(b.table, key)), where
-        assert len(a.table.levels) == len(b.table.levels)
-        for la, lb in zip(a.table.levels, b.table.levels):
-            assert _same(la, lb), where
+            assert _same(getattr(a, key), getattr(b, key)), where
         assert dataclasses.asdict(a.fit) == dataclasses.asdict(b.fit), where
+    for key in probes.table_keys(scn.probes, scn.N):
+        a, b = (probes.seminorm_table(h, *key, scn.cutoff())
+                for h in (full_hist, plan_hist))
+        assert len(a.levels) == len(b.levels)
+        for la, lb in zip(a.levels, b.levels):
+            assert _same(la, lb), key
     assert full.interpolation is not None
     for key in ("h", "lhs", "rhs", "ratio"):
         assert _same(getattr(full.interpolation, key),

@@ -48,6 +48,8 @@ def test_mu_list_enables_sweep():
 
 
 def test_schema_violation_names_field():
+    # parsing skips the metaschema check of the shipped schema: run it here
+    scenario_module.SCHEMA_VALIDATOR.check_schema(scenario_module.SCHEMA)
     with pytest.raises(ScenarioError, match="kappa"):
         parse_scenario_dict(minimal_config(kappa=0.0))
     with pytest.raises(ScenarioError, match="model"):
@@ -154,19 +156,39 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
     # a probe on a tangential axis that d = 2 does not have
     axis = minimal_config(probes=[
         {"axis": "tangential-2", "field": "sigma", "mode": "sup"}])
-    for cfg, message in ((safety, "violation: safety load violated"),
-                         (axis, "violation: probe axis tangential-2 out of "
-                                "range for d=2\n")):
+
+    def data(generator, term):
+        return minimal_config(data={"generator": generator, "terms": [term]})
+
+    sine = {"tpoly": [0.0, 1.0], "amp": [1.0], "freq": [[1.0]]}
+    cases = (
+        (safety, "violation: safety load violated"),
+        (axis, "violation: probe axis tangential-2 out of range for d=2\n"),
+        (minimal_config(fit_window={"space": [0.5, 0.1]}),
+         "violation: fit_window.space: [0.5, 0.1] needs lo < hi\n"),
+        (minimal_config(fit_window={"space": ["a", 0.25]}),
+         "error: schema violation at fit_window.space.0: "),
+        (data("poly", {"tpoly": [0.0, 1.0], "linear": [[0, 1, 2]]}),
+         "error: data.terms[0]: linear must have shape (2, 2), got (1, 3)\n"),
+        (data("poly", {"tpoly": ["x", 1.0]}),
+         "error: schema violation at data.terms.0.tpoly.0: "),
+        (data("poly", 5), "error: schema violation at data.terms.0: "),
+        (data("sine", sine),
+         "error: data.terms[0]: amp must have shape (2,), got (1,)\n"))
+    for cfg, message in cases:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert cli_main(["validate", str(bad)]) == 2
-        # validate reports violations on stdout, the other commands on stderr
+        # validate reports violations on stdout, the other commands on
+        # stderr; a scenario that does not parse is one error on stderr
         out, err = capsys.readouterr()
-        assert out.startswith(message) and err == ""
+        text = out + err
+        assert text.startswith(message) and text.count("\n") == 1
+        assert (err if message.startswith("violation") else out) == ""
         for command in ("run", "probe", "sweep"):
             assert cli_main([command, str(bad), "--out",
                              str(tmp_path / command)]) == 2
-            assert capsys.readouterr() == ("", out)
+            assert capsys.readouterr() == ("", text)
 
 
 def test_cli_probe_builds_one_cutoff(tmp_path, monkeypatch):
