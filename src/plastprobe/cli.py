@@ -45,6 +45,15 @@ def _validated(arg: str, out=None):
     return scenario
 
 
+def _probed(arg: str):
+    """_validated, with a note on stderr for each fit window that is too
+    narrow to fit over (probes.window_notes); never a violation."""
+    scenario = _validated(arg)
+    for note in probes.window_notes(scenario):
+        print(f"note: {note}", file=sys.stderr)
+    return scenario
+
+
 def cmd_validate(args) -> int:
     scenario = _validated(args.scenario, out=sys.stdout)
     print(f"{scenario.name}: ok")
@@ -83,7 +92,7 @@ def _history_meta(history) -> dict:
 
 
 def cmd_probe(args) -> int:
-    scenario = _validated(args.scenario)
+    scenario = _probed(args.scenario)
     t0 = time.perf_counter()
     record = probes.record_plan(scenario)
     history, energy = _solve(scenario, record)
@@ -110,7 +119,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _validated(args.scenario)
+    scenario = _probed(args.scenario)
     t0 = time.perf_counter()
     uniformity = probes.mu_sweep(scenario)
     out = report.emit_sweep_report(args.out, scenario, uniformity,

@@ -10,15 +10,18 @@ needs no more); from a plastic state, the extrapolation 2 u_n - u_{n-1}
 (de Souza Neto, Peric & Owen 2008).  A predictor is kept only if it
 lowers the residual, whose scale is always taken at the unpredicted
 start.  The Newton record counts linear solves, the elastic
-predictor's included.  A failed solve inside run() raises a
-SolverFailure marked with its step.
+predictor's included.  A step starts from the strain its predecessor
+converged to, so each level's symmetric gradient is formed once.  A
+failed solve inside run() raises a SolverFailure marked with its step.
 
 Energy diagnostics mirroring the a-priori estimates (penalty energy,
 dissipation sums, suprema of the backward-difference rates) are
 accumulated during the run so that mu-sweeps do not have to keep full
-field histories.  A kept FieldHistory is read by the probes through
-FieldHistory.read alone: each probe field of SOURCE on a box of cells,
-its components flattened.
+field histories; the velocity's H^1 norm is the quadratic form of the
+element Gram matrix (Grid.h1_norm_sq), so no gradient field is formed.
+A kept FieldHistory is read by the probes through FieldHistory.read
+alone: each probe field of SOURCE on a box of cells, its components
+flattened.
 """
 
 from __future__ import annotations
@@ -258,10 +261,13 @@ class _Stepper:
         self._factor = grid.factorize(K)
         self._elastic_solve = grid.make_solver(None, self._factor)
 
-    def step(self, u_n, state_n, t_n, dt, elastic_n=False, u_prev=None):
+    def step(self, u_n, strain_n, state_n, t_n, dt, elastic_n=False,
+             u_prev=None):
         """One backward-Euler step from (u_n, state_n) at t_n.
 
-        Returns (u, state, iterations, |r_free| / scale).  Newton starts
+        strain_n is sym_gradient(u_n), which the previous step returned.
+        Returns (u, strain, state, iterations, |r_free| / scale), strain
+        being sym_gradient(u) for the next step.  Newton starts
         at u_n with the Dirichlet values of t_n + dt, or at a predictor
         chosen by the regime of state_n, which run() reads off its
         streamed overshoot:
@@ -284,7 +290,6 @@ class _Stepper:
         t1 = t_n + dt
         u = u_n.copy()
         u[grid.dirichlet_nodes] = data.u0(t1, grid.dirichlet_points)
-        strain_n = grid.sym_gradient(u_n)
         load = grid.load_vector(body_fn=data.body_force,
                                 sigma0_fn=data.sigma0, t=t1)
         free = grid.free_dofs
@@ -294,10 +299,12 @@ class _Stepper:
             r[grid.dirichlet_dofs] = 0.0
             return r
 
+        # a residual is (r, strain, update); the strain increment
+        # strain - strain_n is formed where it is needed
         def residual_of(u_try):
-            deps = grid.sym_gradient(u_try) - strain_n
-            upd = local_update(state_n, deps, dt, params)
-            return force_of(upd.sigma), deps, upd
+            strain = grid.sym_gradient(u_try)
+            upd = local_update(state_n, strain - strain_n, dt, params)
+            return force_of(upd.sigma), strain, upd
 
         def norm_of(res):
             return np.linalg.norm(res[0][free])
@@ -307,13 +314,14 @@ class _Stepper:
                 <= constitutive.KINK_GUARD
 
         def direction(u, res, rnorm):
-            r, deps, upd = res
+            r, strain, upd = res
             solve = self._elastic_solve
             if not is_elastic(upd):
                 # D gives the exact Jacobian K, so |K du + r| <= eta |r|
                 # with eta < 1 makes du a descent direction for |r|^2;
                 # the tangent is freed on return, before the next is built
-                D = consistent_tangent(state_n, deps, dt, params, updated=upd)
+                D = consistent_tangent(state_n, strain - strain_n, dt, params,
+                                       updated=upd)
                 eta = max(CG_RTOL, min(FORCING_MAX, rnorm / scale))
                 solve = grid.make_solver(D, self._factor, rtol=eta)
             return solve(-r).reshape(grid.nnodes, grid.d)
@@ -327,9 +335,10 @@ class _Stepper:
         u_pred = None
         if rnorm > NEWTON_RTOL * scale:
             if elastic_n:
-                r, deps, upd = res
+                r, strain, upd = res
                 r_trial = r if is_elastic(upd) else force_of(
-                    state_n.sigma + params.elastic.inverse().apply(deps))
+                    state_n.sigma
+                    + params.elastic.inverse().apply(strain - strain_n))
                 u_pred = u + self._elastic_solve(-r_trial).reshape(
                     grid.nnodes, grid.d)
                 iters = 1
@@ -358,7 +367,7 @@ class _Stepper:
                 f"Newton stalled at t={t1:g}: residual {rnorm:.3e} vs scale "
                 f"{scale:.3e}; consider a smaller dt or a larger mu",
                 iterations=iters, residual=rnorm)
-        return u, res[2], iters, rnorm / scale
+        return u, res[1], res[2], iters, rnorm / scale
 
 
 def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
@@ -379,16 +388,8 @@ def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
     else:
         xidot_sq = xidot**2
     acc["xidot_l2"].append(np.sqrt(grid.integrate_qp(xidot_sq)))
-    udot = (u - u_prev) / dt
-    grad = grid.gradient(udot)
-    vals = grid.shape_values
-    udot_qp = np.einsum("qa,cai->cqi", vals, udot[grid.cell_nodes],
-                        optimize=True)
-    # (grad**2).sum over two axes groups its terms by grad's memory
-    # layout, which no fixed order of slices repeats bit for bit
-    h1 = grid.integrate_qp(tensors.inner(udot_qp, udot_qp)
-                           + (grad**2).sum(axis=(-1, -2)))
-    acc["udot_h1"].append(np.sqrt(h1))
+    # the Gauss-rule H^1 norm as a quadratic form of the nodal rate
+    acc["udot_h1"].append(np.sqrt(grid.h1_norm_sq((u - u_prev) / dt)))
     prev = acc["dissipation_cum"][-1] if acc["dissipation_cum"] else 0.0
     acc["dissipation_cum"].append(
         prev + dt * (acc["sigdot_l2"][-1] ** 2 + acc["xidot_l2"][-1] ** 2))
@@ -419,6 +420,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     times = np.linspace(0.0, T, N + 1)
     stepper = _Stepper(grid, params, data)
     u, state = initial_state(grid, params, data)
+    strain = grid.sym_gradient(u)
 
     acc = _new_accumulator()
     _accumulate_energy(acc, grid, params, state)
@@ -432,8 +434,9 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     for k in range(N):
         elastic_n = acc["overshoot_linf"][-1] <= constitutive.KINK_GUARD
         try:
-            u_new, state_new, iters, rel = stepper.step(
-                u, state, times[k], dt, elastic_n=elastic_n, u_prev=u_prev)
+            u_new, strain, state_new, iters, rel = stepper.step(
+                u, strain, state, times[k], dt, elastic_n=elastic_n,
+                u_prev=u_prev)
         except SolverFailure as exc:
             exc.step_index = k
             raise

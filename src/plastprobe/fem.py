@@ -6,7 +6,8 @@ x_{d-1} > 0 (all remaining faces Dirichlet), "all-dirichlet" pins the
 whole boundary, and "all-neumann-bottom" makes the entire bottom face a
 traction boundary.  The grid is uniform with n cells per unit length,
 2^d Gauss points per cell, and identical element geometry everywhere,
-so shape-function derivatives are computed once.
+so shape-function derivatives and the H^1 element Gram matrix are
+computed once.
 
 Quadrature-point tensor fields are ndarrays of shape (ncells, nqp, m)
 in Mandel components; displacement fields are (nnodes, d).  The point
@@ -57,7 +58,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class Grid:
-    """Uniform Q1 grid with precomputed element operators and boundary tags."""
+    """Uniform Q1 grid with precomputed element operators and boundary tags.
+
+    Every cell has the same element operators (shape_values, shape_grads,
+    B) and the same read-only, symmetric H^1 Gram matrix of the Gauss
+    rule, h1_gram = w sum_q (N_q N_q^T + sum_j G_qj G_qj^T).
+    """
 
     def __init__(self, geometry: Geometry, n: int):
         if n < 2:
@@ -129,6 +135,9 @@ class Grid:
         self.shape_values = N
         self.shape_grads = gradN
         self.qp_weight = (h / 2.0) ** d
+        self.h1_gram = _read_only(
+            (N.T @ N + np.einsum("qaj,qbj->ab", gradN, gradN))
+            * self.qp_weight)
 
         # strain-displacement operator in Mandel components
         B = np.zeros((nqp, self.m, nloc, d))
@@ -225,6 +234,13 @@ class Grid:
         u_cells = u[nodes]
         return np.einsum("qaj,cai->cqij", self.shape_grads, u_cells,
                          optimize=True)
+
+    def h1_norm_sq(self, u: np.ndarray) -> float:
+        """Squared H^1 norm of a nodal field by the Gauss rule: the sum
+        over cells and components of U^T h1_gram U, U the cell's corner
+        values of one component (one matrix product for all of them)."""
+        uc = u[self.cell_nodes.T].reshape(len(self.h1_gram), -1)
+        return float(np.vdot(uc, self.h1_gram @ uc))
 
     def integrate_qp(self, qp_scalar: np.ndarray) -> float:
         """Integral over the domain of a scalar quadrature-point field."""

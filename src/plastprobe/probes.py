@@ -266,6 +266,29 @@ def _in_window(h: np.ndarray, window: tuple) -> np.ndarray:
     return (h >= window[0] * (1 - 1e-9)) & (h <= window[1] * (1 + 1e-9))
 
 
+def window_notes(scenario) -> list[str]:
+    """A line per fit window ("time", "space") the probes fit over that
+    holds fewer than the two ladder rungs a fit needs (a reversed window
+    holds none): its rows get no fitted s_hat (n/a)."""
+    grid = scenario.grid()
+    ladders = {}
+    for axis in (p["axis"] for p in scenario.probes):
+        if axis == "time":
+            ladders["time"] = _ladder(scenario.dt, scenario.T / 2.0)
+        else:
+            # every space axis has the ladder h, 2h, ... up to 1/2
+            ladders["space"] = _ladder(*_space_ladder(grid, grid.d - 1))
+    notes = []
+    for kind, h in ladders.items():
+        lo, hi = window = scenario.fit_window(kind)
+        rungs = int(_in_window(h, window).sum())
+        if rungs < 2:
+            notes.append(f"fit window {kind} [{lo:.4g}, {hi:.4g}] holds "
+                         f"{rungs} of the {h.size} ladder steps and a fit "
+                         f"needs 2, so no {kind} row gets a fitted s_hat")
+    return notes
+
+
 @dataclass
 class FitResult:
     s_hat: float | None

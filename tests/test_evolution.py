@@ -166,7 +166,8 @@ def test_global_line_search_halves_an_overlong_step(monkeypatch):
     def step():
         calls.clear()
         stepper = evolution._Stepper(grid, params, scn.data)
-        u, _, iters, rel = stepper.step(u0, state0, 0.0, scn.T / scn.N)
+        u, _, _, iters, rel = stepper.step(u0, grid.sym_gradient(u0), state0,
+                                           0.0, scn.T / scn.N)
         return u, iters, rel, len(calls)
 
     monkeypatch.setattr(evolution, "local_update", counting_update)
@@ -284,8 +285,9 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
         scale = max(np.linalg.norm(load[free]),
                     np.linalg.norm(fint[free]), 1e-12)
         solves.clear()
-        u_prev, (u, state, _, _) = u, stepper.step(
-            u, state, times[k], dt, elastic_n=elastic_n, u_prev=u_prev)
+        u_prev, (u, _, state, _, _) = u, stepper.step(
+            u, grid.sym_gradient(u), state, times[k], dt,
+            elastic_n=elastic_n, u_prev=u_prev)
         for K, eta, rhs, du in solves:
             rnorm = np.linalg.norm(rhs[free])
             assert eta == pytest.approx(
@@ -416,13 +418,14 @@ def test_bad_previous_displacement_is_rejected():
     k = int(np.flatnonzero(energy.overshoot_linf > KINK_GUARD)[0])
     assert 0 < k < scn.N
     stepper = evolution._Stepper(grid, params, data)
-    args = (hist.u[k], hist.state_at(k), hist.times[k], hist.dt)
-    u_ref, state_ref, iters_ref, _ = stepper.step(*args)
-    _, _, iters_good, _ = stepper.step(*args, u_prev=hist.u[k - 1])
+    args = (hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
+            hist.times[k], hist.dt)
+    u_ref, _, state_ref, iters_ref, _ = stepper.step(*args)
+    _, _, _, iters_good, _ = stepper.step(*args, u_prev=hist.u[k - 1])
     assert iters_good < iters_ref         # the true u_{n-1} helps
     rng = np.random.default_rng(11)
     bad = hist.u[k] + rng.standard_normal(hist.u[k].shape)
-    u_bad, state_bad, iters_bad, _ = stepper.step(*args, u_prev=bad)
+    u_bad, _, state_bad, iters_bad, _ = stepper.step(*args, u_prev=bad)
     assert iters_bad <= iters_ref
     np.testing.assert_allclose(u_bad, u_ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(state_bad.sigma, state_ref.sigma, rtol=0,
@@ -556,9 +559,32 @@ def test_run_single_step_equals_step():
     hist, _ = evolution.run(grid, params, scn.data, scn.T, 1)
     stepper = evolution._Stepper(grid, params, scn.data)
     u0, state0 = evolution.initial_state(grid, params, scn.data)
-    u1, state1, _, _ = stepper.step(u0, state0, 0.0, scn.T)
+    u1, _, state1, _, _ = stepper.step(u0, grid.sym_gradient(u0), state0,
+                                       0.0, scn.T)
     np.testing.assert_allclose(hist.u[1], u1, atol=0)
     np.testing.assert_allclose(hist.sigma[1], state1.sigma, atol=0)
+
+    # a plastic run hands each step the strain its predecessor returned;
+    # a loop that recomputes strain_n from u_n gives the same bits, and
+    # the strain a step returns is sym_gradient of the u it returns
+    scn = _plastic_scenario("mixed-boundary-kinematic")
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
+    assert energy.overshoot_linf[-1] > KINK_GUARD
+    stepper = evolution._Stepper(grid, params, data)
+    u, state = evolution.initial_state(grid, params, data)
+    u_prev = None
+    for k in range(scn.N):
+        elastic_n = energy.overshoot_linf[k] <= KINK_GUARD
+        u_new, strain, state, _, _ = stepper.step(
+            u, grid.sym_gradient(u), state, hist.times[k], hist.dt,
+            elastic_n=elastic_n, u_prev=u_prev)
+        assert np.array_equal(strain, grid.sym_gradient(u_new)), k
+        u_prev, u = u, u_new
+        assert np.array_equal(hist.u[k + 1], u), k
+        for name in ("sigma", "xi", "ep"):
+            assert np.array_equal(getattr(hist, name)[k + 1],
+                                  getattr(state, name)), (k, name)
 
 
 def test_kkt_residual_small_on_solver_output():

@@ -56,6 +56,26 @@ def test_quadrature_integrates_volume_exactly():
             assert vol == pytest.approx(2.0 ** (d - 1), rel=1e-14)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
+def test_h1_norm_matches_quadrature_formula(d, n, mode):
+    # the element Gram matrix against the Gauss-rule integral of
+    # |u|^2 + |grad u|^2 at the quadrature points
+    g = build_grid(Geometry(d=d, mode=mode), n)
+    S = g.h1_gram
+    assert S.shape == (g.nqp, g.nqp)
+    assert np.array_equal(S, S.T)
+    assert not S.flags.writeable
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        u = rng.standard_normal((g.nnodes, d))
+        u_qp = np.einsum("qa,cai->cqi", g.shape_values, u[g.cell_nodes])
+        grad = g.gradient(u)
+        oracle = g.integrate_qp((u_qp**2).sum(axis=-1)
+                                + (grad**2).sum(axis=(-1, -2)))
+        assert g.h1_norm_sq(u) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_sym_gradient_reproduces_linear_fields():
     rng = np.random.default_rng(30)
     for d in (2, 3):

@@ -275,6 +275,28 @@ def test_cli_probe_meta_records_phases(tmp_path):
                 == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_cli_probe_notes_fit_windows_too_narrow_to_fit(tmp_path, capsys):
+    # at n = 8 the space window [1/4, 1/4] holds one rung of 1/8, 1/4,
+    # 1/2, and at N = 6 the time window [1/3, 1/4] is reversed: one note
+    # per window, no violation, and no row gets a fitted exponent
+    scn_file = tmp_path / "scn.json"
+    cfg = load_benchmark("mixed-boundary-kinematic", n=8, N=6, mu=0.2,
+                         allow_coarse_dt=True).config
+    scn_file.write_text(json.dumps(cfg))
+    assert cli_main(["probe", str(scn_file), "--out",
+                     str(tmp_path / "p")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("]")[0] for line in err] == [
+        "note: fit window space [0.25, 0.25",
+        "note: fit window time [0.3333, 0.25"]
+    data = json.loads((tmp_path / "p" / "report.json").read_text())
+    assert data["exponents"]
+    assert all(row["s_hat"] is None for row in data["exponents"])
+    # two rungs in each window: nothing to note
+    assert probes.window_notes(load_benchmark(
+        "mixed-boundary-kinematic", n=16, N=16, allow_coarse_dt=True)) == []
+
+
 def test_cli_sweep(tmp_path):
     scn_file = tmp_path / "scn.json"
     scn_file.write_text(json.dumps(minimal_config(mu=[0.1, 0.05], N=4)))
