@@ -502,7 +502,6 @@ def energy_diagnostics(history: FieldHistory) -> EnergyReport:
 class SafetyReport:
     passed: bool
     margin: float
-    kappa: float
 
 
 def safety_load_check(sigma0, params: MaterialParams) -> SafetyReport:
@@ -517,7 +516,7 @@ def safety_load_check(sigma0, params: MaterialParams) -> SafetyReport:
     """
     dev0 = tensors.norm(tensors.dev(sigma0))
     margin = params.kappa - float(dev0.max())
-    return SafetyReport(passed=margin > 0.0, margin=margin, kappa=params.kappa)
+    return SafetyReport(passed=margin > 0.0, margin=margin)
 
 
 def weak_divergence_defect(grid: Grid, data, sigma0) -> float:

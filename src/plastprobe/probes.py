@@ -5,7 +5,9 @@ The Nikolskii-style quantity attached to a trajectory field w is
     S(h) = aggregate over t of  int_Omega |phi * Delta^h w|^2 dx
 
 with Delta^h the shift difference along the time axis, a tangential
-axis, or the normal axis x_d.  Shifts are whole multiples of the cell
+axis, or the normal axis x_d.  Every table takes its shifts from
+shift_ladder, the one rule: h, 2h, ... up to 1/2 on every space axis and
+dt, 2 dt, ... up to T/2 in time.  Shifts are whole multiples of the cell
 size (or time step), taken between quadrature points at the same
 intra-cell offset, so no interpolation enters.  The cutoff phi sits
 outside the difference, evaluated at the unshifted point, on every
@@ -124,12 +126,17 @@ class SeminormTable:
                            for per_t in self.levels])
 
 
-def _ladder(base: float, cap: float) -> np.ndarray:
+def shift_ladder(axis: str, h: float, dt: float | None = None,
+                 T: float | None = None) -> np.ndarray:
+    """The shifts of every table along axis: dt, 2 dt, ... up to T/2 in
+    time, and h, 2h, ... up to 1/2 on every space axis (h the cell
+    size).  Raises ValueError when none fits: a time axis with N = 1."""
+    base, cap = (dt, T / 2.0) if axis == "time" else (h, 0.5)
     out = []
-    h = base
-    while h <= cap * (1 + 1e-12):
-        out.append(h)
-        h *= 2.0
+    step = base
+    while step <= cap * (1 + 1e-12):
+        out.append(step)
+        step *= 2.0
     if not out:
         raise ValueError(f"empty shift ladder (base {base:g}, cap {cap:g})")
     return np.asarray(out)
@@ -144,12 +151,6 @@ def _aggregate(vals: np.ndarray, mode: str, dt: float) -> float:
     return float(vals[:-1].sum() * dt)
 
 
-def _space_ladder(grid, ax: int) -> tuple[float, float]:
-    """Base and cap of the shift ladder along space axis ax."""
-    extent = 1.0 if ax == grid.d - 1 else 2.0
-    return grid.h, min(0.5, extent - grid.h)
-
-
 def read_region(grid, cutoff: Cutoff, axis: str) -> tuple:
     """The cells a table along axis reads: the cutoff's support, widened
     on a space axis by the ladder's largest shift (the weighted,
@@ -157,7 +158,7 @@ def read_region(grid, cutoff: Cutoff, axis: str) -> tuple:
     region = list(grid.cell_box(cutoff.support))
     if axis != "time":
         ax = _space_axis(axis, grid.d)
-        shift = int(round(_ladder(*_space_ladder(grid, ax))[-1] / grid.h))
+        shift = int(round(shift_ladder(axis, grid.h)[-1] / grid.h))
         region[ax] = slice(region[ax].start, min(region[ax].stop + shift,
                                                  grid.cell_counts[ax]))
     return tuple(region)
@@ -190,13 +191,11 @@ def seminorm_table(history: FieldHistory, axis: str, field_name: str,
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
     support = cutoff.support
     region = read_region(grid, cutoff, axis)
-    if axis == "time":
-        base, cap = dt, (history.times[-1] - history.times[0]) / 2.0
-    else:
+    if axis != "time":
         ax = _space_axis(axis, grid.d)
-        base, cap = _space_ladder(grid, ax)
-    ladder = _ladder(base, cap)
-    shifts = [int(round(h / base)) for h in ladder]
+    ladder = shift_ladder(axis, grid.h, dt,
+                          history.times[-1] - history.times[0])
+    shifts = [int(round(h / ladder[0])) for h in ladder]
     # a time-axis or stored field is read once; a rate on a space axis is
     # formed per block of levels, and its zero-level read gives the shape
     stored = field_name in evolution.RECORDED
@@ -273,11 +272,8 @@ def window_notes(scenario) -> list[str]:
     grid = scenario.grid()
     ladders = {}
     for axis in (p["axis"] for p in scenario.probes):
-        if axis == "time":
-            ladders["time"] = _ladder(scenario.dt, scenario.T / 2.0)
-        else:
-            # every space axis has the ladder h, 2h, ... up to 1/2
-            ladders["space"] = _ladder(*_space_ladder(grid, grid.d - 1))
+        ladders["time" if axis == "time" else "space"] = shift_ladder(
+            axis, grid.h, scenario.dt, scenario.T)
     notes = []
     for kind, h in ladders.items():
         lo, hi = window = scenario.fit_window(kind)
@@ -471,7 +467,6 @@ class ProbeReport:
     rows: list
     targets: ExponentTargets
     interpolation: InterpolationReport | None
-    delta: float
 
     def summary(self) -> list[dict]:
         out = []
@@ -545,8 +540,7 @@ def run_probes(scenario, history: FieldHistory | None) -> ProbeReport:
     if _checks_interpolation(scenario.probes, scenario.N):
         interp = interpolation_check(built, scenario.delta,
                                      scenario.fit_window("space"))
-    return ProbeReport(rows=rows, targets=targets, interpolation=interp,
-                       delta=scenario.delta)
+    return ProbeReport(rows=rows, targets=targets, interpolation=interp)
 
 
 @dataclass

@@ -4,7 +4,8 @@ A scenario is a JSON document selecting the hardening model, grid,
 time discretization, penalty parameter(s), material tensors, a named
 closed-form data generator, the cutoff, and the probe selections.
 A Scenario builds its grid and cutoff once, for every caller.
-Validation runs the ellipticity, cutoff and declared fit-window checks,
+Validation runs the ellipticity, cutoff and declared fit-window checks
+and those of each probe axis (in range, with a nonempty shift ladder),
 then the safety-load, weak-divergence and initial-plastic-strain checks
 on one initial state (evolution.initial_state), and returns violations
 as data.
@@ -25,7 +26,7 @@ from .constitutive import KINEMATIC, MaterialParams
 from .datagen import DataGenerator, PolyProfile, SineProfile
 from .fem import Cutoff, Geometry, Grid, build_grid, make_cutoff
 from .tensors import Tensor4Sym
-from . import evolution, tensors
+from . import evolution, probes, tensors
 
 SCHEMA = json.loads(resources.files("plastprobe")
                     .joinpath("scenario.schema.json").read_text())
@@ -225,12 +226,15 @@ def validate(scenario: Scenario) -> list[str]:
             violations.append(
                 f"fit_window.{axis}: [{lo:g}, {hi:g}] needs lo < hi")
 
-    d = scenario.d
-    for axis in (probe["axis"] for probe in scenario.probes):
+    d, grid = scenario.d, scenario.grid()
+    for axis in dict.fromkeys(probe["axis"] for probe in scenario.probes):
         if axis.startswith("tangential-") and int(axis.split("-")[1]) >= d:
             violations.append(f"probe axis {axis} out of range for d={d}")
+        try:
+            probes.shift_ladder(axis, grid.h, scenario.dt, scenario.T)
+        except ValueError as exc:
+            violations.append(f"probe axis {axis}: {exc}")
 
-    grid = scenario.grid()
     _, state = evolution.initial_state(grid, params, scenario.data)
     safety = evolution.safety_load_check(state.sigma, params)
     if not safety.passed:

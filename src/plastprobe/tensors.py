@@ -247,7 +247,6 @@ class EllipticityReport:
     passed: bool
     lam_min: float
     lam_max: float
-    c1: float
 
 
 def check_ellipticity(C: Tensor4Sym, c1: float) -> EllipticityReport:
@@ -263,4 +262,4 @@ def check_ellipticity(C: Tensor4Sym, c1: float) -> EllipticityReport:
     lam = C.eigenvalues()
     lam_min, lam_max = float(lam[0]), float(lam[-1])
     passed = (c1 <= lam_min + 1e-14) and (lam_max <= 1.0 / c1 + 1e-14)
-    return EllipticityReport(passed=passed, lam_min=lam_min, lam_max=lam_max, c1=c1)
+    return EllipticityReport(passed=passed, lam_min=lam_min, lam_max=lam_max)

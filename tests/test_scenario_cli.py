@@ -161,9 +161,14 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
         return minimal_config(data={"generator": generator, "terms": [term]})
 
     sine = {"tpoly": [0.0, 1.0], "amp": [1.0], "freq": [[1.0]]}
+    # one step: the time ladder dt, ... up to T/2 has no rung
+    one_step = load_benchmark("elastic-only", n=4, N=1, probes=[
+        {"axis": "time", "field": "sigma_dot", "mode": "integral"}]).config
     cases = (
         (safety, "violation: safety load violated"),
         (axis, "violation: probe axis tangential-2 out of range for d=2\n"),
+        (one_step, "violation: probe axis time: empty shift ladder "
+                   "(base 1, cap 0.5)\n"),
         (minimal_config(fit_window={"space": [0.5, 0.1]}),
          "violation: fit_window.space: [0.5, 0.1] needs lo < hi\n"),
         (minimal_config(fit_window={"space": ["a", 0.25]}),
@@ -273,6 +278,102 @@ def test_cli_probe_meta_records_phases(tmp_path):
         if name != "meta.json":
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_cli_probe_without_probes_records_nothing(tmp_path):
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(minimal_config(N=2)))
+    assert cli_main(["probe", str(scn_file), "--out",
+                     str(tmp_path / "p")]) == 0
+    meta = json.loads((tmp_path / "p" / "meta.json").read_text())
+    assert meta["history_mb"] == 0.0 and meta["record"] is None
+
+
+def _kinematic_file(tmp_path, **overrides):
+    """mixed-boundary-kinematic (default n = 8, N = 16) with its shipped
+    probes, written to a scenario file."""
+    scn_file = tmp_path / "scn.json"
+    cfg = load_benchmark("mixed-boundary-kinematic", **{
+        "n": 8, "N": 16, "allow_coarse_dt": True, **overrides}).config
+    scn_file.write_text(json.dumps(cfg))
+    return scn_file
+
+
+def test_cli_probe_writes_the_interpolation_check(tmp_path):
+    # N >= 8: report.json carries the ratio check of the run's normal tables
+    scn_file = _kinematic_file(tmp_path, mu=0.2)
+    assert cli_main(["probe", str(scn_file), "--out", str(tmp_path / "p"),
+                     "--reproducible"]) == 0
+    written = json.loads((tmp_path / "p" / "report.json").read_text())[
+        "interpolation"]
+    scn = parse_scenario(scn_file)
+    hist, _ = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                            scn.N, record=probes.record_plan(scn))
+    tables = {("normal", f): probes.seminorm_table(hist, "normal", f,
+                                                   scn.cutoff())
+              for f in probes.INTERPOLATION_FIELDS}
+    rep = probes.interpolation_check(tables, scn.delta,
+                                     scn.fit_window("space"))
+    assert rep.spread is not None and not rep.degenerate
+    assert written == json.loads(json.dumps({
+        "delta": rep.delta, "window": list(rep.window), "spread": rep.spread,
+        "degenerate": rep.degenerate, "flagged_h": rep.flagged,
+        "rows": rep.as_rows()}))
+
+
+def test_cli_sweep_probes_each_mu_as_probe_does(tmp_path):
+    # a sweep of a scenario with probes fits them once per mu, and each
+    # mu's report holds the exponents that probe writes at that mu
+    scn_file = _kinematic_file(tmp_path, mu=[0.2, 0.1])
+    assert cli_main(["sweep", str(scn_file), "--out", str(tmp_path / "s"),
+                     "--reproducible"]) == 0
+    summary = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
+    assert [e["mu"] for e in summary["entries"]] == [0.2, 0.1]
+    cfg = json.loads(scn_file.read_text())
+    for entry in summary["entries"]:
+        swept = json.loads((tmp_path / "s" / entry["dir"] /
+                            "report.json").read_text())["exponents"]
+        assert len(swept) == len(cfg["probes"])
+        single = tmp_path / f"one_{entry['dir']}.json"
+        single.write_text(json.dumps({**cfg, "mu": entry["mu"]}))
+        out = tmp_path / f"p_{entry['dir']}"
+        assert cli_main(["probe", str(single), "--out", str(out),
+                         "--reproducible"]) == 0
+        probed = json.loads((out / "report.json").read_text())["exponents"]
+        assert swept == probed, entry["mu"]
+
+
+def test_isotropic_elastic_law_from_a_scenario_file(tmp_path, capsys):
+    # the two-modulus law with unit moduli is the identity, bit for bit
+    def run(elastic):
+        scn = parse_scenario(_kinematic_file(tmp_path, N=20, mu=0.1,
+                                             elastic=elastic))
+        assert validate(scn) == []
+        return evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                             scn.N)
+
+    ref_hist, ref = run({"type": "identity"})
+    hist, energy = run({"type": "isotropic", "dev_modulus": 1,
+                        "vol_modulus": 1})
+    for name in ("u", "sigma", "xi"):
+        assert np.array_equal(getattr(hist, name), getattr(ref_hist, name))
+    assert np.array_equal(energy.newton_iters, ref.newton_iters)
+    assert ref.overshoot_linf[-1] > 0.0          # the run turns plastic
+
+    # another law converges at every step, and an elastic step is one solve
+    _, energy = run({"type": "isotropic", "dev_modulus": 0.8,
+                     "vol_modulus": 0.5})
+    assert energy.residual_rel.max() <= evolution.NEWTON_RTOL
+    elastic = np.flatnonzero(energy.overshoot_linf[1:] == 0.0)
+    assert elastic.size > 0
+    assert energy.newton_iters[elastic].tolist() == [1] * elastic.size
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(minimal_config(
+        elastic={"type": "isotropic", "dev_modulus": 1})))
+    assert cli_main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        "error: elastic: isotropic type needs 'vol_modulus'\n"
 
 
 def test_cli_probe_notes_fit_windows_too_narrow_to_fit(tmp_path, capsys):
