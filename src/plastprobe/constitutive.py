@@ -14,11 +14,19 @@ system collapses to one scalar equation (radial return) and is solved in
 closed form, vectorized over quadrature points.  General SPD tensors go
 through damped_newton, the Newton loop the global Rothe step (evolution)
 runs too; every failed solve raises SolverFailure.
+
+A ConstitutiveState is never written in place: an update returns a new
+state.  So yield_excess measures a state once per MaterialParams and
+keeps the read-only result on it, which the Rothe step's regime check,
+consistent_tangent and the energy accumulator share.  Where no trial
+point yields, the radial return is the elastic trial state: it returns
+(sigma_tr, xi_n, ep_n), sharing the xi and ep arrays of its input, with
+an all-zero excess already measured.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,6 +172,9 @@ class ConstitutiveState:
     sigma: np.ndarray
     xi: np.ndarray
     ep: np.ndarray
+    # (params, sigma, xi, excess) of the measurement yield_excess keeps
+    _excess: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @classmethod
     def zeros(cls, model: str, d: int, shape: tuple = ()) -> "ConstitutiveState":
@@ -181,24 +192,55 @@ def beta_of(state: ConstitutiveState, params: MaterialParams) -> np.ndarray:
 
 
 def yield_excess(state: ConstitutiveState, params: MaterialParams) -> np.ndarray:
-    """(|beta| - kappa)_+ resp. (|dev sigma| - kappa - xi)_+, >= 0."""
+    """(|beta| - kappa)_+ resp. (|dev sigma| - kappa - xi)_+, >= 0.
+
+    Read-only; measured once and kept on the state, for the params object
+    it was measured under (another params, or a state whose sigma or xi
+    was reassigned, is measured again).
+    """
+    memo = state._excess
+    if memo is not None and memo[0] is params and memo[1] is state.sigma \
+            and memo[2] is state.xi:
+        return memo[3]
+    return _keep_excess(state, params, _measure_excess(state, params))
+
+
+def _measure_excess(state, params):
     if params.model == KINEMATIC:
-        return np.maximum(norm(beta_of(state, params)) - params.kappa, 0.0)
-    return np.maximum(norm(dev(state.sigma)) - params.kappa - state.xi, 0.0)
+        excess = np.maximum(norm(beta_of(state, params)) - params.kappa, 0.0)
+    else:
+        excess = np.maximum(norm(dev(state.sigma)) - params.kappa - state.xi,
+                            0.0)
+    return np.asarray(excess)
+
+
+def _keep_excess(state, params, excess):
+    excess.flags.writeable = False
+    state._excess = (params, state.sigma, state.xi, excess)
+    return excess
 
 
 def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
                  params: MaterialParams) -> ConstitutiveState:
-    """Closed-form radial return for isotropic A and isotropic hardening."""
+    """Closed-form radial return for isotropic A and isotropic hardening.
+
+    When no trial point yields (a NaN yields) and the state needs no
+    broadcasting, returns the trial state with its zero excess kept.
+    """
     a_inv = params.elastic.inverse()
     sigma_tr = state.sigma + a_inv.apply(deps)
     inv_a_dev = 1.0 / params.elastic.dev_modulus
     ratio = dt / params.mu
+    kinematic = params.model == KINEMATIC
+    unbroadcast = (np.shape(state.ep) == sigma_tr.shape and np.shape(state.xi)
+                   == (sigma_tr.shape if kinematic else sigma_tr.shape[:-1]))
 
-    if params.model == KINEMATIC:
+    if kinematic:
         inv_h_dev = 1.0 / params.hardening_tensor.dev_modulus
         beta_tr = dev(sigma_tr) - dev(state.xi)
         b_tr = norm(beta_tr)
+        if unbroadcast and np.all(b_tr <= params.kappa):
+            return _trial_state(sigma_tr, state, params)
         c = inv_a_dev + inv_h_dev
         # radial equation: b + ratio*c*(b-kappa)_+ = b_tr
         excess = np.maximum(b_tr - params.kappa, 0.0) / (1.0 + ratio * c)
@@ -211,6 +253,8 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
         s_tr_vec = dev(sigma_tr)
         s_tr = norm(s_tr_vec)
         g_tr = s_tr - params.kappa - state.xi
+        if unbroadcast and np.all(g_tr <= 0.0):
+            return _trial_state(sigma_tr, state, params)
         c = inv_a_dev + 1.0 / params.hardening_modulus
         g = np.maximum(g_tr, 0.0) / (1.0 + ratio * c)
         q = g / params.mu
@@ -220,6 +264,14 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
         xi = state.xi + dt * q / params.hardening_modulus
     ep = state.ep + dt * p_vec
     return ConstitutiveState(sigma=sigma, xi=xi, ep=ep)
+
+
+def _trial_state(sigma_tr, state, params):
+    """(sigma_tr, xi_n, ep_n): the radial return where no point yields, up
+    to the signs of zeros; its excess, measured, is all +0.0."""
+    trial = ConstitutiveState(sigma=sigma_tr, xi=state.xi, ep=state.ep)
+    _keep_excess(trial, params, np.zeros(np.shape(trial.ep)[:-1]))
+    return trial
 
 
 def _local_jacobian(sigma, xi, dt, params):

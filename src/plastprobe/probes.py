@@ -548,7 +548,7 @@ class SweepEntry:
     mu: float
     energy_summary: dict
     newton: dict | None
-    probe_summary: list | None
+    probes: ProbeReport | None
     failure: str | None
 
 
@@ -601,7 +601,8 @@ def mu_sweep(scenario):
     Spread ratios are max/min over the sweep; the overshoot decay slope
     is the log-log fit of the final-time overshoot against mu.  Failed
     runs are recorded as partial entries.  A run records the fields its
-    probe tables read (record_plan), and nothing without probes.
+    probe tables read (record_plan), and nothing without probes; an entry
+    keeps its run's ProbeReport (exponents and interpolation check).
     """
     mus = sorted((float(m) for m in scenario.mu_list), reverse=True)
     record = record_plan(scenario)
@@ -614,15 +615,13 @@ def mu_sweep(scenario):
                 scenario.N, record=record)
         except SolverFailure as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
-                                      probe_summary=None, failure=str(exc)))
+                                      probes=None, failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})
             continue
-        probe_summary = None
-        if record is not None:
-            probe_summary = run_probes(scenario, history).summary()
-        entries.append(SweepEntry(mu=mu, energy_summary=energy_summary(report),
-                                  newton=newton_summary(report),
-                                  probe_summary=probe_summary, failure=None))
+        entries.append(SweepEntry(
+            mu=mu, energy_summary=energy_summary(report),
+            newton=newton_summary(report), failure=None,
+            probes=None if record is None else run_probes(scenario, history)))
     ok = [e for e in entries if e.failure is None]
     spreads = {}
     for key in _SWEEP_QUANTITIES:

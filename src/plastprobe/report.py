@@ -129,14 +129,20 @@ def run_report_payload(scenario, energy: EnergyReport,
     if probe_report is not None:
         payload["exponents"] = probe_report.summary()
         payload["targets"] = asdict(probe_report.targets)
-        if probe_report.interpolation is not None:
-            rep = probe_report.interpolation
-            payload["interpolation"] = {
-                "delta": rep.delta, "window": list(rep.window),
-                "spread": rep.spread, "degenerate": rep.degenerate,
-                "flagged_h": rep.flagged, "rows": rep.as_rows(),
-            }
+        payload["interpolation"] = _interpolation_payload(probe_report)
     return payload
+
+
+def _interpolation_payload(probe_report: ProbeReport) -> dict | None:
+    """The interpolation block of a report.json; None without the check."""
+    rep = probe_report.interpolation
+    if rep is None:
+        return None
+    return {
+        "delta": rep.delta, "window": list(rep.window),
+        "spread": rep.spread, "degenerate": rep.degenerate,
+        "flagged_h": rep.flagged, "rows": rep.as_rows(),
+    }
 
 
 def emit_run_report(out_dir: str | Path, scenario, energy: EnergyReport,
@@ -158,6 +164,11 @@ def emit_run_report(out_dir: str | Path, scenario, energy: EnergyReport,
     return out
 
 
+def sweep_dir(mu: float) -> str:
+    """The directory of a sweep's run at mu, inside its output directory."""
+    return f"mu_{mu:.3e}"
+
+
 def emit_sweep_report(out_dir: str | Path, scenario,
                       uniformity: UniformityReport,
                       reproducible: bool = False,
@@ -165,12 +176,15 @@ def emit_sweep_report(out_dir: str | Path, scenario,
     out = _make_dir(Path(out_dir))
     entries = []
     for entry in uniformity.entries:
-        sub = _make_dir(out / f"mu_{entry.mu:.3e}")
+        sub = _make_dir(out / sweep_dir(entry.mu))
+        probes = entry.probes
         _write_json(sub / "report.json", {
             "mu": entry.mu,
             "energy_summary": entry.energy_summary,
             "newton": entry.newton,
-            "exponents": entry.probe_summary,
+            "exponents": None if probes is None else probes.summary(),
+            "interpolation": (None if probes is None
+                              else _interpolation_payload(probes)),
             "failure": entry.failure,
         })
         entries.append({"mu": entry.mu, "dir": sub.name,

@@ -7,8 +7,9 @@ A Scenario builds its grid and cutoff once, for every caller.
 Validation runs the ellipticity, cutoff and declared fit-window checks
 and those of each probe axis (in range, with a nonempty shift ladder),
 then the safety-load, weak-divergence and initial-plastic-strain checks
-on one initial state (evolution.initial_state), and returns violations
-as data.
+on one initial state (evolution.initial_state) and that no two mu values
+share a sweep directory (report.sweep_dir), and returns violations as
+data.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .datagen import DataGenerator, PolyProfile, SineProfile
 from .fem import Cutoff, Geometry, Grid, build_grid, make_cutoff
 from .tensors import Tensor4Sym
 from . import evolution, probes, tensors
+from .report import sweep_dir
 
 SCHEMA = json.loads(resources.files("plastprobe")
                     .joinpath("scenario.schema.json").read_text())
@@ -252,6 +254,15 @@ def validate(scenario: Scenario) -> list[str]:
     if tr_defect > 1e-10:
         violations.append(
             f"initial plastic strain not trace-free (defect {tr_defect:.3e})")
+
+    dirs = {}
+    for mu in scenario.mu_list:
+        name = sweep_dir(mu)
+        if name in dirs:
+            violations.append(f"mu values {dirs[name]:g} and {mu:g} share "
+                              f"the sweep directory {name}")
+        else:
+            dirs[name] = mu
 
     if not scenario.config["allow_coarse_dt"]:
         mu_min = min(scenario.mu_list)

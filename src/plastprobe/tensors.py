@@ -172,7 +172,8 @@ class Tensor4Sym:
 
     Stored as a dense m x m matrix.  Isotropic maps (two moduli: one on
     deviators, one on the volumetric part) carry their moduli so callers
-    can take scalar fast paths.
+    can take scalar fast paths.  The matrix is never written in place,
+    so inverse() builds the inverse map once per tensor.
     """
 
     matrix: np.ndarray
@@ -216,10 +217,16 @@ class Tensor4Sym:
         return vec @ self.matrix.T
 
     def inverse(self) -> "Tensor4Sym":
-        if self.is_isotropic:
-            return Tensor4Sym.isotropic(self.d, 1.0 / self.dev_modulus,
-                                        1.0 / self.vol_modulus)
-        return Tensor4Sym(matrix=np.linalg.inv(self.matrix), d=self.d)
+        """The inverse map, built on the first call and kept on the tensor."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            if self.is_isotropic:
+                inv = Tensor4Sym.isotropic(self.d, 1.0 / self.dev_modulus,
+                                           1.0 / self.vol_modulus)
+            else:
+                inv = Tensor4Sym(matrix=np.linalg.inv(self.matrix), d=self.d)
+            object.__setattr__(self, "_inverse", inv)    # frozen dataclass
+        return inv
 
     def major_symmetry_defect(self) -> float:
         return float(np.abs(self.matrix - self.matrix.T).max())

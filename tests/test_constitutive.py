@@ -462,3 +462,141 @@ def test_validate_flags_bad_hardening():
     good = MaterialParams(elastic=Tensor4Sym.identity_map(2), model=ISOTROPIC,
                           kappa=1.0, mu=0.1, hardening_modulus=1.0)
     assert good.validate() == []
+
+
+# -- the kept yield excess and the no-yield exit of the radial return -------
+
+BATCHES = ("elastic", "mixed", "plastic", "nan")
+
+
+def _radial_return_formula(state, deps, dt, params):
+    """The closed-form radial return evaluated at every point, yielding or
+    not: sigma_tr - dt a^-1 P, xi + dt h^-1 P (kinematic) resp. xi + dt
+    q / H (isotropic), ep + dt P."""
+    a_inv = 1.0 / params.elastic.dev_modulus
+    sigma_tr = state.sigma + params.elastic.inverse().apply(deps)
+    if params.model == KINEMATIC:
+        h_inv = 1.0 / params.hardening_tensor.dev_modulus
+        beta = tensors.dev(sigma_tr) - tensors.dev(state.xi)
+        g = np.maximum(norm(beta) - params.kappa, 0.0) \
+            / (1.0 + dt / params.mu * (a_inv + h_inv))
+    else:
+        beta = tensors.dev(sigma_tr)
+        g = np.maximum(norm(beta) - params.kappa - state.xi, 0.0) \
+            / (1.0 + dt / params.mu * (a_inv + 1.0 / params.hardening_modulus))
+    b = norm(beta)
+    q = g / params.mu
+    p_vec = (q / np.where(b > 0.0, b, 1.0))[..., None] * beta
+    if params.model == KINEMATIC:
+        xi = state.xi + dt * h_inv * p_vec
+    else:
+        xi = state.xi + dt * q / params.hardening_modulus
+    return sigma_tr - dt * a_inv * p_vec, xi, state.ep + dt * p_vec
+
+
+def _memo_case(model, d, batch, seed=0):
+    """Fast-path params, a batch of 12 states inside the yield surface and
+    increments under which no point (elastic), every other point (mixed),
+    every point (plastic) or a NaN increment's point (nan) yields."""
+    rng = np.random.default_rng(seed)
+    elastic = Tensor4Sym.isotropic(d, 0.8, 1.7)
+    params = make_params(model, d=d, kappa=1.0, mu=0.05, elastic=elastic,
+                         hardening=Tensor4Sym.isotropic(d, 1.3, 0.9), H=1.3)
+    m = tensors.num_components(d)
+
+    def inside(scale):
+        v = rng.standard_normal((12, m))
+        return scale * v / norm(v)[:, None]
+
+    xi = inside(0.1) if model == KINEMATIC else rng.uniform(0.0, 0.1, 12)
+    state = ConstitutiveState(sigma=inside(0.3), xi=xi,
+                              ep=tensors.dev(inside(0.2)))
+    size = {"elastic": np.full(12, 0.01), "nan": np.full(12, 0.01),
+            "mixed": np.tile([0.01, 5.0], 6), "plastic": np.full(12, 5.0)}
+    deps = tensors.dev(inside(1.0)) * size[batch][:, None]
+    if batch == "nan":
+        deps[3, 0] = np.nan
+    return params, state, deps
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_kept_excess_equals_a_fresh_measurement(model, d, batch,
+                                                monkeypatch):
+    from plastprobe import constitutive
+    params, state, deps = _memo_case(model, d, batch)
+    new = local_update(state, deps, 0.1, params)
+    measured = []
+    real = constitutive._measure_excess
+    monkeypatch.setattr(constitutive, "_measure_excess",
+                        lambda s, p: measured.append(s) or real(s, p))
+    excess = yield_excess(new, params)
+    # only a batch where no trial point yields comes back measured
+    assert len(measured) == (batch != "elastic")
+    assert yield_excess(new, params) is excess and len(measured) <= 1
+    fresh = yield_excess(ConstitutiveState(new.sigma, new.xi, new.ep), params)
+    assert fresh.shape == excess.shape == (12,)
+    assert fresh.tobytes() == excess.tobytes()
+    assert (excess.max() > 0.0) == (batch in ("mixed", "plastic"))
+    assert np.isnan(excess).any() == (batch == "nan")
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_no_yield_exit_equals_the_full_formula(model, d, batch):
+    params, state, deps = _memo_case(model, d, batch)
+    new = local_update(state, deps, 0.1, params)
+    for got, ref in zip((new.sigma, new.xi, new.ep),
+                        _radial_return_formula(state, deps, 0.1, params)):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref, equal_nan=True)
+    # the exit returns the state's own xi and ep arrays
+    exited = batch == "elastic"
+    assert (new.xi is state.xi) == exited and (new.ep is state.ep) == exited
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_kept_excess_is_keyed_by_params(model, d):
+    import dataclasses
+    params, state, deps = _memo_case(model, d, "elastic")
+    new = local_update(state, deps, 0.1, params)
+    assert not yield_excess(new, params).any()
+    # a smaller kappa: the same state yields, and is measured under it
+    tight = dataclasses.replace(params, kappa=0.05)
+    excess = yield_excess(new, tight)
+    assert excess.max() > 0.0
+    fresh = yield_excess(ConstitutiveState(new.sigma, new.xi, new.ep), tight)
+    assert excess.tobytes() == fresh.tobytes()
+    assert not yield_excess(new, params).any()
+    # an equal but distinct params object is measured again too
+    again = dataclasses.replace(params)
+    assert yield_excess(new, again) is not yield_excess(new, params)
+    # so is a state whose stress was replaced
+    new.sigma = new.sigma * 10.0
+    assert yield_excess(new, params).max() > 0.0
+
+
+@pytest.mark.parametrize("batch", ["elastic", "plastic"])
+def test_kept_excess_is_read_only(batch):
+    params, state, deps = _memo_case(KINEMATIC, 2, batch)
+    excess = yield_excess(local_update(state, deps, 0.1, params), params)
+    with pytest.raises(ValueError, match="read-only"):
+        excess[0] = 1.0
+    scalar = yield_excess(ConstitutiveState.zeros(ISOTROPIC, 2),
+                          make_params(ISOTROPIC))
+    with pytest.raises(ValueError, match="read-only"):
+        scalar[...] = 1.0
+
+
+def test_broadcast_state_takes_the_full_formula():
+    # an unbatched state under batched increments: the result has the
+    # batch shape, as the formula broadcasts it, and shares no array
+    params = make_params(KINEMATIC)
+    state = ConstitutiveState.zeros(KINEMATIC, 2)
+    deps = np.full((4, 3), 0.01)
+    new = local_update(state, deps, 1.0, params)
+    assert new.xi.shape == new.ep.shape == (4, 3)
+    assert not yield_excess(new, params).any()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -327,6 +328,64 @@ def test_plastic_run_assembles_stiffness_once(monkeypatch):
     evolution.run(scn.grid(), scn.material(), scn.data, scn.T, scn.N)
     assert plastic, "the scenario has no plastic Newton iteration"
     assert len(assembled) == 1
+
+
+def _record_measurements(monkeypatch):
+    """Lists of the states local_update returned, of those consistent_tangent
+    linearized at, and of every yield-excess measurement (memo misses)."""
+    from plastprobe import constitutive
+    updated, linearized, measured = [], [], []
+    real_update = evolution.local_update
+    real_tangent = evolution.consistent_tangent
+    real_measure = constitutive._measure_excess
+
+    def update(*args, **kwargs):
+        updated.append(real_update(*args, **kwargs))
+        return updated[-1]
+
+    def tangent(*args, updated=None, **kwargs):
+        linearized.append(updated)
+        return real_tangent(*args, updated=updated, **kwargs)
+
+    def measure(state, params):
+        measured.append(state)
+        return real_measure(state, params)
+
+    monkeypatch.setattr(evolution, "local_update", update)
+    monkeypatch.setattr(evolution, "consistent_tangent", tangent)
+    monkeypatch.setattr(constitutive, "_measure_excess", measure)
+    return updated, linearized, measured
+
+
+def _ids(states):
+    return [id(s) for s in states]
+
+
+def test_elastic_run_measures_no_updated_state(monkeypatch):
+    # below yield every local update returns its trial state with the
+    # excess already known: the regime checks and the energy accumulator
+    # measure only the initial state
+    updated, linearized, measured = _record_measurements(monkeypatch)
+    scn = load_benchmark("elastic-only", n=4, N=6)
+    _, energy = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                              scn.N)
+    assert len(updated) >= 2 * scn.N and not linearized
+    assert not energy.overshoot_linf.any()
+    assert len(measured) == 1 and id(measured[0]) not in _ids(updated)
+
+
+@pytest.mark.parametrize("name", ["mixed-boundary-kinematic",
+                                  "mixed-boundary-isotropic"])
+def test_plastic_run_measures_each_state_once(name, monkeypatch):
+    # the lists keep every state alive, so no two share an id
+    updated, linearized, measured = _record_measurements(monkeypatch)
+    scn = _plastic_scenario(name)
+    evolution.run(scn.grid(), scn.material(), scn.data, scn.T, scn.N)
+    assert linearized, "the scenario has no plastic Newton iteration"
+    counts = Counter(_ids(measured))
+    assert max(counts.values()) == 1
+    # the tangent reads the excess the step's regime check measured
+    assert all(counts[id(s)] == 1 for s in linearized)
 
 
 def test_elastic_run_never_calls_cg(monkeypatch):

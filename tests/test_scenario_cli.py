@@ -169,6 +169,10 @@ def test_cli_validate_ok_and_failure(tmp_path, capsys):
         (axis, "violation: probe axis tangential-2 out of range for d=2\n"),
         (one_step, "violation: probe axis time: empty shift ladder "
                    "(base 1, cap 0.5)\n"),
+        # two mu values that would write one sweep directory
+        (minimal_config(mu=[0.1, 0.10001]),
+         "violation: mu values 0.1 and 0.10001 share the sweep directory "
+         "mu_1.000e-01\n"),
         (minimal_config(fit_window={"space": [0.5, 0.1]}),
          "violation: fit_window.space: [0.5, 0.1] needs lo < hi\n"),
         (minimal_config(fit_window={"space": ["a", 0.25]}),
@@ -323,7 +327,8 @@ def test_cli_probe_writes_the_interpolation_check(tmp_path):
 
 def test_cli_sweep_probes_each_mu_as_probe_does(tmp_path):
     # a sweep of a scenario with probes fits them once per mu, and each
-    # mu's report holds the exponents that probe writes at that mu
+    # mu's report holds the exponents and the interpolation check (N >= 8)
+    # that probe writes at that mu
     scn_file = _kinematic_file(tmp_path, mu=[0.2, 0.1])
     assert cli_main(["sweep", str(scn_file), "--out", str(tmp_path / "s"),
                      "--reproducible"]) == 0
@@ -332,15 +337,24 @@ def test_cli_sweep_probes_each_mu_as_probe_does(tmp_path):
     cfg = json.loads(scn_file.read_text())
     for entry in summary["entries"]:
         swept = json.loads((tmp_path / "s" / entry["dir"] /
-                            "report.json").read_text())["exponents"]
-        assert len(swept) == len(cfg["probes"])
+                            "report.json").read_text())
+        assert len(swept["exponents"]) == len(cfg["probes"])
+        assert swept["interpolation"]["rows"]
         single = tmp_path / f"one_{entry['dir']}.json"
         single.write_text(json.dumps({**cfg, "mu": entry["mu"]}))
         out = tmp_path / f"p_{entry['dir']}"
         assert cli_main(["probe", str(single), "--out", str(out),
                          "--reproducible"]) == 0
-        probed = json.loads((out / "report.json").read_text())["exponents"]
-        assert swept == probed, entry["mu"]
+        probed = json.loads((out / "report.json").read_text())
+        for key in ("exponents", "interpolation"):
+            assert swept[key] == probed[key], (entry["mu"], key)
+    # below N = 8 the check does not run, in a sweep as in probe
+    scn_file = _kinematic_file(tmp_path, N=6, mu=[0.2, 0.1])
+    assert cli_main(["sweep", str(scn_file), "--out", str(tmp_path / "s6"),
+                     "--reproducible"]) == 0
+    for sub in sorted((tmp_path / "s6").glob("mu_*")):
+        swept = json.loads((sub / "report.json").read_text())
+        assert swept["exponents"] and swept["interpolation"] is None
 
 
 def test_isotropic_elastic_law_from_a_scenario_file(tmp_path, capsys):

@@ -331,3 +331,18 @@ def test_sine_profile_bit_identical_to_prod_forms(d):
         assert_same_bits(prof.value(x), _sine_value_ref(prof, x))
         assert_same_bits(prof.grad(x), _sine_grad_ref(prof, x))
         assert_same_bits(prof.hess(x), _sine_hess_ref(prof, x))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_inverse_is_built_once_per_tensor(d):
+    for t in (Tensor4Sym.isotropic(d, 0.7, 1.9),
+              random_spd_tensor4(np.random.default_rng(d), d)):
+        inv = t.inverse()
+        assert t.inverse() is inv
+        fresh = (Tensor4Sym.isotropic(d, 1.0 / t.dev_modulus,
+                                      1.0 / t.vol_modulus)
+                 if t.is_isotropic else
+                 Tensor4Sym(matrix=np.linalg.inv(t.matrix), d=d))
+        assert inv.matrix.tobytes() == fresh.matrix.tobytes()
+        assert (inv.dev_modulus, inv.vol_modulus) == (fresh.dev_modulus,
+                                                      fresh.vol_modulus)
