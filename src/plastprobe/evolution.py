@@ -6,13 +6,18 @@ update of the strain increment, by constitutive.damped_newton with the
 consistent tangent.  Newton starts from a predictor chosen by the
 regime of the converged state: from an elastic state, one exact solve
 with the elastic factors for the elastic trial stress (an elastic step
-needs no more); from a plastic state, the extrapolation 2 u_n - u_{n-1}
-(de Souza Neto, Peric & Owen 2008).  A predictor is kept only if it
-lowers the residual, whose scale is always taken at the unpredicted
-start.  The Newton record counts linear solves, the elastic
-predictor's included.  A step starts from the strain its predecessor
-converged to, so each level's symmetric gradient is formed once.  A
-failed solve inside run() raises a SolverFailure marked with its step.
+needs no more), kept only if it lowers the residual; from a plastic
+state, the extrapolation 2 u_n - u_{n-1} (de Souza Neto, Peric & Owen
+2008), kept if its residual is below the elastic trial stress's at the
+unpredicted start, so the unpredicted start's local update is only run
+when the extrapolation loses.  The residual scale is the internal force
+of that elastic trial stress, predictor or not.  Plastic tangents are
+solved by CG only as accurately as Newton needs, and never below half
+its tolerance (Eisenstat & Walker 1996; Kelley 1995).  The Newton
+record counts linear solves, the elastic predictor's included, and the
+CG iterations.  A step starts from the strain its predecessor converged
+to, so each level's symmetric gradient is formed once.  A failed solve
+inside run() raises a SolverFailure marked with its step.
 
 Energy diagnostics mirroring the a-priori estimates (penalty energy,
 dissipation sums, suprema of the backward-difference rates) are
@@ -40,8 +45,9 @@ from .fem import CG_RTOL, Grid
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-10
 # cap of the inexact-Newton forcing term: a plastic tangent is solved to
-# eta = max(CG_RTOL, min(FORCING_MAX, |r| / scale)) relative accuracy
-# (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker 1996)
+# eta = max(CG_RTOL, min(FORCING_MAX, max(|r| / scale,
+# 0.5 NEWTON_RTOL scale / |r|))) relative accuracy (Dembo, Eisenstat &
+# Steihaug 1982; Eisenstat & Walker 1996; the safeguard: Kelley 1995)
 FORCING_MAX = 1e-2
 
 
@@ -51,8 +57,10 @@ class EnergyReport:
 
     Arrays only, indexed by time level (length N+1) or by step (length
     N); probes.energy_summary derives the scalars of a run from them.
-    newton_iters and residual_rel (the final |r| / scale) are recorded
-    by run() only; a report recomputed from a history leaves them empty.
+    newton_iters (linear solves), cg_iterations (CG iterations of the
+    plastic solves) and residual_rel (the final |r| / scale) are
+    recorded by run() only; a report recomputed from a history leaves
+    them empty.
     """
 
     times: np.ndarray
@@ -64,6 +72,7 @@ class EnergyReport:
     udot_h1: np.ndarray
     dissipation_cum: np.ndarray
     newton_iters: np.ndarray
+    cg_iterations: np.ndarray
     residual_rel: np.ndarray
 
 
@@ -266,25 +275,36 @@ class _Stepper:
         """One backward-Euler step from (u_n, state_n) at t_n.
 
         strain_n is sym_gradient(u_n), which the previous step returned.
-        Returns (u, strain, state, iterations, |r_free| / scale), strain
-        being sym_gradient(u) for the next step.  Newton starts
-        at u_n with the Dirichlet values of t_n + dt, or at a predictor
-        chosen by the regime of state_n, which run() reads off its
-        streamed overshoot:
+        Returns (u, strain, state, iterations, cg_iterations, |r_free| /
+        scale), strain being sym_gradient(u) for the next step.  Let
+        u_start be u_n with the Dirichlet values of t_n + dt, and
+        r_trial the residual of the elastic trial stress sigma_n + A^-1
+        (E(u_start) - strain_n).  The residual scale is max(|load_free|,
+        |(r_trial + load)_free|, 1e-12), whatever start Newton takes.
+        Newton starts from a predictor chosen by the regime of state_n,
+        which run() reads off its streamed overshoot:
         - elastic_n (state_n within KINK_GUARD of the yield surface): the
-          exact elastic predictor, one solve with the elastic factors
-          whose right-hand side is the residual of the elastic trial
-          stress sigma_n + A^-1 deps.  When no trial point yields by more
-          than KINK_GUARD, the residual at the start is used as is, and
-          the predictor is the step's elastic Newton iteration.
+          residual at u_start is formed, and unless it meets the
+          tolerance, the exact elastic predictor is one solve with the
+          elastic factors for -r_trial, kept only if it lowers |r_free|.
+          When no point of the start's update yields by more than
+          KINK_GUARD, its residual stands in for r_trial (the same bits
+          when no trial point yields), and the predictor is the step's
+          elastic Newton iteration.
         - otherwise, given the previous displacement u_prev: the
-          extrapolation 2 u_n - u_prev with the new Dirichlet values.
-        A predictor is kept only if it lowers |r_free|.  The residual
-        scale is always taken at the unpredicted start.  iterations
-        counts the linear solves: the elastic predictor's, kept or not,
-        and one per Newton correction; extrapolation costs no solve.
-        Raises SolverFailure when |r_free| does not fall to NEWTON_RTOL
-        scale within NEWTON_MAX_ITER solves.
+          extrapolation 2 u_n - u_prev with the new Dirichlet values,
+          kept if its |r_free| is below |r_trial_free| (a NaN is not);
+          only otherwise is the residual at u_start formed, to start
+          from.
+        - otherwise Newton starts at u_start.
+        Plastic tangents are solved by CG to the safeguarded forcing term
+        eta = max(CG_RTOL, min(FORCING_MAX, max(|r| / scale, 0.5
+        NEWTON_RTOL scale / |r|))).  iterations counts the linear
+        solves: the elastic predictor's, kept or not, and one per Newton
+        correction; extrapolation costs no solve.  cg_iterations sums
+        the CG iterations of the plastic solves.  Raises SolverFailure
+        when |r_free| does not fall to NEWTON_RTOL scale within
+        NEWTON_MAX_ITER solves.
         """
         grid, params, data = self.grid, self.params, self.data
         t1 = t_n + dt
@@ -293,6 +313,7 @@ class _Stepper:
         load = grid.load_vector(body_fn=data.body_force,
                                 sigma0_fn=data.sigma0, t=t1)
         free = grid.free_dofs
+        cg_iterations = []
 
         def force_of(sigma):
             r = grid.internal_force(sigma) - load
@@ -301,10 +322,16 @@ class _Stepper:
 
         # a residual is (r, strain, update); the strain increment
         # strain - strain_n is formed where it is needed
-        def residual_of(u_try):
-            strain = grid.sym_gradient(u_try)
+        def residual_at(strain):
             upd = local_update(state_n, strain - strain_n, dt, params)
             return force_of(upd.sigma), strain, upd
+
+        def residual_of(u_try):
+            return residual_at(grid.sym_gradient(u_try))
+
+        def trial_force(strain):
+            a_inv = params.elastic.inverse()
+            return force_of(state_n.sigma + a_inv.apply(strain - strain_n))
 
         def norm_of(res):
             return np.linalg.norm(res[0][free])
@@ -319,33 +346,45 @@ class _Stepper:
             if not is_elastic(upd):
                 # D gives the exact Jacobian K, so |K du + r| <= eta |r|
                 # with eta < 1 makes du a descent direction for |r|^2;
-                # the tangent is freed on return, before the next is built
+                # Kelley's safeguard (1995, his constant 0.5) never asks
+                # CG for a linear residual below half the Newton
+                # tolerance; the tangent is freed on return, before the
+                # next is built
                 D = consistent_tangent(state_n, strain - strain_n, dt, params,
                                        updated=upd)
-                eta = max(CG_RTOL, min(FORCING_MAX, rnorm / scale))
-                solve = grid.make_solver(D, self._factor, rtol=eta)
+                eta = max(CG_RTOL, min(FORCING_MAX, max(
+                    rnorm / scale, 0.5 * NEWTON_RTOL * scale / rnorm)))
+                solve = grid.make_solver(D, self._factor, rtol=eta,
+                                         iterations=cg_iterations)
             return solve(-r).reshape(grid.nnodes, grid.d)
 
-        res = residual_of(u)
-        fint_scale = np.linalg.norm((res[0] + load)[free])
-        scale = max(np.linalg.norm(load[free]), fint_scale, 1e-12)
+        strain = grid.sym_gradient(u)
+        if elastic_n:
+            res = residual_at(strain)
+            r_trial = res[0] if is_elastic(res[2]) else trial_force(strain)
+        else:
+            r_trial = trial_force(strain)
+            res = None
+            if u_prev is not None:
+                u_pred = 2.0 * u_n - u_prev
+                u_pred[grid.dirichlet_nodes] = u[grid.dirichlet_nodes]
+                res = residual_of(u_pred)
+                # a NaN residual loses the comparison
+                if norm_of(res) < np.linalg.norm(r_trial[free]):
+                    u = u_pred
+                else:
+                    res = None
+            if res is None:
+                res = residual_at(strain)
+        scale = max(np.linalg.norm(load[free]),
+                    np.linalg.norm((r_trial + load)[free]), 1e-12)
         rnorm = norm_of(res)
 
         iters = 0
-        u_pred = None
-        if rnorm > NEWTON_RTOL * scale:
-            if elastic_n:
-                r, strain, upd = res
-                r_trial = r if is_elastic(upd) else force_of(
-                    state_n.sigma
-                    + params.elastic.inverse().apply(strain - strain_n))
-                u_pred = u + self._elastic_solve(-r_trial).reshape(
-                    grid.nnodes, grid.d)
-                iters = 1
-            elif u_prev is not None:
-                u_pred = 2.0 * u_n - u_prev
-                u_pred[grid.dirichlet_nodes] = u[grid.dirichlet_nodes]
-        if u_pred is not None:
+        if elastic_n and rnorm > NEWTON_RTOL * scale:
+            u_pred = u + self._elastic_solve(-r_trial).reshape(
+                grid.nnodes, grid.d)
+            iters = 1
             res_pred = residual_of(u_pred)
             rn_pred = norm_of(res_pred)
             if rn_pred < rnorm:
@@ -367,7 +406,7 @@ class _Stepper:
                 f"Newton stalled at t={t1:g}: residual {rnorm:.3e} vs scale "
                 f"{scale:.3e}; consider a smaller dt or a larger mu",
                 iterations=iters, residual=rnorm)
-        return u, res[1], res[2], iters, rnorm / scale
+        return u, res[1], res[2], iters, sum(cg_iterations), rnorm / scale
 
 
 def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
@@ -434,7 +473,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     for k in range(N):
         elastic_n = acc["overshoot_linf"][-1] <= constitutive.KINK_GUARD
         try:
-            u_new, strain, state_new, iters, rel = stepper.step(
+            u_new, strain, state_new, iters, cg, rel = stepper.step(
                 u, strain, state, times[k], dt, elastic_n=elastic_n,
                 u_prev=u_prev)
         except SolverFailure as exc:
@@ -442,6 +481,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
             raise
         _accumulate_energy(acc, grid, params, state_new, state, u_new, u, dt)
         acc["newton_iters"].append(iters)
+        acc["cg_iterations"].append(cg)
         acc["residual_rel"].append(rel)
         if history is not None:
             _record(history, k + 1, u_new, state_new)

@@ -238,9 +238,13 @@ class Grid:
     def h1_norm_sq(self, u: np.ndarray) -> float:
         """Squared H^1 norm of a nodal field by the Gauss rule: the sum
         over cells and components of U^T h1_gram U, U the cell's corner
-        values of one component (one matrix product for all of them)."""
+        values of one component.  No BLAS call forms it (an einsum, then
+        numpy's pairwise sum), so its bits do not depend on the BLAS
+        thread count."""
         uc = u[self.cell_nodes.T].reshape(len(self.h1_gram), -1)
-        return float(np.vdot(uc, self.h1_gram @ uc))
+        quad = np.einsum("ab,bk->ak", self.h1_gram, uc)
+        quad *= uc
+        return float(quad.sum())
 
     def integrate_qp(self, qp_scalar: np.ndarray) -> float:
         """Integral over the domain of a scalar quadrature-point field."""
@@ -318,20 +322,23 @@ class Grid:
             raise SolverFailure(str(exc)) from exc
 
     def make_solver(self, D_qp: np.ndarray | None, factor,
-                    rtol: float = CG_RTOL):
+                    rtol: float = CG_RTOL, iterations: list | None = None):
         """Reusable solver on the free dofs (full-size in/out vectors).
 
         factor holds the LU factors (``factorize``) of an SPD matrix K0.
         With D_qp None the solver applies them, an exact solve with K0,
-        and rtol is unused.  Otherwise CG solves with the stiffness K of
-        the modulus field D_qp (as ``assemble_tangent`` would build it),
-        preconditioned by factor, until |(K x - rhs)_free| <= rtol
-        |rhs_free|, and a solve that does not get there raises
-        SolverFailure.  CG needs only products K x, which are summed element
-        by element from the element matrices (Hughes, Levit & Winget
-        1983), so K is never assembled.  A hardening tangent stays
-        spectrally close to the elastic stiffness, so with the elastic K0
-        as preconditioner CG needs few iterations.
+        and rtol and iterations are unused.  Otherwise CG solves with the
+        stiffness K of the modulus field D_qp (as ``assemble_tangent``
+        would build it), preconditioned by factor, until |(K x -
+        rhs)_free| <= rtol |rhs_free|, and a solve that does not get
+        there raises SolverFailure.  Each successful solve appends its CG
+        iterations to the list iterations, if given: its products K x,
+        one per iteration, as cg starts from x = 0.  CG needs only
+        products K x, which are summed element by element from the
+        element matrices (Hughes, Levit & Winget 1983), so K is never
+        assembled.  A hardening tangent stays spectrally close to the
+        elastic stiffness, so with the elastic K0 as preconditioner CG
+        needs few iterations.
         """
         free = self.free_dofs
 
@@ -353,7 +360,11 @@ class Grid:
         dofs = np.ascontiguousarray(
             self.cell_dofs.reshape(self.ncells, -1, d).T)   # (d, nloc, c)
 
+        products = 0
+
         def matvec(x):
+            nonlocal products
+            products += 1
             yc = np.einsum("ijabc,jbc->iac", Ke, x[dofs])
             y = np.bincount(dofs.ravel(), weights=yc.ravel(),
                             minlength=ndof)
@@ -368,11 +379,15 @@ class Grid:
                                          dtype=float)
 
         def solve(rhs):
+            nonlocal products
             b = rhs.copy()
             b[fixed] = 0.0
+            products = 0
             x, info = sparse_linalg.cg(A, b, rtol=rtol, atol=0.0, M=M)
             if info != 0:
                 raise SolverFailure(f"CG failed to converge (info={info})")
+            if iterations is not None:
+                iterations.append(products)
             return x
         return solve
 

@@ -589,9 +589,11 @@ def energy_summary(report: evolution.EnergyReport) -> dict:
 
 
 def newton_summary(report: evolution.EnergyReport) -> dict:
-    """Newton iterations per step and the largest final |r| / scale."""
+    """Newton iterations (linear solves) and CG iterations per step, and
+    the largest final |r| / scale."""
     res = report.residual_rel
     return {"iterations": [int(k) for k in report.newton_iters],
+            "cg_iterations": [int(k) for k in report.cg_iterations],
             "max_relative_residual": float(res.max()) if res.size else None}
 
 

@@ -167,8 +167,8 @@ def test_global_line_search_halves_an_overlong_step(monkeypatch):
     def step():
         calls.clear()
         stepper = evolution._Stepper(grid, params, scn.data)
-        u, _, _, iters, rel = stepper.step(u0, grid.sym_gradient(u0), state0,
-                                           0.0, scn.T / scn.N)
+        u, _, _, iters, _, rel = stepper.step(u0, grid.sym_gradient(u0),
+                                              state0, 0.0, scn.T / scn.N)
         return u, iters, rel, len(calls)
 
     monkeypatch.setattr(evolution, "local_update", counting_update)
@@ -222,7 +222,7 @@ def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
 
     real = fem.Grid.make_solver
 
-    def direct(grid, D, factor=None, rtol=None):
+    def direct(grid, D, factor=None, rtol=None, iterations=None):
         if D is None:
             return real(grid, D, factor)
         free = grid.free_dofs
@@ -243,23 +243,24 @@ def test_newton_iterations_match_direct_solve_reference(name, monkeypatch):
 
 
 def test_plastic_solves_follow_forcing_term(monkeypatch):
-    # every plastic tangent K is solved to the forcing term
-    # eta = max(CG_RTOL, min(FORCING_MAX, |r| / scale)), and the CG
-    # correction meets it: |(K du + r)_free| <= eta |r_free|
+    # every plastic tangent K is solved to the safeguarded forcing term
+    # eta = max(CG_RTOL, min(FORCING_MAX, max(|r| / scale,
+    # 0.5 NEWTON_RTOL scale / |r|))), and the CG correction meets it:
+    # |(K du + r)_free| <= eta |r_free|
     scn = _plastic_scenario("mixed-boundary-kinematic")
     grid, params, data = scn.grid(), scn.material(), scn.data
     real = fem.Grid.make_solver
     solves = []
 
-    def recording(grid, D, factor, rtol=fem.CG_RTOL):
-        solve = real(grid, D, factor, rtol=rtol)
+    def recording(grid, D, factor, **kwargs):
+        solve = real(grid, D, factor, **kwargs)
         if D is None:
             return solve
         K = grid.assemble_tangent(D)
 
         def recorded(rhs):
             du = solve(rhs)
-            solves.append((K, rtol, rhs, du))
+            solves.append((K, kwargs["rtol"], rhs, du))
             return du
         return recorded
 
@@ -269,41 +270,121 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
     times = np.linspace(0.0, scn.T, scn.N + 1)
     dt = scn.T / scn.N
     free, dir_nodes = grid.free_dofs, grid.dirichlet_nodes
-    etas, u_prev, extrapolated = [], None, 0
+    a_inv = params.elastic.inverse()
+    etas, u_prev, extrapolated, safeguarded = [], None, 0, 0
     for k in range(scn.N):
         # driven as run() drives it: the regime of state_n picks the
         # predictor, and plastic states extrapolate from u_prev
         elastic_n = yield_excess(state, params).max() <= KINK_GUARD
-        # the residual and its scale at the step's unpredicted iterate
         t1 = times[k] + dt
-        u0 = u.copy()
-        u0[dir_nodes] = data.u0(t1, grid.nodes[dir_nodes])
-        deps = grid.sym_gradient(u0) - grid.sym_gradient(u)
-        fint = grid.internal_force(local_update(state, deps, dt, params).sigma)
         load = grid.load_vector(body_fn=data.body_force,
                                 sigma0_fn=data.sigma0, t=t1)
-        r0norm = np.linalg.norm((fint - load)[free])
+        strain_n = grid.sym_gradient(u)
+
+        def force(sigma):
+            r = grid.internal_force(sigma) - load
+            r[grid.dirichlet_dofs] = 0.0
+            return r
+
+        def residual(v):
+            return force(local_update(state, grid.sym_gradient(v) - strain_n,
+                                      dt, params).sigma)
+
+        # the scale: the internal force of the elastic trial stress at
+        # the unpredicted start, or of the start's own stress on an
+        # elastic-state step whose start stays within KINK_GUARD of yield
+        u0 = u.copy()
+        u0[dir_nodes] = data.u0(t1, grid.nodes[dir_nodes])
+        deps = grid.sym_gradient(u0) - strain_n
+        sigma = state.sigma + a_inv.apply(deps)
+        upd = local_update(state, deps, dt, params)
+        if elastic_n and yield_excess(upd, params).max() <= KINK_GUARD:
+            sigma = upd.sigma
+        r_trial = force(sigma)
         scale = max(np.linalg.norm(load[free]),
-                    np.linalg.norm(fint[free]), 1e-12)
+                    np.linalg.norm(grid.internal_force(sigma)[free]), 1e-12)
+        r_pred = None
+        if not elastic_n and u_prev is not None:
+            u_pred = 2.0 * u - u_prev
+            u_pred[dir_nodes] = u0[dir_nodes]
+            r_pred = np.linalg.norm(residual(u_pred)[free])
         solves.clear()
-        u_prev, (u, _, state, _, _) = u, stepper.step(
-            u, grid.sym_gradient(u), state, times[k], dt,
-            elastic_n=elastic_n, u_prev=u_prev)
+        u_prev, (u, _, state, _, _, _) = u, stepper.step(
+            u, strain_n, state, times[k], dt, elastic_n=elastic_n,
+            u_prev=u_prev)
         for K, eta, rhs, du in solves:
             rnorm = np.linalg.norm(rhs[free])
+            guard = 0.5 * evolution.NEWTON_RTOL * scale / rnorm
             assert eta == pytest.approx(
-                max(fem.CG_RTOL, min(evolution.FORCING_MAX, rnorm / scale)),
-                rel=1e-12)
+                max(fem.CG_RTOL, min(evolution.FORCING_MAX,
+                                     max(rnorm / scale, guard))), rel=1e-12)
             assert np.linalg.norm((K @ du - rhs)[free]) <= eta * rnorm
             etas.append(eta)
-        # a kept extrapolation hands CG a residual below the unpredicted one
-        if not elastic_n and k > 0 and solves:
-            extrapolated += np.linalg.norm(solves[0][2][free]) < r0norm
+            safeguarded += (guard > rnorm / scale
+                            and eta == pytest.approx(guard, rel=1e-12))
+        # a kept extrapolation hands CG its own residual, below the
+        # elastic trial stress's
+        if r_pred is not None and solves:
+            first = np.linalg.norm(solves[0][2][free])
+            extrapolated += (r_pred < np.linalg.norm(r_trial[free])
+                             and first == pytest.approx(r_pred, rel=1e-12))
     assert etas, "the scenario has no plastic Newton iteration"
     assert extrapolated, "no plastic solve started from an extrapolation"
+    assert safeguarded, "the safeguard set no forcing term"
     assert etas[0] == evolution.FORCING_MAX
     assert min(etas) >= fem.CG_RTOL
     assert min(etas) < evolution.FORCING_MAX
+
+
+def test_plastic_state_step_updates_once_per_solve(monkeypatch):
+    # given the true u_prev, a plastic-state step forms one residual at
+    # its kept extrapolation and one per Newton correction: the
+    # unpredicted start's local update is skipped
+    scn = _plastic_scenario("mixed-boundary-kinematic")
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
+    plastic = np.flatnonzero(energy.overshoot_linf[:-1] > KINK_GUARD)
+    assert plastic.size and plastic[0] > 0
+    calls = []
+    real_update = evolution.local_update
+
+    def counting_update(*args, **kwargs):
+        calls.append(1)
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "local_update", counting_update)
+    stepper = evolution._Stepper(grid, params, data)
+    for k in plastic:
+        calls.clear()
+        u, _, _, iters, _, _ = stepper.step(
+            hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
+            hist.times[k], hist.dt, u_prev=hist.u[k - 1])
+        assert iters > 0, k
+        assert len(calls) == iters + 1, k
+        np.testing.assert_array_equal(u, hist.u[k + 1])
+
+
+def test_cg_iterations_are_recorded_per_step(monkeypatch):
+    # the recorded CG iterations are the iterations scipy's cg reports
+    # through its callback, step by step; elastic steps take none
+    real_cg = fem.sparse_linalg.cg
+    counted = []
+
+    def counting_cg(A, b, *args, **kwargs):
+        def count(_xk):
+            counted[-1] += 1
+        counted.append(0)
+        return real_cg(A, b, *args, callback=count, **kwargs)
+
+    monkeypatch.setattr(fem.sparse_linalg, "cg", counting_cg)
+    scn = _plastic_scenario("mixed-boundary-kinematic")
+    _, energy = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
+                              scn.N, record=None)
+    assert energy.cg_iterations.shape == (scn.N,)
+    assert energy.cg_iterations.sum() == sum(counted) > 0
+    assert len(counted) <= energy.newton_iters.sum()
+    elastic = energy.overshoot_linf[1:] == 0.0
+    assert elastic.any() and not energy.cg_iterations[elastic].any()
 
 
 def test_plastic_run_assembles_stiffness_once(monkeypatch):
@@ -317,10 +398,10 @@ def test_plastic_run_assembles_stiffness_once(monkeypatch):
         assembled.append(D)
         return real_assemble(grid, D)
 
-    def make_solver(grid, D, factor, rtol=fem.CG_RTOL):
+    def make_solver(grid, D, factor, **kwargs):
         if D is not None:
             plastic.append(D)
-        return real_solver(grid, D, factor, rtol=rtol)
+        return real_solver(grid, D, factor, **kwargs)
 
     monkeypatch.setattr(fem.Grid, "assemble_tangent", assemble)
     monkeypatch.setattr(fem.Grid, "make_solver", make_solver)
@@ -432,10 +513,12 @@ def test_steps_before_yield_take_one_elastic_solve(monkeypatch):
 
 def test_elastic_run_is_the_documented_elastic_step():
     # every step of an elastic run is u_n + K0^-1 (-r(u_n)), with u_n
-    # carrying the new Dirichlet values: same bits, in every field
+    # carrying the new Dirichlet values: same bits, in every field and
+    # in the Newton record, its residual taken against the scale
+    # max(|load_free|, |f_int(sigma(u_n))_free|)
     scn = load_benchmark("elastic-only", n=8, N=5)
     grid, params, data = scn.grid(), scn.material(), scn.data
-    hist, _ = evolution.run(grid, params, data, scn.T, scn.N)
+    hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
 
     a_inv = np.linalg.inv(params.elastic.matrix)
     D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
@@ -459,9 +542,14 @@ def test_elastic_run_is_the_documented_elastic_step():
         u_start = u.copy()
         u_start[grid.dirichlet_nodes] = data.u0(t1, grid.dirichlet_points)
         r, _ = residual(u_start)
+        free = grid.free_dofs
+        scale = max(np.linalg.norm(load[free]),
+                    np.linalg.norm((r + load)[free]), 1e-12)
         u_next = u_start + solve(-r).reshape(grid.nnodes, grid.d)
-        _, state = residual(u_next)
+        r_next, state = residual(u_next)
         u = u_next
+        assert energy.newton_iters[k] == 1 and energy.cg_iterations[k] == 0
+        assert energy.residual_rel[k] == np.linalg.norm(r_next[free]) / scale
         assert np.array_equal(hist.u[k + 1], u), k
         for name in ("sigma", "xi", "ep"):
             assert np.array_equal(getattr(hist, name)[k + 1],
@@ -469,8 +557,10 @@ def test_elastic_run_is_the_documented_elastic_step():
 
 
 def test_bad_previous_displacement_is_rejected():
-    # the extrapolation 2 u_n - u_prev is kept only if it lowers |r|: a
-    # bad u_prev leaves the step as it is without a predictor
+    # the extrapolation 2 u_n - u_prev is kept only if its |r| is below
+    # the elastic trial stress's at the unpredicted start: a bad u_prev
+    # leaves the step as it is without a predictor, and a non-finite one
+    # gives the very bits of no predictor
     scn = _plastic_scenario("mixed-boundary-kinematic")
     grid, params, data = scn.grid(), scn.material(), scn.data
     hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
@@ -479,16 +569,28 @@ def test_bad_previous_displacement_is_rejected():
     stepper = evolution._Stepper(grid, params, data)
     args = (hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
             hist.times[k], hist.dt)
-    u_ref, _, state_ref, iters_ref, _ = stepper.step(*args)
-    _, _, _, iters_good, _ = stepper.step(*args, u_prev=hist.u[k - 1])
+    ref = stepper.step(*args)
+    u_ref, _, state_ref, iters_ref, _, _ = ref
+    _, _, _, iters_good, _, _ = stepper.step(*args, u_prev=hist.u[k - 1])
     assert iters_good < iters_ref         # the true u_{n-1} helps
     rng = np.random.default_rng(11)
     bad = hist.u[k] + rng.standard_normal(hist.u[k].shape)
-    u_bad, _, state_bad, iters_bad, _ = stepper.step(*args, u_prev=bad)
+    u_bad, _, state_bad, iters_bad, _, _ = stepper.step(*args, u_prev=bad)
     assert iters_bad <= iters_ref
     np.testing.assert_allclose(u_bad, u_ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(state_bad.sigma, state_ref.sigma, rtol=0,
                                atol=1e-9)
+    for value in (np.nan, np.inf):
+        u_prev = hist.u[k - 1].copy()
+        u_prev.reshape(-1)[grid.free_dofs[0]] = value
+        # inf - inf in the extrapolated strain raises numpy's invalid flag
+        with np.errstate(invalid="ignore" if value == np.inf else "warn"):
+            out = stepper.step(*args, u_prev=u_prev)
+        for got, want in zip(out[:2] + out[3:], ref[:2] + ref[3:]):
+            assert np.array_equal(got, want), value
+        for name in ("sigma", "xi", "ep"):
+            assert np.array_equal(getattr(out[2], name),
+                                  getattr(state_ref, name)), (value, name)
 
 
 def _sigma0(scn):
@@ -618,8 +720,8 @@ def test_run_single_step_equals_step():
     hist, _ = evolution.run(grid, params, scn.data, scn.T, 1)
     stepper = evolution._Stepper(grid, params, scn.data)
     u0, state0 = evolution.initial_state(grid, params, scn.data)
-    u1, _, state1, _, _ = stepper.step(u0, grid.sym_gradient(u0), state0,
-                                       0.0, scn.T)
+    u1, _, state1, _, _, _ = stepper.step(u0, grid.sym_gradient(u0),
+                                          state0, 0.0, scn.T)
     np.testing.assert_allclose(hist.u[1], u1, atol=0)
     np.testing.assert_allclose(hist.sigma[1], state1.sigma, atol=0)
 
@@ -635,7 +737,7 @@ def test_run_single_step_equals_step():
     u_prev = None
     for k in range(scn.N):
         elastic_n = energy.overshoot_linf[k] <= KINK_GUARD
-        u_new, strain, state, _, _ = stepper.step(
+        u_new, strain, state, _, _, _ = stepper.step(
             u, grid.sym_gradient(u), state, hist.times[k], hist.dt,
             elastic_n=elastic_n, u_prev=u_prev)
         assert np.array_equal(strain, grid.sym_gradient(u_new)), k

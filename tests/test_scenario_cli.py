@@ -148,6 +148,32 @@ def test_reproducible_rerun_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_reproducible_output_independent_of_blas_threads(tmp_path):
+    # an n = 32 elastic probe under one and two BLAS threads writes the
+    # same bytes in every output but meta.json (its wall-clock data)
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(load_benchmark("elastic-only",
+                                                  n=32).config))
+    src = str(Path(plastprobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "PYTHONPATH": path,
+               **{k: threads for k in ("OMP_NUM_THREADS",
+                                       "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}}
+        done = subprocess.run(
+            [sys.executable, "-m", "plastprobe.cli", "probe", str(scn_file),
+             "--out", str(out), "--reproducible"],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "meta.json"})
+    assert {"report.json", "energy.csv"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_validate_ok_and_failure(tmp_path, capsys):
     assert cli_main(["validate", "elastic-only"]) == 0
     assert capsys.readouterr().out == "elastic-only: ok\n"
@@ -424,8 +450,9 @@ def test_cli_sweep(tmp_path):
 
 
 def _newton_block_ok(block, N):
-    assert len(block["iterations"]) == N
-    assert all(isinstance(k, int) and k >= 0 for k in block["iterations"])
+    for key in ("iterations", "cg_iterations"):
+        assert len(block[key]) == N
+        assert all(isinstance(k, int) and k >= 0 for k in block[key])
     assert 0.0 <= block["max_relative_residual"] <= evolution.NEWTON_RTOL
 
 
