@@ -21,7 +21,11 @@ keeps the read-only result on it, which the Rothe step's regime check,
 consistent_tangent and the energy accumulator share.  Where no trial
 point yields, the radial return is the elastic trial state: it returns
 (sigma_tr, xi_n, ep_n), sharing the xi and ep arrays of its input, with
-an all-zero excess already measured.
+an all-zero excess already measured.  Otherwise it keeps on the state it
+returns its trial deviator and trial radius, keyed the same way, and the
+closed-form tangent (Simo & Taylor 1985) reads its flow direction and
+radius from them, once, instead of measuring the returned deviator
+again.
 """
 
 from __future__ import annotations
@@ -175,6 +179,11 @@ class ConstitutiveState:
     # (params, sigma, xi, excess) of the measurement yield_excess keeps
     _excess: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    # (params, sigma, xi, b_tr, beta_tr): the trial radius and deviator of
+    # the radial return that made this state (_fast_update, plastic
+    # branch), until consistent_tangent reads them
+    _flow: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def zeros(cls, model: str, d: int, shape: tuple = ()) -> "ConstitutiveState":
@@ -198,11 +207,19 @@ def yield_excess(state: ConstitutiveState, params: MaterialParams) -> np.ndarray
     it was measured under (another params, or a state whose sigma or xi
     was reassigned, is measured again).
     """
-    memo = state._excess
+    kept = _read_kept(state._excess, state, params)
+    if kept is not None:
+        return kept[0]
+    return _keep_excess(state, params, _measure_excess(state, params))
+
+
+def _read_kept(memo, state, params):
+    """The data of memo = (params, sigma, xi, *data) if it was kept under
+    this params object for the state's current sigma and xi, else None."""
     if memo is not None and memo[0] is params and memo[1] is state.sigma \
             and memo[2] is state.xi:
-        return memo[3]
-    return _keep_excess(state, params, _measure_excess(state, params))
+        return memo[3:]
+    return None
 
 
 def _measure_excess(state, params):
@@ -226,6 +243,9 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
 
     When no trial point yields (a NaN yields) and the state needs no
     broadcasting, returns the trial state with its zero excess kept.
+    Otherwise the returned state keeps the trial radius b_tr and the
+    trial deviator beta_tr (dev sigma_tr - dev xi_n, resp. dev sigma_tr),
+    read-only, for consistent_tangent.
     """
     a_inv = params.elastic.inverse()
     sigma_tr = state.sigma + a_inv.apply(deps)
@@ -250,20 +270,25 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
         sigma = sigma_tr - dt * inv_a_dev * p_vec
         xi = state.xi + dt * inv_h_dev * p_vec
     else:
-        s_tr_vec = dev(sigma_tr)
-        s_tr = norm(s_tr_vec)
-        g_tr = s_tr - params.kappa - state.xi
+        beta_tr = dev(sigma_tr)
+        b_tr = norm(beta_tr)
+        g_tr = b_tr - params.kappa - state.xi
         if unbroadcast and np.all(g_tr <= 0.0):
             return _trial_state(sigma_tr, state, params)
         c = inv_a_dev + 1.0 / params.hardening_modulus
         g = np.maximum(g_tr, 0.0) / (1.0 + ratio * c)
         q = g / params.mu
-        denom = np.where(s_tr > 0.0, s_tr, 1.0)
-        p_vec = (q / denom)[..., None] * s_tr_vec
+        denom = np.where(b_tr > 0.0, b_tr, 1.0)
+        p_vec = (q / denom)[..., None] * beta_tr
         sigma = sigma_tr - dt * inv_a_dev * p_vec
         xi = state.xi + dt * q / params.hardening_modulus
     ep = state.ep + dt * p_vec
-    return ConstitutiveState(sigma=sigma, xi=xi, ep=ep)
+    new = ConstitutiveState(sigma=sigma, xi=xi, ep=ep)
+    b_tr = np.asarray(b_tr)
+    for a in (b_tr, beta_tr):
+        a.flags.writeable = False
+    new._flow = (params, sigma, xi, b_tr, beta_tr)
+    return new
 
 
 def _trial_state(sigma_tr, state, params):
@@ -420,7 +445,12 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     Linearizes the implicit system at the converged state: in closed
     form when params.is_fast, by a batched linear solve otherwise.  Points
     within KINK_GUARD of the yield surface use the elastic branch (either
-    one-sided derivative keeps the global Newton convergent).
+    one-sided derivative keeps the global Newton convergent); the active
+    set and q come from yield_excess.  The closed form reads its flow
+    direction and trial radius from the trial data the radial return
+    kept on updated, and drops them from updated once read; it measures
+    the deviator of updated when none is kept for params and the state's
+    current sigma and xi.
     """
     deps = np.asarray(deps, dtype=float)
     if updated is None:
@@ -445,12 +475,8 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
 
     # radial return: sigma = sigma_tr - (dt/a) q n, with a the deviatoric
     # modulus of A, q = excess/mu affine in the trial radius
-    # |beta| + dt q c_tr, and n = beta/|beta|; differentiating gives
-    # d sigma/d deps = A^-1 - c1 P_dev - c2 n (x) n.
-    beta = np.asarray(beta_of(updated, params)).reshape(-1, m)[act]
-    b = norm(beta)
-    nvec = beta / np.where(b > 0, b, 1.0)[:, None]
-    nn = nvec[:, :, None] * nvec[:, None, :]
+    # b_tr = |beta| + dt q c_tr, and n = beta/|beta| = beta_tr/b_tr;
+    # differentiating gives d sigma/d deps = A^-1 - c1 P_dev - c2 n (x) n.
     inv_a = 1.0 / params.elastic.dev_modulus
     if params.model == KINEMATIC:
         inv_h = 1.0 / params.hardening_tensor.dev_modulus
@@ -459,10 +485,28 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
         inv_h = 1.0 / params.hardening_modulus
         c_tr = inv_a
     q = excess[act] / params.mu
-    c1 = dt * inv_a**2 * q / (b + dt * q * c_tr)
+    kept = _read_kept(updated._flow, updated, params)
+    if kept is None:
+        beta = np.asarray(beta_of(updated, params)).reshape(-1, m)[act]
+        b = norm(beta)
+        nvec = beta / np.where(b > 0, b, 1.0)[:, None]
+        b_tr = b + dt * q * c_tr
+    else:
+        # an active point has b_tr > kappa > 0
+        b_tr = kept[0].reshape(-1)[act]
+        nvec = kept[1].reshape(-1, m)[act]
+        nvec /= b_tr[:, None]
+        # read once: the trial data then go with this call's temporaries
+        # instead of living as long as the state (a lower peak RSS)
+        updated._flow = None
+    c1 = dt * inv_a**2 * q / b_tr
     c2 = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1
-    out_flat[act] -= (c1[:, None, None] * dev_projector(params.d)
-                      + c2[:, None, None] * nn)
+    # c1 P_dev + c2 n (x) n in the n (x) n buffer: the bits of the plain
+    # sum, with two (active points, m, m) temporaries fewer
+    corr = nvec[:, :, None] * nvec[:, None, :]
+    corr *= c2[:, None, None]
+    corr += c1[:, None, None] * dev_projector(params.d)
+    out_flat[act] -= corr
     return out
 
 

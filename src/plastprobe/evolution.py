@@ -252,23 +252,33 @@ def initial_state(grid: Grid, params: MaterialParams, data):
     return u0, ConstitutiveState(sigma=sigma0, xi=xi0, ep=ep0)
 
 
+def elastic_factor(grid: Grid, elastic):
+    """LU factors (Grid.factorize) of the stiffness of the elastic
+    compliance tensor elastic on grid.  It does not depend on mu, so a
+    sweep factors it once and hands it to each run."""
+    a_inv = np.linalg.inv(elastic.matrix)
+    D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
+    return grid.factorize(grid.assemble_tangent(np.ascontiguousarray(D)))
+
+
 class _Stepper:
     """Shared machinery for one Rothe step, around one elastic factorization.
 
-    The elastic stiffness is constant: its LU factors give the exact
-    solve of the elastic predictor and of an elastic Newton step, and
-    precondition CG on the plastic tangents.
+    The elastic stiffness is constant: its LU factors (elastic_factor,
+    made here unless given) give the exact solve of the elastic
+    predictor and of an elastic Newton step, and precondition CG on the
+    plastic tangents.
     """
 
-    def __init__(self, grid: Grid, params: MaterialParams, data):
+    def __init__(self, grid: Grid, params: MaterialParams, data,
+                 factor=None):
         self.grid = grid
         self.params = params
         self.data = data
-        a_inv = np.linalg.inv(params.elastic.matrix)
-        D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
-        K = grid.assemble_tangent(np.ascontiguousarray(D))
-        self._factor = grid.factorize(K)
-        self._elastic_solve = grid.make_solver(None, self._factor)
+        if factor is None:
+            factor = elastic_factor(grid, params.elastic)
+        self._factor = factor
+        self._elastic_solve = grid.make_solver(None, factor)
 
     def step(self, u_n, strain_n, state_n, t_n, dt, elastic_n=False,
              u_prev=None):
@@ -445,7 +455,7 @@ def _energy_report(acc, times) -> EnergyReport:
 
 
 def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
-        record="all"):
+        record="all", factor=None):
     """Execute N backward-Euler steps; returns (history | None, EnergyReport).
 
     record maps names of RECORDED to the box of cells each is kept on at
@@ -453,11 +463,12 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
     it leaves out is kept on an empty box; "all" keeps every field on
     the whole grid, and None keeps no history (sweeps only need the
     streamed diagnostics).  The report carries the Newton record either
-    way.
+    way.  factor is elastic_factor(grid, params.elastic), made here when
+    None (a sweep hands each run its one factor).
     """
     dt = T / N
     times = np.linspace(0.0, T, N + 1)
-    stepper = _Stepper(grid, params, data)
+    stepper = _Stepper(grid, params, data, factor)
     u, state = initial_state(grid, params, data)
     strain = grid.sym_gradient(u)
 

@@ -18,7 +18,8 @@ data generator may evaluate its profiles once per point set.
 Force and load vectors, and the products of the CG solver, are summed
 from per-cell contributions with ``bincount``.  A stiffness is assembled
 into a sparse matrix only to be LU factored (the elastic one, once per
-run); CG takes a tangent as its element matrices.
+run or sweep); CG takes a tangent as its element matrices, which one
+matrix product of a per-grid table with the modulus field gives.
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ class Grid:
 
     Every cell has the same element operators (shape_values, shape_grads,
     B) and the same read-only, symmetric H^1 Gram matrix of the Gauss
-    rule, h1_gram = w sum_q (N_q N_q^T + sum_j G_qj G_qj^T).
+    rule, h1_gram = w sum_q (N_q N_q^T + sum_j G_qj G_qj^T).  The
+    read-only element_table, ((d 2^d)^2, nqp m m), holds w B[q,m,a,i]
+    B[q,n,b,j] at row (i, j, a, b) and column (q, m, n): its product with
+    a modulus field reshaped to (ncells, nqp m m) gives every cell's
+    element matrix.
     """
 
     def __init__(self, geometry: Geometry, n: int):
@@ -148,6 +153,10 @@ class Grid:
                     outer[i, :] = gradN[q, a, :]
                     B[q, :, a, i] = tensors.from_matrix(0.5 * (outer + outer.T))
         self.B = B
+        table = np.einsum("qmai,qnbj->ijabqmn", B, B)
+        table *= self.qp_weight
+        self.element_table = _read_only(
+            table.reshape((d * nloc) ** 2, nqp * self.m ** 2))
 
     # -- boundary ----------------------------------------------------------
 
@@ -336,9 +345,10 @@ class Grid:
         one per iteration, as cg starts from x = 0.  CG needs only
         products K x, which are summed element by element from the
         element matrices (Hughes, Levit & Winget 1983), so K is never
-        assembled.  A hardening tangent stays spectrally close to the
-        elastic stiffness, so with the elastic K0 as preconditioner CG
-        needs few iterations.
+        assembled; the element matrices are one product (a GEMM) of
+        element_table with D_qp.  A hardening tangent stays spectrally
+        close to the elastic stiffness, so with the elastic K0 as
+        preconditioner CG needs few iterations.
         """
         free = self.free_dofs
 
@@ -352,11 +362,11 @@ class Grid:
         d, ndof = self.d, self.nnodes * self.d
         fixed = self.dirichlet_dofs
         # Ke[i, j, a, b, c] couples dof i of corner a with dof j of
-        # corner b in cell c; cells last is the einsum's own output
-        # layout, and it keeps the product's inner loop contiguous
-        Ke = np.einsum("qmai,cqmn,qnbj->ijabc", self.B, D_qp, self.B,
-                       optimize=True)
-        Ke *= self.qp_weight
+        # corner b in cell c; cells last keeps the product's inner loop
+        # contiguous
+        nloc = self.shape_values.shape[1]
+        Ke = (self.element_table @ np.reshape(D_qp, (self.ncells, -1)).T
+              ).reshape(d, d, nloc, nloc, self.ncells)
         dofs = np.ascontiguousarray(
             self.cell_dofs.reshape(self.ncells, -1, d).T)   # (d, nloc, c)
 

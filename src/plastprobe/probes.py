@@ -601,20 +601,31 @@ def mu_sweep(scenario):
     """Run the scenario once per mu and compare the uniform quantities.
 
     Spread ratios are max/min over the sweep; the overshoot decay slope
-    is the log-log fit of the final-time overshoot against mu.  Failed
-    runs are recorded as partial entries.  A run records the fields its
-    probe tables read (record_plan), and nothing without probes; an entry
-    keeps its run's ProbeReport (exponents and interpolation check).
+    is the log-log fit of the final-time overshoot against mu.  The
+    elastic stiffness does not depend on mu: it is factored once, and
+    every run is handed that factor, which the sweep drops on return.
+    Failed runs are recorded as partial entries; a failed factorization
+    fails every mu.  A run records the fields its probe tables read
+    (record_plan), and nothing without probes; an entry keeps its run's
+    ProbeReport (exponents and interpolation check).
     """
     mus = sorted((float(m) for m in scenario.mu_list), reverse=True)
     record = record_plan(scenario)
+    grid = scenario.grid()
+    factor = failure = None
+    try:
+        factor = evolution.elastic_factor(grid, scenario.material().elastic)
+    except SolverFailure as exc:
+        failure = exc
     entries, failures = [], []
     for mu in mus:
         params = scenario.material(mu)
         try:
+            if failure is not None:
+                raise failure
             history, report = evolution.run(
-                scenario.grid(), params, scenario.data, scenario.T,
-                scenario.N, record=record)
+                grid, params, scenario.data, scenario.T, scenario.N,
+                record=record, factor=factor)
         except SolverFailure as exc:
             entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
                                       probes=None, failure=str(exc)))

@@ -252,6 +252,73 @@ def test_closed_form_tangent_matches_batched_solve(model, d):
         assert np.all(excess > KINK_GUARD)
 
 
+def _fresh(state):
+    """The same arrays in a state that keeps nothing."""
+    return ConstitutiveState(state.sigma, state.xi, state.ep)
+
+
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+@pytest.mark.parametrize("d", [2, 3])
+def test_kept_flow_tangent_equals_the_measured_one(model, d, monkeypatch):
+    # the closed-form tangent read from the radial return's kept trial
+    # data matches the one that measures the returned deviator, also just
+    # above KINK_GUARD; a state whose data were read already, whose sigma
+    # or xi was reassigned, or that is read under another params object,
+    # is measured: bit for bit the tangent of a state that keeps nothing
+    import dataclasses
+
+    from plastprobe import constitutive
+    rng = np.random.default_rng(50 + d)
+    m = tensors.num_components(d)
+    elastic = Tensor4Sym.isotropic(d, dev_modulus=0.7, vol_modulus=0.4)
+    params = make_params(model, d, mu=0.05, elastic=elastic,
+                         hardening=Tensor4Sym.isotropic(d, 1.3, 2.0), H=1.3)
+    n_dir = tensors.dev(rng.standard_normal((8, m)))
+    n_dir /= norm(n_dir)[:, None]
+
+    def no_measure(*args):
+        raise AssertionError("measured a state that keeps its flow")
+
+    for ratio in (1e-3, 1e-1, 1.0, 10.0, 500.0):
+        dt = ratio * params.mu
+        state = ConstitutiveState.zeros(model, d, (40,))
+        state.sigma = 0.3 * rng.standard_normal((40, m))
+        deps = 2.0 * rng.standard_normal((40, m))
+        c = 1.0 / 0.7 + 1.0 / 1.3
+        g = np.array([2e-10, 1e-9, 1e-8, 1e-6] * 2)[:, None]
+        near = ConstitutiveState.zeros(model, d, (8,))
+        near_deps = 0.7 * (params.kappa + g * (1.0 + ratio * c)) * n_dir
+        for st, de in ((state, deps), (near, near_deps)):
+            upd = local_update(st, de, dt, params)
+            excess = yield_excess(upd, params)
+            assert np.all(excess > KINK_GUARD) if st is near \
+                else excess.max() > KINK_GUARD
+            measured = consistent_tangent(st, de, dt, params,
+                                          updated=_fresh(upd))
+            with monkeypatch.context() as mp:
+                mp.setattr(constitutive, "beta_of", no_measure)
+                kept = consistent_tangent(st, de, dt, params, updated=upd)
+            err = np.linalg.norm(kept - measured, axis=(-2, -1))
+            assert np.all(err <= 1e-12 * np.linalg.norm(measured,
+                                                         axis=(-2, -1)))
+            # the data are read once: a second tangent measures
+            again = consistent_tangent(st, de, dt, params, updated=upd)
+            assert again.tobytes() == measured.tobytes()
+            # reassigned arrays and other params are measured again
+            other = dataclasses.replace(params, mu=2.0 * params.mu)
+            cases = [(local_update(st, de, dt, params), other)]
+            for name, factor in (("sigma", 1.5), ("xi", 0.5)):
+                moved = local_update(st, de, dt, params)
+                setattr(moved, name, getattr(moved, name) * factor)
+                cases.append((moved, params))
+            for moved, prm in cases:
+                assert np.any(yield_excess(moved, prm) > KINK_GUARD)
+                got = consistent_tangent(st, de, dt, prm, updated=moved)
+                ref = consistent_tangent(st, de, dt, prm,
+                                         updated=_fresh(moved))
+                assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
 @pytest.mark.parametrize("d", [2, 3])
 def test_local_jacobian_matches_oracle_residual(model, d):

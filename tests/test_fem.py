@@ -343,3 +343,46 @@ def test_preconditioned_cg_matches_sparse_direct_solve(mode):
         # the elastic factors alone solve the elastic system exactly
         x = g.make_solver(None, factor)(rhs)
         np.testing.assert_allclose(K_el[free] @ x, rhs[free], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["fast", "general", "unsymmetric"])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
+def test_cg_product_is_the_assembled_tangent(d, n, kind, monkeypatch):
+    # the product CG applies equals the free block of assemble_tangent(D)
+    # to round-off: a radial-return tangent, a general-branch tangent and
+    # a modulus field without symmetry, which an index-order slip in the
+    # element table would not survive
+    from plastprobe import fem
+    g = build_grid(Geometry(d=d, mode="mixed"), n)
+    m = g.m
+    rng = np.random.default_rng(40 + d)
+    elastic = Tensor4Sym.isotropic(d, dev_modulus=1.0, vol_modulus=0.5)
+    if kind == "general":
+        elastic = Tensor4Sym.from_matrix(elastic.matrix)
+    params = MaterialParams(elastic=elastic, model="isotropic", kappa=1.0,
+                            mu=0.1, hardening_modulus=1.0)
+    if kind == "unsymmetric":
+        D = rng.standard_normal((g.ncells, g.nqp, m, m))
+    else:
+        state = ConstitutiveState.zeros("isotropic", d, (g.ncells, g.nqp))
+        deps = 1.5 * rng.standard_normal((g.ncells, g.nqp, m))
+        D = consistent_tangent(state, deps, 0.05, params)
+        assert not np.allclose(D, np.linalg.inv(elastic.matrix))
+    operators = []
+
+    def capture(A, b, **kwargs):
+        operators.append(A)
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(fem.sparse_linalg, "cg", capture)
+    a_inv = np.broadcast_to(np.linalg.inv(elastic.matrix),
+                            (g.ncells, g.nqp, m, m))
+    factor = g.factorize(g.assemble_tangent(np.ascontiguousarray(a_inv)))
+    g.make_solver(D, factor)(np.ones(g.nnodes * d))
+    x = rng.standard_normal(g.nnodes * d)
+    x[g.dirichlet_dofs] = 0.0
+    y = operators[0].matvec(x)
+    free = g.free_dofs
+    ref = g.assemble_tangent(D)[free][:, free] @ x[free]
+    assert np.all(y[g.dirichlet_dofs] == 0.0)
+    assert np.linalg.norm(y[free] - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -1,11 +1,13 @@
 """Difference quotients, seminorm closed forms, exponent fits, targets."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from plastprobe import evolution, probes
+from plastprobe.cli import main as cli_main
 from plastprobe.constitutive import SolverFailure
 from plastprobe.evolution import FieldHistory
 from plastprobe.fem import Geometry, build_grid, make_cutoff
@@ -13,7 +15,7 @@ from plastprobe.probes import (INTERPOLATION_FIELDS, ExponentTargets,
                                diff_quotient, fit_exponent,
                                interpolation_check, mu_sweep, seminorm_table,
                                target_exponents, target_for)
-from plastprobe.scenario import SCHEMA, load_benchmark
+from plastprobe.scenario import SCHEMA, benchmark_path, load_benchmark
 
 
 def _grid_and_cutoff(n=4, mode="mixed"):
@@ -389,13 +391,15 @@ def test_mu_sweep_partial_report_on_failure(monkeypatch):
 
 @pytest.mark.parametrize("error", [("splu", None), ("cg", 1), ("local", 0)])
 def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
-                                                    monkeypatch):
-    # a solve made to fail where it arises, in the run at mu = 0.001 only,
-    # leaves run() as a SolverFailure marked with its step (none for the
-    # factorization before step 0); the sweep records it and goes on
+                                                    monkeypatch, tmp_path,
+                                                    capsys):
+    # a CG or local solve made to fail where it arises, in the run at
+    # mu = 0.001 only, leaves run() as a SolverFailure marked with its
+    # step; the sweep records it and goes on.  The one factorization of
+    # the sweep, before any run, fails every mu, with no step
     kind, step = error
-    scn = load_benchmark("mixed-boundary-kinematic", n=4, N=2, probes=[],
-                         mu=[0.1, 0.001], allow_coarse_dt=True)
+    config = dict(n=4, N=2, probes=[], mu=[0.1, 0.001], allow_coarse_dt=True)
+    scn = load_benchmark("mixed-boundary-kinematic", **config)
     real_run = evolution.run
     runs = []
 
@@ -404,11 +408,67 @@ def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
         return real_run(grid, params, data, T, N, **kw)
 
     monkeypatch.setattr(evolution, "run", tracked_run)
+    if kind == "splu":
+        message = solver_fault(kind)
+        rep = mu_sweep(scn)
+        assert rep.failures == [{"mu": mu, "error": message}
+                                for mu in (0.1, 0.001)]
+        assert [(e.mu, e.failure, e.newton) for e in rep.entries] \
+            == [(0.1, message, None), (0.001, message, None)]
+        assert runs == []
+        # sweep still writes its partial report and exits 3
+        with open(benchmark_path("mixed-boundary-kinematic")) as fh:
+            cfg = {**json.load(fh), **config}
+        scn_file = tmp_path / "scn.json"
+        scn_file.write_text(json.dumps(cfg))
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", str(scn_file), "--out", str(out)]) == 3
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert [e["failure"] for e in summary["entries"]] == [message] * 2
+        assert "partial" in capsys.readouterr().err
+        return
     message = solver_fault(kind, armed=lambda: runs[-1] < 0.01)
     rep = mu_sweep(scn)
-    where = "" if step is None else f"step {step}: "
-    assert rep.failures == [{"mu": 0.001, "error": where + message}]
+    assert rep.failures == [{"mu": 0.001, "error": f"step {step}: {message}"}]
     assert [e.mu for e in rep.entries if e.failure is None] == [0.1]
+
+
+def test_mu_sweep_factors_once_and_runs_as_a_lone_run(monkeypatch):
+    # a 2-mu sweep calls splu once, and each mu's run, handed that
+    # factor, has the bits of a standalone run at that mu
+    from dataclasses import fields
+
+    from plastprobe import fem
+    scn = load_benchmark("mixed-boundary-kinematic", n=4, N=4, probes=[],
+                         mu=[0.1, 0.001], allow_coarse_dt=True)
+    real_splu, real_run = fem.sparse_linalg.splu, evolution.run
+    factorizations, reports = [], {}
+
+    def counted_splu(*args, **kwargs):
+        factorizations.append(args)
+        return real_splu(*args, **kwargs)
+
+    def kept_run(grid, params, data, T, N, **kw):
+        out = real_run(grid, params, data, T, N, **kw)
+        reports[params.mu] = out[1]
+        return out
+
+    monkeypatch.setattr(fem.sparse_linalg, "splu", counted_splu)
+    monkeypatch.setattr(evolution, "run", kept_run)
+    rep = mu_sweep(scn)
+    assert len(factorizations) == 1
+    monkeypatch.undo()
+    assert [e.mu for e in rep.entries] == [0.1, 0.001]
+    for entry in rep.entries:
+        swept = reports[entry.mu]
+        assert swept.cg_iterations.sum() > 0          # plastic steps ran
+        _, alone = evolution.run(scn.grid(), scn.material(entry.mu),
+                                 scn.data, scn.T, scn.N, record=None)
+        for f in fields(evolution.EnergyReport):
+            got, ref = getattr(swept, f.name), getattr(alone, f.name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert entry.newton == probes.newton_summary(alone)
+        assert entry.energy_summary == probes.energy_summary(alone)
 
 
 @pytest.mark.parametrize("d, axis", [
