@@ -25,7 +25,9 @@ an all-zero excess already measured.  Otherwise it keeps on the state it
 returns its trial deviator and trial radius, keyed the same way, and the
 closed-form tangent (Simo & Taylor 1985) reads its flow direction and
 radius from them, once, instead of measuring the returned deviator
-again.
+again.  The radial return and the closed-form tangent form no
+field-sized temporaries, and give the bits of their plain array
+formulas (the kernel rule of tensors).
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensors
-from .tensors import Tensor4Sym, check_ellipticity, dev, dev_projector, norm
+from .tensors import (Tensor4Sym, check_ellipticity, dev, dev_diff,
+                      dev_projector, norm)
 
 KINEMATIC = "kinematic"
 ISOTROPIC = "isotropic"
@@ -196,7 +199,7 @@ class ConstitutiveState:
 def beta_of(state: ConstitutiveState, params: MaterialParams) -> np.ndarray:
     """Argument of the penalty: dev sigma - dev xi (kinematic) or dev sigma."""
     if params.model == KINEMATIC:
-        return dev(state.sigma) - dev(state.xi)
+        return dev_diff(state.sigma, state.xi)
     return dev(state.sigma)
 
 
@@ -245,10 +248,12 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
     broadcasting, returns the trial state with its zero excess kept.
     Otherwise the returned state keeps the trial radius b_tr and the
     trial deviator beta_tr (dev sigma_tr - dev xi_n, resp. dev sigma_tr),
-    read-only, for consistent_tangent.
+    read-only, for consistent_tangent.  Every field-sized array is formed
+    in one output array with the bits of the plain formula
+    (tensors.Tensor4Sym.apply with add=, tensors.dev_diff, and the
+    updates written into their products' buffers).
     """
-    a_inv = params.elastic.inverse()
-    sigma_tr = state.sigma + a_inv.apply(deps)
+    sigma_tr = params.elastic.inverse().apply(deps, add=state.sigma)
     inv_a_dev = 1.0 / params.elastic.dev_modulus
     ratio = dt / params.mu
     kinematic = params.model == KINEMATIC
@@ -257,7 +262,7 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
 
     if kinematic:
         inv_h_dev = 1.0 / params.hardening_tensor.dev_modulus
-        beta_tr = dev(sigma_tr) - dev(state.xi)
+        beta_tr = dev_diff(sigma_tr, state.xi)
         b_tr = norm(beta_tr)
         if unbroadcast and np.all(b_tr <= params.kappa):
             return _trial_state(sigma_tr, state, params)
@@ -265,10 +270,6 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
         # radial equation: b + ratio*c*(b-kappa)_+ = b_tr
         excess = np.maximum(b_tr - params.kappa, 0.0) / (1.0 + ratio * c)
         q = excess / params.mu
-        denom = np.where(b_tr > 0.0, b_tr, 1.0)
-        p_vec = (q / denom)[..., None] * beta_tr        # P = q * n
-        sigma = sigma_tr - dt * inv_a_dev * p_vec
-        xi = state.xi + dt * inv_h_dev * p_vec
     else:
         beta_tr = dev(sigma_tr)
         b_tr = norm(beta_tr)
@@ -278,11 +279,23 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
         c = inv_a_dev + 1.0 / params.hardening_modulus
         g = np.maximum(g_tr, 0.0) / (1.0 + ratio * c)
         q = g / params.mu
-        denom = np.where(b_tr > 0.0, b_tr, 1.0)
-        p_vec = (q / denom)[..., None] * beta_tr
-        sigma = sigma_tr - dt * inv_a_dev * p_vec
+    denom = np.where(b_tr > 0.0, b_tr, 1.0)
+    p_vec = (q / denom)[..., None] * beta_tr            # P = q * n
+    # sigma = sigma_tr - (dt / a) P, xi = xi_n + (dt / h) P resp. xi_n +
+    # dt q / H, ep = ep_n + dt P; p_vec has the shape of sigma and of the
+    # kinematic xi
+    sigma = np.multiply(dt * inv_a_dev, p_vec)
+    np.subtract(sigma_tr, sigma, out=sigma)
+    del sigma_tr                        # freed before xi is allocated
+    if kinematic:
+        xi = np.multiply(dt * inv_h_dev, p_vec)
+        np.add(state.xi, xi, out=xi)
+    else:
         xi = state.xi + dt * q / params.hardening_modulus
-    ep = state.ep + dt * p_vec
+    # p_vec's last use: its buffer takes dt P, then ep (unbroadcast, ep_n
+    # has p_vec's shape)
+    ep = np.multiply(dt, p_vec, out=p_vec)
+    ep = np.add(state.ep, ep, out=ep if unbroadcast else None)
     new = ConstitutiveState(sigma=sigma, xi=xi, ep=ep)
     b_tr = np.asarray(b_tr)
     for a in (b_tr, beta_tr):
@@ -309,7 +322,7 @@ def _local_jacobian(sigma, xi, dt, params):
     m = params.m
     Pd = dev_projector(params.d)
     kinematic = params.model == KINEMATIC
-    beta = dev(sigma) - dev(xi) if kinematic else dev(sigma)
+    beta = dev_diff(sigma, xi) if kinematic else dev(sigma)
     b = norm(beta)
     denom = np.where(b > 0.0, b, 1.0)
     nvec = beta / denom[:, None]
@@ -450,7 +463,10 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     direction and trial radius from the trial data the radial return
     kept on updated, and drops them from updated once read; it measures
     the deviator of updated when none is kept for params and the state's
-    current sigma and xi.
+    current sigma and xi.  It fills the m(m+1)/2 distinct entries A^-1_ij
+    - (n_i n_j c2 + c1 P_ij) over flat point columns from per-point c1,
+    c2 and n, zero on the inactive points: the bits of the (active
+    points, m, m) broadcast formula.
     """
     deps = np.asarray(deps, dtype=float)
     if updated is None:
@@ -458,19 +474,18 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     m = params.m
     excess = np.asarray(yield_excess(updated, params)).ravel()
     act = np.flatnonzero(excess > KINK_GUARD)
-    out = np.broadcast_to(np.linalg.inv(params.elastic.matrix),
-                          deps.shape[:-1] + (m, m)).copy()
-    if act.size == 0:
-        return out
-    out_flat = out.reshape(-1, m, m)
-
-    if not params.is_fast:
-        xi = np.reshape(updated.xi, (-1, m) if params.model == KINEMATIC else -1)
-        J = _local_jacobian(np.reshape(updated.sigma, (-1, m))[act], xi[act],
-                            dt, params)
-        # d(sigma, xi)/d deps solves J X = (I, 0)
-        rhs = np.broadcast_to(np.eye(J.shape[-1], m), J.shape[:-1] + (m,))
-        out_flat[act] = np.linalg.solve(J, rhs)[:, :m]
+    a_inv = np.linalg.inv(params.elastic.matrix)
+    if act.size == 0 or not params.is_fast:
+        out = np.broadcast_to(a_inv, deps.shape[:-1] + (m, m)).copy()
+        if act.size:
+            xi = np.reshape(updated.xi,
+                            (-1, m) if params.model == KINEMATIC else -1)
+            J = _local_jacobian(np.reshape(updated.sigma, (-1, m))[act],
+                                xi[act], dt, params)
+            # d(sigma, xi)/d deps solves J X = (I, 0)
+            rhs = np.broadcast_to(np.eye(J.shape[-1], m),
+                                  J.shape[:-1] + (m,))
+            out.reshape(-1, m, m)[act] = np.linalg.solve(J, rhs)[:, :m]
         return out
 
     # radial return: sigma = sigma_tr - (dt/a) q n, with a the deviatoric
@@ -499,14 +514,31 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
         # read once: the trial data then go with this call's temporaries
         # instead of living as long as the state (a lower peak RSS)
         updated._flow = None
-    c1 = dt * inv_a**2 * q / b_tr
-    c2 = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1
-    # c1 P_dev + c2 n (x) n in the n (x) n buffer: the bits of the plain
-    # sum, with two (active points, m, m) temporaries fewer
-    corr = nvec[:, :, None] * nvec[:, None, :]
-    corr *= c2[:, None, None]
-    corr += c1[:, None, None] * dev_projector(params.d)
-    out_flat[act] -= corr
+    c1_act = dt * inv_a**2 * q / b_tr
+    c2_act = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1_act
+    # per-point c1, c2 and n, zero on the inactive points, as flat point
+    # columns; there each entry below is A^-1_ij - (+0.0), i.e. A^-1_ij
+    npts = excess.size
+    c1, c2 = np.zeros(npts), np.zeros(npts)
+    c1[act], c2[act] = c1_act, c2_act
+    n = np.zeros((m, npts))
+    n[:, act] = nvec.T
+    # c1 P_ij for each distinct entry of P_dev (0 off the deviatoric block)
+    p_dev = dev_projector(params.d)
+    c1_p = {v: np.multiply(c1, v) for v in np.unique(p_dev)}
+    # A^-1_ij - (n_i n_j c2 + c1 P_ij), the bits of the (m, m) broadcast
+    # formula, filled once per symmetric pair
+    out = np.empty(deps.shape[:-1] + (m, m))
+    out_flat = out.reshape(npts, m, m)
+    col = np.empty(npts)
+    for i in range(m):
+        for j in range(i, m):
+            np.multiply(n[i], n[j], out=col)
+            col *= c2
+            col += c1_p[p_dev[i, j]]
+            np.subtract(a_inv[i, j], col, out=out_flat[:, i, j])
+            if j != i:
+                np.subtract(a_inv[j, i], col, out=out_flat[:, j, i])
     return out
 
 

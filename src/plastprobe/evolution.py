@@ -7,15 +7,16 @@ consistent tangent.  Newton starts from a predictor chosen by the
 regime of the converged state: from an elastic state, one exact solve
 with the elastic factors for the elastic trial stress (an elastic step
 needs no more), kept only if it lowers the residual; from a plastic
-state, the extrapolation 2 u_n - u_{n-1} (de Souza Neto, Peric & Owen
-2008), kept if its residual is below the elastic trial stress's at the
-unpredicted start, so the unpredicted start's local update is only run
-when the extrapolation loses.  The residual scale is the internal force
-of that elastic trial stress, predictor or not.  Plastic tangents are
-solved by CG only as accurately as Newton needs, and never below half
-its tolerance (Eisenstat & Walker 1996; Kelley 1995).  The Newton
-record counts linear solves, the elastic predictor's included, and the
-CG iterations.  A step starts from the strain its predecessor converged
+state, the quadratic extrapolation 3 (u_n - u_{n-1}) + u_{n-2} through
+the last three levels (the linear 2 u_n - u_{n-1} of de Souza Neto,
+Peric & Owen 2008 while only two exist), kept if its residual is below
+the elastic trial stress's at the unpredicted start, so the unpredicted
+start's local update is only run when the extrapolation loses.  The
+residual scale is the internal force of that elastic trial stress,
+predictor or not.  Plastic tangents are solved by CG only as accurately
+as Newton needs, and never below half its tolerance (Eisenstat & Walker
+1996; Kelley 1995).  The Newton record counts linear solves, the
+elastic predictor's included, and the CG iterations.  A step starts from the strain its predecessor converged
 to, so each level's symmetric gradient is formed once.  A failed solve
 inside run() raises a SolverFailure marked with its step.
 
@@ -229,7 +230,7 @@ class FieldHistory:
                            grid.d, copy=False)
         for i, k in enumerate(range(start, stop)):
             ud = self.rate("u", levels=slice(k, k + 1))[0]
-            rows[i] = grid.gradient(ud, cells)
+            grid.gradient(ud, cells, out=rows[i])
         return out
 
 
@@ -281,7 +282,7 @@ class _Stepper:
         self._elastic_solve = grid.make_solver(None, factor)
 
     def step(self, u_n, strain_n, state_n, t_n, dt, elastic_n=False,
-             u_prev=None):
+             u_prev=None, u_prev2=None):
         """One backward-Euler step from (u_n, state_n) at t_n.
 
         strain_n is sym_gradient(u_n), which the previous step returned.
@@ -302,10 +303,11 @@ class _Stepper:
           when no trial point yields), and the predictor is the step's
           elastic Newton iteration.
         - otherwise, given the previous displacement u_prev: the
-          extrapolation 2 u_n - u_prev with the new Dirichlet values,
-          kept if its |r_free| is below |r_trial_free| (a NaN is not);
-          only otherwise is the residual at u_start formed, to start
-          from.
+          extrapolation 3 (u_n - u_prev) + u_prev2 with the new Dirichlet
+          values, second order in dt, given a finite u_prev2 (the one
+          before u_prev), else 2 u_n - u_prev; it is kept if its
+          |r_free| is below |r_trial_free| (a NaN is not), and only
+          otherwise is the residual at u_start formed, to start from.
         - otherwise Newton starts at u_start.
         Plastic tangents are solved by CG to the safeguarded forcing term
         eta = max(CG_RTOL, min(FORCING_MAX, max(|r| / scale, 0.5
@@ -376,7 +378,10 @@ class _Stepper:
             r_trial = trial_force(strain)
             res = None
             if u_prev is not None:
-                u_pred = 2.0 * u_n - u_prev
+                if u_prev2 is not None and np.isfinite(u_prev2).all():
+                    u_pred = 3.0 * (u_n - u_prev) + u_prev2
+                else:
+                    u_pred = 2.0 * u_n - u_prev
                 u_pred[grid.dirichlet_nodes] = u[grid.dirichlet_nodes]
                 res = residual_of(u_pred)
                 # a NaN residual loses the comparison
@@ -480,13 +485,13 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
         history = _new_history(grid, params, times, record)
         _record(history, 0, u, state)
 
-    u_prev = None
+    u_prev = u_prev2 = None
     for k in range(N):
         elastic_n = acc["overshoot_linf"][-1] <= constitutive.KINK_GUARD
         try:
             u_new, strain, state_new, iters, cg, rel = stepper.step(
                 u, strain, state, times[k], dt, elastic_n=elastic_n,
-                u_prev=u_prev)
+                u_prev=u_prev, u_prev2=u_prev2)
         except SolverFailure as exc:
             exc.step_index = k
             raise
@@ -496,7 +501,7 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
         acc["residual_rel"].append(rel)
         if history is not None:
             _record(history, k + 1, u_new, state_new)
-        u_prev, u, state = u, u_new, state_new
+        u_prev2, u_prev, u, state = u_prev, u, u_new, state_new
 
     return history, _energy_report(acc, times)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -67,7 +68,9 @@ class Grid:
     read-only element_table, ((d 2^d)^2, nqp m m), holds w B[q,m,a,i]
     B[q,n,b,j] at row (i, j, a, b) and column (q, m, n): its product with
     a modulus field reshaped to (ncells, nqp m m) gives every cell's
-    element matrix.
+    element matrix.  The read-only cell_dof_gather, (d, 2^d, ncells),
+    holds dof i of corner a of cell c at [i, a, c], the layout of the CG
+    products; it is built on first use.
     """
 
     def __init__(self, geometry: Geometry, n: int):
@@ -204,6 +207,11 @@ class Grid:
         self.face_normal = np.zeros(d)
         self.face_normal[d - 1] = -1.0
 
+    @cached_property
+    def cell_dof_gather(self) -> np.ndarray:
+        return _read_only(np.ascontiguousarray(
+            self.cell_dofs.reshape(self.ncells, -1, self.d).T))
+
     # -- fields ------------------------------------------------------------
 
     def cell_box(self, region=None) -> tuple:
@@ -233,16 +241,17 @@ class Grid:
         u_cells = u[self.cell_nodes]
         return np.einsum("qmai,cai->cqm", self.B, u_cells, optimize=True)
 
-    def gradient(self, u: np.ndarray, cells=None) -> np.ndarray:
+    def gradient(self, u: np.ndarray, cells=None, out=None) -> np.ndarray:
         """Full gradient du_i/dx_j of a nodal field, (ncells, nqp, d, d).
 
         Given cell indices, only those cells' rows, in that order; each
-        row has the bits it has in the gradient over all cells.
+        row has the bits it has in the gradient over all cells.  Given
+        out, the gradient is written into it and out is returned.
         """
         nodes = self.cell_nodes if cells is None else self.cell_nodes[cells]
         u_cells = u[nodes]
         return np.einsum("qaj,cai->cqij", self.shape_grads, u_cells,
-                         optimize=True)
+                         optimize=True, out=out)
 
     def h1_norm_sq(self, u: np.ndarray) -> float:
         """Squared H^1 norm of a nodal field by the Gauss rule: the sum
@@ -367,8 +376,7 @@ class Grid:
         nloc = self.shape_values.shape[1]
         Ke = (self.element_table @ np.reshape(D_qp, (self.ncells, -1)).T
               ).reshape(d, d, nloc, nloc, self.ncells)
-        dofs = np.ascontiguousarray(
-            self.cell_dofs.reshape(self.ncells, -1, d).T)   # (d, nloc, c)
+        dofs = self.cell_dof_gather
 
         products = 0
 

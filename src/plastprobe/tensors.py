@@ -19,7 +19,13 @@ slices in the order numpy's ``sum`` does, starting from +0.0, which
 makes them bit-identical to ``vec[..., :d].sum(-1)`` and
 ``(a * b).sum(-1)`` (signed zeros and inf included; a nan stays a nan)
 at a fraction of the cost.  Keep that rule when editing them: a changed
-summation order moves the round-off of every stored trajectory.
+summation order moves the round-off of every stored trajectory.  The
+same rule makes the isotropic Tensor4Sym.apply and dev_diff fill one
+output array component by component with the operations, operand order
+included, of their plain array formulas (dev_modulus * dev(vec) +
+(vol_modulus / d) * tr(vec)[..., None] * identity(d), resp. dev(a) -
+dev(b)), so they give those formulas' bits and floating-point warnings
+without the field-sized temporaries.
 """
 
 from __future__ import annotations
@@ -106,6 +112,25 @@ def dev(vec: np.ndarray) -> np.ndarray:
     out = vec.copy()
     for i in range(d):
         out[..., i] -= mean
+    return out
+
+
+def dev_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dev(a) - dev(b), with its bits, in one output array."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = mandel_dim(a.shape[-1])
+    if b.shape[-1] != a.shape[-1]:
+        raise ValueError(f"component mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    mean_a = tr(a) / d
+    mean_b = tr(b) / d
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(a.shape[-1]):
+        if k < d:
+            np.subtract(a[..., k], mean_a, out=out[..., k])
+            out[..., k] -= b[..., k] - mean_b
+        else:
+            np.subtract(a[..., k], b[..., k], out=out[..., k])
     return out
 
 
@@ -205,16 +230,51 @@ class Tensor4Sym:
     def is_isotropic(self) -> bool:
         return self.dev_modulus is not None and self.vol_modulus is not None
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the map to components (..., m)."""
+    def apply(self, vec: np.ndarray, add: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Apply the map to components (..., m); given add, add + that.
+
+        An isotropic map fills one output array component by component
+        (the kernel rule of the module docstring): the bits of
+        dev_modulus * dev(vec) + (vol_modulus / d) * tr(vec)[..., None]
+        * identity(d), and of add + that.
+        """
         vec = np.asarray(vec, dtype=float)
-        if vec.shape[-1] != self.matrix.shape[0]:
+        m = self.matrix.shape[0]
+        if vec.shape[-1] != m:
             raise ValueError("component mismatch in Tensor4Sym.apply")
-        if self.is_isotropic:
-            return self.dev_modulus * dev(vec) + (
-                self.vol_modulus / self.d
-            ) * tr(vec)[..., None] * identity(self.d)
-        return vec @ self.matrix.T
+        if not self.is_isotropic:
+            out = vec @ self.matrix.T
+            return out if add is None else add + out
+        d, g = self.d, self.dev_modulus
+        t = tr(vec)
+        # mean and vol share one allocation (separate point-sized
+        # temporaries raised the peak RSS of long runs)
+        scratch = np.empty((2,) + vec.shape[:-1])
+        mean = np.divide(t, d, out=scratch[0, ...])
+        vol = np.multiply(self.vol_modulus / d, t, out=scratch[1, ...])
+        del t
+        if add is None:
+            out = np.empty(vec.shape)
+        else:
+            add = np.asarray(add, dtype=float)
+            out = np.empty(np.broadcast_shapes(vec.shape, add.shape))
+        for k in range(m):
+            o = out[..., k]
+            if k < d:
+                np.subtract(vec[..., k], mean, out=o)
+                np.multiply(g, o, out=o)
+                o += vol                # vol * 1.0 is vol
+            else:
+                if k == d:
+                    # the diagonal is done: mean's row takes vol * 0.0,
+                    # whose zero carries vol's sign (or is a nan)
+                    vol_off = np.multiply(vol, 0.0, out=scratch[0, ...])
+                np.multiply(g, vec[..., k], out=o)
+                o += vol_off
+            if add is not None:
+                np.add(add[..., k], o, out=o)
+        return out
 
     def inverse(self) -> "Tensor4Sym":
         """The inverse map, built on the first call and kept on the tensor."""

@@ -13,6 +13,7 @@ from plastprobe.tensors import Tensor4Sym, from_matrix, inner, norm
 
 from oracles import (fd_jacobian, local_system_residual, oracle_local_update,
                      oracle_radial_bisection, random_spd_tensor4)
+from test_tensors import SPECIAL, assert_same_bits, recorded_warnings
 
 
 def make_params(model=KINEMATIC, d=2, kappa=1.0, mu=1.0, elastic=None,
@@ -541,7 +542,10 @@ def _radial_return_formula(state, deps, dt, params):
     not: sigma_tr - dt a^-1 P, xi + dt h^-1 P (kinematic) resp. xi + dt
     q / H (isotropic), ep + dt P."""
     a_inv = 1.0 / params.elastic.dev_modulus
-    sigma_tr = state.sigma + params.elastic.inverse().apply(deps)
+    inv = params.elastic.inverse()
+    sigma_tr = state.sigma + (
+        inv.dev_modulus * tensors.dev(deps) + (inv.vol_modulus / inv.d)
+        * tensors.tr(deps)[..., None] * tensors.identity(inv.d))
     if params.model == KINEMATIC:
         h_inv = 1.0 / params.hardening_tensor.dev_modulus
         beta = tensors.dev(sigma_tr) - tensors.dev(state.xi)
@@ -667,3 +671,100 @@ def test_broadcast_state_takes_the_full_formula():
     new = local_update(state, deps, 1.0, params)
     assert new.xi.shape == new.ep.shape == (4, 3)
     assert not yield_excess(new, params).any()
+
+
+def _closed_form_tangent_formula(updated, dt, params, flow=None):
+    """The closed-form tangent as (active points, m, m) broadcasts:
+    A^-1 - (n (x) n c2 + c1 P_dev) on the points yielding by more than
+    KINK_GUARD, n and b_tr from the kept trial data flow = (b_tr,
+    beta_tr) or measured from updated."""
+    m = params.m
+    excess = yield_excess(updated, params).ravel()
+    act = np.flatnonzero(excess > KINK_GUARD)
+    out = np.broadcast_to(np.linalg.inv(params.elastic.matrix),
+                          excess.shape + (m, m)).copy()
+    inv_a = 1.0 / params.elastic.dev_modulus
+    kinematic = params.model == KINEMATIC
+    if kinematic:
+        inv_h = 1.0 / params.hardening_tensor.dev_modulus
+        c_tr = inv_a + inv_h
+    else:
+        inv_h = 1.0 / params.hardening_modulus
+        c_tr = inv_a
+    q = excess[act] / params.mu
+    if flow is None:
+        beta = tensors.dev(updated.sigma)
+        if kinematic:
+            beta = beta - tensors.dev(updated.xi)
+        beta = beta.reshape(-1, m)[act]
+        b = norm(beta)
+        nvec = beta / np.where(b > 0, b, 1.0)[:, None]
+        b_tr = b + dt * q * c_tr
+    else:
+        b_tr = flow[0].reshape(-1)[act]
+        nvec = flow[1].reshape(-1, m)[act] / b_tr[:, None]
+    c1 = dt * inv_a**2 * q / b_tr
+    c2 = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1
+    corr = nvec[:, :, None] * nvec[:, None, :] * c2[:, None, None] \
+        + c1[:, None, None] * tensors.dev_projector(params.d)
+    out.reshape(-1, m, m)[act] -= corr
+    return out
+
+
+def _special_batches(model, d, rng):
+    """(state, deps) batches in which some points yield: random, with
+    signed zeros, inf and NaN sprinkled over every array, and an
+    unbatched (broadcast) state under batched increments."""
+    m = tensors.num_components(d)
+    n = 300
+    for sprinkle in (0.0, 0.05):
+        sigma = 0.5 * rng.standard_normal((n, m))
+        xi = (0.1 * rng.standard_normal((n, m)) if model == KINEMATIC
+              else rng.uniform(0.0, 0.1, n))
+        ep = rng.standard_normal((n, m))
+        deps = rng.standard_normal((n, m)) * rng.choice([0.01, 1.0, 5.0],
+                                                        (n, 1))
+        deps[:8] = rng.choice([0.0, -0.0], (8, m))
+        for arr in (sigma, xi, ep, deps):
+            hit = rng.random(arr.shape) < sprinkle
+            arr[hit] = rng.choice(SPECIAL, hit.sum())
+        yield ConstitutiveState(sigma, xi, ep), deps
+    yield ConstitutiveState.zeros(model, d), 3.0 * rng.standard_normal((n, m))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
+def test_radial_return_kernels_are_the_array_formulas(model, d):
+    # the radial return and the closed-form tangent, built without
+    # field-sized temporaries, give the bits (a NaN compared as a NaN)
+    # and the floating-point warnings of their array formulas
+    rng = np.random.default_rng(80 + d)
+    elastic = Tensor4Sym.isotropic(d, 0.8, 1.7)
+    params = make_params(model, d=d, kappa=1.0, mu=0.05, elastic=elastic,
+                         hardening=Tensor4Sym.isotropic(d, 1.3, 0.9), H=1.3)
+    dt = 0.1
+    warned = set()
+    for state, deps in _special_batches(model, d, rng):
+        new, got_w = recorded_warnings(
+            lambda: local_update(state, deps, dt, params))
+        ref, ref_w = recorded_warnings(
+            lambda: _radial_return_formula(state, deps, dt, params))
+        assert got_w == ref_w
+        warned |= got_w
+        for got, want in zip((new.sigma, new.xi, new.ep), ref):
+            assert_same_bits(got, want)
+        assert new._flow is not None, "no point yields"
+        flow = new._flow[3:]
+        for updated, kept in ((ConstitutiveState(new.sigma, new.xi, new.ep),
+                               None), (new, flow)):
+            # the kept excess: the tangents' own warnings are compared
+            with np.errstate(all="ignore"):
+                yield_excess(updated, params)
+            tangent, got_w = recorded_warnings(lambda: consistent_tangent(
+                state, deps, dt, params, updated=updated))
+            ref, ref_w = recorded_warnings(lambda: _closed_form_tangent_formula(
+                updated, dt, params, kept))
+            assert got_w == ref_w
+            assert_same_bits(tangent, ref)
+            warned |= got_w
+    assert warned, "no batch raised a floating-point warning"

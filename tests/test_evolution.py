@@ -271,10 +271,11 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
     dt = scn.T / scn.N
     free, dir_nodes = grid.free_dofs, grid.dirichlet_nodes
     a_inv = params.elastic.inverse()
-    etas, u_prev, extrapolated, safeguarded = [], None, 0, 0
+    etas, u_prev, u_prev2, extrapolated, safeguarded = [], None, None, 0, 0
     for k in range(scn.N):
         # driven as run() drives it: the regime of state_n picks the
-        # predictor, and plastic states extrapolate from u_prev
+        # predictor, and plastic states extrapolate from u_prev and
+        # u_prev2
         elastic_n = yield_excess(state, params).max() <= KINK_GUARD
         t1 = times[k] + dt
         load = grid.load_vector(body_fn=data.body_force,
@@ -305,13 +306,14 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
                     np.linalg.norm(grid.internal_force(sigma)[free]), 1e-12)
         r_pred = None
         if not elastic_n and u_prev is not None:
-            u_pred = 2.0 * u - u_prev
+            u_pred = (2.0 * u - u_prev if u_prev2 is None
+                      else 3.0 * (u - u_prev) + u_prev2)
             u_pred[dir_nodes] = u0[dir_nodes]
             r_pred = np.linalg.norm(residual(u_pred)[free])
         solves.clear()
-        u_prev, (u, _, state, _, _, _) = u, stepper.step(
+        u_prev2, u_prev, (u, _, state, _, _, _) = u_prev, u, stepper.step(
             u, strain_n, state, times[k], dt, elastic_n=elastic_n,
-            u_prev=u_prev)
+            u_prev=u_prev, u_prev2=u_prev2)
         for K, eta, rhs, du in solves:
             rnorm = np.linalg.norm(rhs[free])
             guard = 0.5 * evolution.NEWTON_RTOL * scale / rnorm
@@ -337,9 +339,9 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
 
 
 def test_plastic_state_step_updates_once_per_solve(monkeypatch):
-    # given the true u_prev, a plastic-state step forms one residual at
-    # its kept extrapolation and one per Newton correction: the
-    # unpredicted start's local update is skipped
+    # given the true u_prev and u_prev2, a plastic-state step forms one
+    # residual at its kept extrapolation and one per Newton correction:
+    # the unpredicted start's local update is skipped
     scn = _plastic_scenario("mixed-boundary-kinematic")
     grid, params, data = scn.grid(), scn.material(), scn.data
     hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
@@ -358,7 +360,8 @@ def test_plastic_state_step_updates_once_per_solve(monkeypatch):
         calls.clear()
         u, _, _, iters, _, _ = stepper.step(
             hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
-            hist.times[k], hist.dt, u_prev=hist.u[k - 1])
+            hist.times[k], hist.dt, u_prev=hist.u[k - 1],
+            u_prev2=hist.u[k - 2] if k > 1 else None)
         assert iters > 0, k
         assert len(calls) == iters + 1, k
         np.testing.assert_array_equal(u, hist.u[k + 1])
@@ -557,25 +560,28 @@ def test_elastic_run_is_the_documented_elastic_step():
 
 
 def test_bad_previous_displacement_is_rejected():
-    # the extrapolation 2 u_n - u_prev is kept only if its |r| is below
-    # the elastic trial stress's at the unpredicted start: a bad u_prev
-    # leaves the step as it is without a predictor, and a non-finite one
-    # gives the very bits of no predictor
+    # the extrapolation 3 (u_n - u_prev) + u_prev2 is kept only if its
+    # |r| is below the elastic trial stress's at the unpredicted start: a
+    # bad u_prev leaves the step as it is without a predictor, and a
+    # non-finite one gives the very bits of no predictor
     scn = _plastic_scenario("mixed-boundary-kinematic")
     grid, params, data = scn.grid(), scn.material(), scn.data
     hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
     k = int(np.flatnonzero(energy.overshoot_linf > KINK_GUARD)[0])
-    assert 0 < k < scn.N
+    assert 1 < k < scn.N
+    prev2 = hist.u[k - 2]
     stepper = evolution._Stepper(grid, params, data)
     args = (hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
             hist.times[k], hist.dt)
     ref = stepper.step(*args)
     u_ref, _, state_ref, iters_ref, _, _ = ref
-    _, _, _, iters_good, _, _ = stepper.step(*args, u_prev=hist.u[k - 1])
+    _, _, _, iters_good, _, _ = stepper.step(*args, u_prev=hist.u[k - 1],
+                                             u_prev2=prev2)
     assert iters_good < iters_ref         # the true u_{n-1} helps
     rng = np.random.default_rng(11)
     bad = hist.u[k] + rng.standard_normal(hist.u[k].shape)
-    u_bad, _, state_bad, iters_bad, _, _ = stepper.step(*args, u_prev=bad)
+    u_bad, _, state_bad, iters_bad, _, _ = stepper.step(*args, u_prev=bad,
+                                                        u_prev2=prev2)
     assert iters_bad <= iters_ref
     np.testing.assert_allclose(u_bad, u_ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(state_bad.sigma, state_ref.sigma, rtol=0,
@@ -585,12 +591,87 @@ def test_bad_previous_displacement_is_rejected():
         u_prev.reshape(-1)[grid.free_dofs[0]] = value
         # inf - inf in the extrapolated strain raises numpy's invalid flag
         with np.errstate(invalid="ignore" if value == np.inf else "warn"):
-            out = stepper.step(*args, u_prev=u_prev)
+            out = stepper.step(*args, u_prev=u_prev, u_prev2=prev2)
         for got, want in zip(out[:2] + out[3:], ref[:2] + ref[3:]):
             assert np.array_equal(got, want), value
         for name in ("sigma", "xi", "ep"):
             assert np.array_equal(getattr(out[2], name),
                                   getattr(state_ref, name)), (value, name)
+
+
+def test_plastic_start_extrapolates_through_three_levels(monkeypatch):
+    # from a plastic state, given u_prev and u_prev2, Newton's start is
+    # 3 (u_n - u_prev) + u_prev2 with the new Dirichlet values: exact to
+    # round-off on displacements quadratic in t, where the linear start
+    # is off by twice the second difference; a non-finite u_prev2 gives
+    # the bits of u_prev2=None
+    scn = _plastic_scenario("mixed-boundary-kinematic")
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
+    k = int(np.flatnonzero(energy.overshoot_linf > KINK_GUARD)[0])
+    assert 1 < k < scn.N
+    stepper = evolution._Stepper(grid, params, data)
+    args = (hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
+            hist.times[k], hist.dt)
+    # levels j = k - 2 .. k + 1 of u_k + (j - k) b + (j - k)^2 c
+    rng = np.random.default_rng(12)
+    b, c = 1e-2 * rng.standard_normal((2,) + hist.u[k].shape)
+
+    def level(j):
+        return hist.u[k] + (j - k) * b + (j - k) ** 2 * c
+
+    real = fem.Grid.sym_gradient
+    strained = []
+    monkeypatch.setattr(fem.Grid, "sym_gradient",
+                        lambda g, u: strained.append(u.copy()) or real(g, u))
+    free = ~grid.dirichlet_nodes
+    exact = level(k + 1)[free]
+    for u_prev2, error in ((level(k - 2), 0.0), (None, 2.0 * c[free])):
+        strained.clear()
+        stepper.step(*args, u_prev=level(k - 1), u_prev2=u_prev2)
+        # the step forms the strain of the unpredicted start, then of the
+        # extrapolated one
+        start = strained[1]
+        np.testing.assert_array_equal(
+            start[grid.dirichlet_nodes],
+            data.u0(hist.times[k] + hist.dt, grid.dirichlet_points))
+        np.testing.assert_allclose(exact - start[free], error, rtol=1e-12,
+                                   atol=1e-14)
+    monkeypatch.undo()
+    ref = stepper.step(*args, u_prev=hist.u[k - 1])
+    for value in (np.nan, np.inf, -np.inf):
+        u_prev2 = hist.u[k - 2].copy()
+        u_prev2.reshape(-1)[grid.free_dofs[0]] = value
+        out = stepper.step(*args, u_prev=hist.u[k - 1], u_prev2=u_prev2)
+        for got, want in zip(out[:2] + out[3:], ref[:2] + ref[3:]):
+            assert np.array_equal(got, want), value
+        for name in ("sigma", "xi", "ep"):
+            assert np.array_equal(getattr(out[2], name),
+                                  getattr(ref[2], name)), (value, name)
+
+
+def test_quadratic_start_takes_no_more_solves(monkeypatch):
+    # the n = 8 kinematic run takes no more linear solves from the
+    # quadratic start than from the linear one, and its trajectory agrees
+    # with that run's to the Newton tolerance
+    scn = load_benchmark("mixed-boundary-kinematic", n=8, N=20, mu=0.2,
+                         allow_coarse_dt=True)
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    _, quadratic = evolution.run(grid, params, data, scn.T, scn.N,
+                                 record=None)
+    real = evolution._Stepper.step
+
+    def linear_start(self, *args, u_prev2=None, **kwargs):
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution._Stepper, "step", linear_start)
+    _, linear = evolution.run(grid, params, data, scn.T, scn.N, record=None)
+    assert (quadratic.overshoot_linf[:-1] > KINK_GUARD).sum() > 2
+    assert quadratic.newton_iters.sum() <= linear.newton_iters.sum()
+    for name in ("e_pen", "overshoot_l2", "sigdot_l2", "udot_h1"):
+        np.testing.assert_allclose(getattr(quadratic, name),
+                                   getattr(linear, name), rtol=1e-8,
+                                   atol=1e-12, err_msg=name)
 
 
 def _sigma0(scn):
@@ -734,14 +815,14 @@ def test_run_single_step_equals_step():
     assert energy.overshoot_linf[-1] > KINK_GUARD
     stepper = evolution._Stepper(grid, params, data)
     u, state = evolution.initial_state(grid, params, data)
-    u_prev = None
+    u_prev = u_prev2 = None
     for k in range(scn.N):
         elastic_n = energy.overshoot_linf[k] <= KINK_GUARD
         u_new, strain, state, _, _, _ = stepper.step(
             u, grid.sym_gradient(u), state, hist.times[k], hist.dt,
-            elastic_n=elastic_n, u_prev=u_prev)
+            elastic_n=elastic_n, u_prev=u_prev, u_prev2=u_prev2)
         assert np.array_equal(strain, grid.sym_gradient(u_new)), k
-        u_prev, u = u, u_new
+        u_prev2, u_prev, u = u_prev, u, u_new
         assert np.array_equal(hist.u[k + 1], u), k
         for name in ("sigma", "xi", "ep"):
             assert np.array_equal(getattr(hist, name)[k + 1],

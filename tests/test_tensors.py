@@ -346,3 +346,68 @@ def test_inverse_is_built_once_per_tensor(d):
         assert inv.matrix.tobytes() == fresh.matrix.tobytes()
         assert (inv.dev_modulus, inv.vol_modulus) == (fresh.dev_modulus,
                                                       fresh.vol_modulus)
+
+
+# Tensor4Sym.apply (isotropic) and dev_diff fill one output array
+# component by component; their bits and floating-point warnings are
+# those of the array formulas written out here.
+
+def ref_isotropic_apply(T, vec):
+    return T.dev_modulus * dev(vec) + (
+        T.vol_modulus / T.d) * tr(vec)[..., None] * identity(T.d)
+
+
+def recorded_warnings(fn):
+    """fn()'s result and the set of warnings it raised."""
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+def assert_same_result(fn, ref_fn):
+    got, got_warnings = recorded_warnings(fn)
+    ref, ref_warnings = recorded_warnings(ref_fn)
+    assert_same_bits(got, ref)
+    assert got_warnings == ref_warnings
+
+
+def kernel_pairs(rng, m):
+    """(a, b) component arrays that broadcast together: special values,
+    single tensors on either side, and strided operands."""
+    special = rng.choice(SPECIAL, size=(300, m))
+    yield rng.standard_normal((64, m)), rng.standard_normal((64, m))
+    yield special, rng.choice(SPECIAL, size=(300, m))
+    yield special, rng.choice(SPECIAL, size=m)
+    yield rng.choice(SPECIAL, size=m), special
+    yield np.full((4, m), -0.0), np.full((4, m), 0.0)
+    yield rng.standard_normal((6, 2 * m))[:, ::2], rng.standard_normal((m, 6)).T
+    yield rng.choice(SPECIAL, size=(3, 1, m)), rng.choice(SPECIAL, size=(5, m))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_isotropic_apply_is_the_array_formula(d):
+    rng = np.random.default_rng(60 + d)
+    m = tensors.num_components(d)
+    T = Tensor4Sym.isotropic(d, 0.8, 1.7)
+    for vec, add in kernel_pairs(rng, m):
+        assert_same_result(lambda: T.apply(vec),
+                           lambda: ref_isotropic_apply(T, vec))
+        assert_same_result(lambda: T.apply(vec, add=add),
+                           lambda: add + ref_isotropic_apply(T, vec))
+    # a general map adds its matrix product
+    G = random_spd_tensor4(rng, d)
+    vec, add = rng.standard_normal((7, m)), rng.standard_normal(m)
+    assert_same_bits(G.apply(vec, add=add), add + vec @ G.matrix.T)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dev_diff_is_the_difference_of_deviators(d):
+    rng = np.random.default_rng(70 + d)
+    m = tensors.num_components(d)
+    for a, b in kernel_pairs(rng, m):
+        assert_same_result(lambda: tensors.dev_diff(a, b),
+                           lambda: dev(a) - dev(b))
+    with pytest.raises(ValueError, match="component mismatch"):
+        tensors.dev_diff(np.zeros(3), np.zeros(6))
