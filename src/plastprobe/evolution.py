@@ -254,21 +254,22 @@ def initial_state(grid: Grid, params: MaterialParams, data):
 
 
 def elastic_factor(grid: Grid, elastic):
-    """LU factors (Grid.factorize) of the stiffness of the elastic
-    compliance tensor elastic on grid.  It does not depend on mu, so a
-    sweep factors it once and hands it to each run."""
-    a_inv = np.linalg.inv(elastic.matrix)
-    D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
-    return grid.factorize(grid.assemble_tangent(np.ascontiguousarray(D)))
+    """Factors (Grid.factorize) of the stiffness of the elastic
+    compliance tensor elastic on grid: its SuperLU factors, and the
+    float32 band preconditioner that its first plastic CG solve builds.
+    It does not depend on mu, so a sweep factors it once, builds the
+    band at most once, and hands it to each run."""
+    return grid.factorize(np.linalg.inv(elastic.matrix))
 
 
 class _Stepper:
     """Shared machinery for one Rothe step, around one elastic factorization.
 
-    The elastic stiffness is constant: its LU factors (elastic_factor,
-    made here unless given) give the exact solve of the elastic
-    predictor and of an elastic Newton step, and precondition CG on the
-    plastic tangents.
+    The elastic stiffness is constant: its SuperLU factors
+    (elastic_factor, made here unless given) give the exact solve of
+    the elastic predictor and of an elastic Newton step, and its
+    single-precision band factor, built by the first plastic tangent's
+    CG solve and then kept, preconditions CG on the plastic tangents.
     """
 
     def __init__(self, grid: Grid, params: MaterialParams, data,
@@ -343,7 +344,7 @@ class _Stepper:
 
         def trial_force(strain):
             a_inv = params.elastic.inverse()
-            return force_of(state_n.sigma + a_inv.apply(strain - strain_n))
+            return force_of(a_inv.apply(strain - strain_n, add=state_n.sigma))
 
         def norm_of(res):
             return np.linalg.norm(res[0][free])

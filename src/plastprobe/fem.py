@@ -18,8 +18,12 @@ data generator may evaluate its profiles once per point set.
 Force and load vectors, and the products of the CG solver, are summed
 from per-cell contributions with ``bincount``.  A stiffness is assembled
 into a sparse matrix only to be LU factored (the elastic one, once per
-run or sweep); CG takes a tangent as its element matrices, which one
-matrix product of a per-grid table with the modulus field gives.
+run or sweep), and the LU factors serve exact elastic solves only.  CG
+takes a tangent as its element matrices, which one matrix product of a
+per-grid table with the modulus field gives, and is preconditioned by a
+single-precision banded Cholesky factor of the same elastic stiffness,
+scattered straight from its one element matrix on the first plastic
+solve.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse import linalg as sparse_linalg
 
 from . import tensors
@@ -38,7 +43,12 @@ from .constitutive import SolverFailure
 MODES = ("mixed", "all-dirichlet", "all-neumann-bottom")
 
 # default and floor of the CG relative tolerance; the inexact-Newton
-# forcing term of evolution asks for |r| / scale > NEWTON_RTOL > CG_RTOL
+# forcing term of evolution asks for |r| / scale > NEWTON_RTOL > CG_RTOL,
+# and its safeguard never for less than sqrt(0.5 NEWTON_RTOL), about
+# 7.1e-6, in a plastic Newton step.  CG's own float64 recurrences reach
+# any of them; a single-precision preconditioner (unit round-off 6e-8)
+# only has to keep K0^-1 K well conditioned, which a float32 K0 factor
+# does (mixed-precision preconditioning: Higham & Mary 2022)
 CG_RTOL = 1e-11
 
 
@@ -323,51 +333,98 @@ class Grid:
         return sparse.coo_matrix((Kc.ravel(), (rows, cols)),
                                  shape=(ndof, ndof)).tocsr()
 
-    def factorize(self, K: sparse.csr_matrix):
-        """LU factors of the free block of the SPD matrix K (scipy SuperLU).
+    def factorize(self, modulus: np.ndarray) -> StiffnessFactor:
+        """Factors of the free block K0_ff of the stiffness K0 of the
+        constant SPD modulus (m, m) (see StiffnessFactor).
 
-        Raises SolverFailure when SuperLU finds K singular.
+        K0 is assemble_tangent of the modulus on every quadrature point,
+        LU factored by scipy's SuperLU here; the band preconditioner is
+        left to its first use.  Raises SolverFailure when SuperLU finds
+        K0_ff singular.
         """
         free = self.free_dofs
         if free.size == 0:
             raise ValueError("no free unknowns (all-Dirichlet with zero dofs?)")
-        Kff = K[free][:, free].tocsc()
+        D = np.broadcast_to(modulus, (self.ncells, self.nqp, self.m, self.m))
+        Kff = self.assemble_tangent(np.ascontiguousarray(D))[free][:, free]
         try:
             # K is SPD: symmetric-mode ordering halves the factor time
-            return sparse_linalg.splu(Kff, permc_spec="MMD_AT_PLUS_A",
-                                      options=dict(SymmetricMode=True))
+            lu = sparse_linalg.splu(Kff.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                    options=dict(SymmetricMode=True))
         except RuntimeError as exc:   # singular factorization
             raise SolverFailure(str(exc)) from exc
+        return StiffnessFactor(self, modulus, lu)
 
-    def make_solver(self, D_qp: np.ndarray | None, factor,
+    def band_cholesky(self, modulus: np.ndarray) -> np.ndarray:
+        """Single-precision banded Cholesky factor of the free block of
+        the stiffness of the constant modulus (m, m).
+
+        The free dofs in their natural order (normal axis fastest) give
+        a band of half-bandwidth kd, 67 at d = 2, n = 32.  Every cell
+        has the one element matrix element_table @ tile(modulus), which
+        is scattered straight into LAPACK's upper band storage, a
+        Fortran-order float32 (kd+1, n_free) array, and factored there
+        by spbtrf.  Raises SolverFailure when a pivot is not positive
+        (a singular or indefinite modulus).
+        """
+        d, nloc = self.d, self.shape_values.shape[1]
+        ke = self.element_table @ np.tile(np.ravel(modulus), self.nqp)
+        # rows (i, j, a, b) to local dofs a d + i and b d + j, the order
+        # of cell_dofs; both follow the global dof order
+        ke = ke.reshape(d, d, nloc, nloc).transpose(2, 0, 3, 1).reshape(
+            d * nloc, d * nloc).astype(np.float32)
+        index = np.full(self.nnodes * d, -1)
+        index[self.free_dofs] = np.arange(self.free_dofs.size)
+        local = index[self.cell_dofs]               # -1 on Dirichlet dofs
+        # kd: the widest spread of free indices within one cell
+        lowest = np.where(local < 0, local.max(), local).min(axis=1)
+        kd = int((local.max(axis=1) - lowest).max())
+        band = np.zeros((kd + 1, self.free_dofs.size), np.float32, order="F")
+        for p, q in zip(*np.triu_indices(d * nloc)):
+            rows, cols = local[:, p], local[:, q]
+            both = (rows >= 0) & (cols >= 0)
+            rows, cols = rows[both], cols[both]
+            # distinct cells put (p, q) on distinct entries
+            band[kd + rows - cols, cols] += ke[p, q]
+        band, info = lapack.spbtrf(band, overwrite_ab=1)
+        if info > 0:
+            raise SolverFailure(f"band Cholesky of the stiffness failed: "
+                                f"pivot {info} is not positive")
+        return band
+
+    def make_solver(self, D_qp: np.ndarray | None, factor: StiffnessFactor,
                     rtol: float = CG_RTOL, iterations: list | None = None):
         """Reusable solver on the free dofs (full-size in/out vectors).
 
-        factor holds the LU factors (``factorize``) of an SPD matrix K0.
-        With D_qp None the solver applies them, an exact solve with K0,
-        and rtol and iterations are unused.  Otherwise CG solves with the
-        stiffness K of the modulus field D_qp (as ``assemble_tangent``
-        would build it), preconditioned by factor, until |(K x -
-        rhs)_free| <= rtol |rhs_free|, and a solve that does not get
-        there raises SolverFailure.  Each successful solve appends its CG
-        iterations to the list iterations, if given: its products K x,
-        one per iteration, as cg starts from x = 0.  CG needs only
-        products K x, which are summed element by element from the
-        element matrices (Hughes, Levit & Winget 1983), so K is never
-        assembled; the element matrices are one product (a GEMM) of
-        element_table with D_qp.  A hardening tangent stays spectrally
-        close to the elastic stiffness, so with the elastic K0 as
-        preconditioner CG needs few iterations.
+        factor holds the factors (``factorize``) of an SPD matrix K0.
+        With D_qp None the solver is factor.solve, the exact SuperLU
+        solve with K0, and rtol and iterations are unused.  Otherwise CG
+        solves with the stiffness K of the modulus field D_qp (as
+        ``assemble_tangent`` would build it), preconditioned by
+        factor.precondition, until |(K x - rhs)_free| <= rtol
+        |rhs_free|, and a solve that does not get there raises
+        SolverFailure.  Each successful solve appends its CG iterations
+        to the list iterations, if given: its products K x, one per
+        iteration, as cg starts from x = 0.  CG needs only products K x,
+        which are summed element by element from the element matrices
+        (Hughes, Levit & Winget 1983), so K is never assembled; the
+        element matrices are one product (a GEMM) of element_table with
+        D_qp.  A hardening tangent stays spectrally close to the elastic
+        stiffness, so with K0 as preconditioner CG needs few
+        iterations, and a float32 factor of K0 needs as few as an exact
+        one at the accuracies Newton asks for (see CG_RTOL).
         """
         free = self.free_dofs
 
-        def apply_factor(rhs):
-            out = np.zeros_like(rhs)
-            out[free] = factor.solve(rhs[free])
-            return out
+        def on_free(apply):
+            def full(rhs):
+                out = np.zeros_like(rhs)
+                out[free] = apply(rhs[free])
+                return out
+            return full
 
         if D_qp is None:
-            return apply_factor
+            return on_free(factor.solve)
         d, ndof = self.d, self.nnodes * self.d
         fixed = self.dirichlet_dofs
         # Ke[i, j, a, b, c] couples dof i of corner a with dof j of
@@ -393,8 +450,8 @@ class Grid:
 
         shape = (ndof, ndof)
         A = sparse_linalg.LinearOperator(shape, matvec=matvec, dtype=float)
-        M = sparse_linalg.LinearOperator(shape, matvec=apply_factor,
-                                         dtype=float)
+        M = sparse_linalg.LinearOperator(
+            shape, matvec=on_free(factor.precondition), dtype=float)
 
         def solve(rhs):
             nonlocal products
@@ -408,6 +465,38 @@ class Grid:
                 iterations.append(products)
             return x
         return solve
+
+
+class StiffnessFactor:
+    """Factors of the free block K0_ff of the stiffness of a constant SPD
+    modulus, made by Grid.factorize (the elastic stiffness of a run or
+    sweep).
+
+    solve(rhs_free) is the exact solve with K0_ff by its SuperLU
+    factors.  precondition(rhs_free) applies the single-precision
+    banded Cholesky factor of Grid.band_cholesky by LAPACK spbtrs, rhs
+    rounded to float32 and a float32 result, which make_solver writes
+    into its float64 vector; it only preconditions CG (see CG_RTOL for
+    why single precision suffices).  The band is built on the first
+    call and then kept, so a run that solves no plastic tangent never
+    builds it, and a sweep, which shares one factor, builds it once.
+    """
+
+    def __init__(self, grid: Grid, modulus: np.ndarray, lu):
+        self._grid = grid
+        self._modulus = modulus
+        self._lu = lu
+        self._band = None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(rhs)
+
+    def precondition(self, rhs: np.ndarray) -> np.ndarray:
+        if self._band is None:
+            self._band = self._grid.band_cholesky(self._modulus)
+        x, _ = lapack.spbtrs(self._band, rhs.astype(np.float32),
+                             overwrite_b=1)
+        return x
 
 
 def build_grid(geometry: Geometry, n: int) -> Grid:

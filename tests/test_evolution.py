@@ -473,11 +473,16 @@ def test_plastic_run_measures_each_state_once(name, monkeypatch):
 
 
 def test_elastic_run_never_calls_cg(monkeypatch):
-    # elastic steps solve exactly with the cached elastic factors
+    # elastic steps solve exactly with the cached SuperLU factors, and the
+    # band preconditioner of CG is never built
     def no_cg(*args, **kwargs):
         raise AssertionError("CG called on an elastic run")
 
+    def no_band(*args, **kwargs):
+        raise AssertionError("band preconditioner built on an elastic run")
+
     monkeypatch.setattr(fem.sparse_linalg, "cg", no_cg)
+    monkeypatch.setattr(fem.Grid, "band_cholesky", no_band)
     scn = load_benchmark("elastic-only", n=8, N=4)
     _, energy = evolution.run(scn.grid(), scn.material(), scn.data, scn.T,
                               scn.N)
@@ -523,10 +528,8 @@ def test_elastic_run_is_the_documented_elastic_step():
     grid, params, data = scn.grid(), scn.material(), scn.data
     hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
 
-    a_inv = np.linalg.inv(params.elastic.matrix)
-    D = np.broadcast_to(a_inv, (grid.ncells, grid.nqp, grid.m, grid.m))
-    factor = grid.factorize(grid.assemble_tangent(np.ascontiguousarray(D)))
-    solve = grid.make_solver(None, factor)
+    solve = grid.make_solver(None, grid.factorize(
+        np.linalg.inv(params.elastic.matrix)))
     u, state = evolution.initial_state(grid, params, data)
     dt = scn.T / scn.N
     for k in range(scn.N):
@@ -653,12 +656,15 @@ def test_plastic_start_extrapolates_through_three_levels(monkeypatch):
 def test_quadratic_start_takes_no_more_solves(monkeypatch):
     # the n = 8 kinematic run takes no more linear solves from the
     # quadratic start than from the linear one, and its trajectory agrees
-    # with that run's to the Newton tolerance
+    # with that run's to the Newton tolerance; its solve and CG counts
+    # per step are those of the SuperLU-preconditioned CG it replaced
     scn = load_benchmark("mixed-boundary-kinematic", n=8, N=20, mu=0.2,
                          allow_coarse_dt=True)
     grid, params, data = scn.grid(), scn.material(), scn.data
     _, quadratic = evolution.run(grid, params, data, scn.T, scn.N,
                                  record=None)
+    assert quadratic.newton_iters.tolist() == [1] * 10 + [3, 3] + [2] * 8
+    assert quadratic.cg_iterations.tolist() == [0] * 10 + [5, 7] + [6] * 8
     real = evolution._Stepper.step
 
     def linear_start(self, *args, u_prev2=None, **kwargs):

@@ -434,19 +434,25 @@ def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
 
 
 def test_mu_sweep_factors_once_and_runs_as_a_lone_run(monkeypatch):
-    # a 2-mu sweep calls splu once, and each mu's run, handed that
-    # factor, has the bits of a standalone run at that mu
+    # a 2-mu sweep calls splu once and builds the band preconditioner
+    # once, and each mu's run, handed that factor, has the bits of a
+    # standalone run at that mu
     from dataclasses import fields
 
     from plastprobe import fem
     scn = load_benchmark("mixed-boundary-kinematic", n=4, N=4, probes=[],
                          mu=[0.1, 0.001], allow_coarse_dt=True)
     real_splu, real_run = fem.sparse_linalg.splu, evolution.run
-    factorizations, reports = [], {}
+    real_band = fem.Grid.band_cholesky
+    factorizations, bands, reports = [], [], {}
 
     def counted_splu(*args, **kwargs):
         factorizations.append(args)
         return real_splu(*args, **kwargs)
+
+    def counted_band(*args, **kwargs):
+        bands.append(args)
+        return real_band(*args, **kwargs)
 
     def kept_run(grid, params, data, T, N, **kw):
         out = real_run(grid, params, data, T, N, **kw)
@@ -454,9 +460,11 @@ def test_mu_sweep_factors_once_and_runs_as_a_lone_run(monkeypatch):
         return out
 
     monkeypatch.setattr(fem.sparse_linalg, "splu", counted_splu)
+    monkeypatch.setattr(fem.Grid, "band_cholesky", counted_band)
     monkeypatch.setattr(evolution, "run", kept_run)
     rep = mu_sweep(scn)
     assert len(factorizations) == 1
+    assert len(bands) == 1
     monkeypatch.undo()
     assert [e.mu for e in rep.entries] == [0.1, 0.001]
     for entry in rep.entries:
