@@ -502,14 +502,15 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     q = excess[act] / params.mu
     kept = _read_kept(updated._flow, updated, params)
     if kept is None:
-        beta = np.asarray(beta_of(updated, params)).reshape(-1, m)[act]
+        beta = np.take(np.reshape(beta_of(updated, params), (-1, m)), act,
+                       axis=0)
         b = norm(beta)
         nvec = beta / np.where(b > 0, b, 1.0)[:, None]
         b_tr = b + dt * q * c_tr
     else:
         # an active point has b_tr > kappa > 0
         b_tr = kept[0].reshape(-1)[act]
-        nvec = kept[1].reshape(-1, m)[act]
+        nvec = np.take(kept[1].reshape(-1, m), act, axis=0)
         nvec /= b_tr[:, None]
         # read once: the trial data then go with this call's temporaries
         # instead of living as long as the state (a lower peak RSS)
@@ -522,7 +523,9 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     c1, c2 = np.zeros(npts), np.zeros(npts)
     c1[act], c2[act] = c1_act, c2_act
     n = np.zeros((m, npts))
-    n[:, act] = nvec.T
+    # one 1-D scatter per component: faster than n[:, act] = nvec.T
+    for i in range(m):
+        n[i, act] = nvec[:, i]
     # c1 P_ij for each distinct entry of P_dev (0 off the deviatoric block)
     p_dev = dev_projector(params.d)
     c1_p = {v: np.multiply(c1, v) for v in np.unique(p_dev)}

@@ -24,6 +24,17 @@ per-grid table with the modulus field gives, and is preconditioned by a
 single-precision banded Cholesky factor of the same elastic stiffness,
 scattered straight from its one element matrix on the first plastic
 solve.
+
+The row gathers of node and point fields on a step's path (a
+displacement's rows at the cell corners here, the yielding points' rows
+in constitutive's closed-form tangent) go through
+``np.take(..., axis=0)``, not fancy indexing: numpy copies each 16-48
+byte row of a fancy index through its generic subspace loop, and at
+n = 32 ``u[cell_nodes]`` took 91-94 us against 8 us for the take (2-core
+x86-64 VM, numpy 2.4), most of a ``sym_gradient``.  A take copies the
+same values into the same C-order layout, so every product and sum
+downstream sees the same operands and no output bit depends on which of
+the two does the copy.
 """
 
 from __future__ import annotations
@@ -248,7 +259,7 @@ class Grid:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.nnodes, self.d):
             raise ValueError(f"displacement shape {u.shape} does not match grid")
-        u_cells = u[self.cell_nodes]
+        u_cells = np.take(u, self.cell_nodes, axis=0)
         return np.einsum("qmai,cai->cqm", self.B, u_cells, optimize=True)
 
     def gradient(self, u: np.ndarray, cells=None, out=None) -> np.ndarray:
@@ -258,8 +269,9 @@ class Grid:
         row has the bits it has in the gradient over all cells.  Given
         out, the gradient is written into it and out is returned.
         """
-        nodes = self.cell_nodes if cells is None else self.cell_nodes[cells]
-        u_cells = u[nodes]
+        nodes = (self.cell_nodes if cells is None
+                 else np.take(self.cell_nodes, cells, axis=0))
+        u_cells = np.take(u, nodes, axis=0)
         return np.einsum("qaj,cai->cqij", self.shape_grads, u_cells,
                          optimize=True, out=out)
 
@@ -269,7 +281,8 @@ class Grid:
         values of one component.  No BLAS call forms it (an einsum, then
         numpy's pairwise sum), so its bits do not depend on the BLAS
         thread count."""
-        uc = u[self.cell_nodes.T].reshape(len(self.h1_gram), -1)
+        uc = np.take(u, self.cell_nodes.T, axis=0)
+        uc = uc.reshape(len(self.h1_gram), -1)
         quad = np.einsum("ab,bk->ak", self.h1_gram, uc)
         quad *= uc
         return float(quad.sum())

@@ -26,6 +26,9 @@ included, of their plain array formulas (dev_modulus * dev(vec) +
 (vol_modulus / d) * tr(vec)[..., None] * identity(d), resp. dev(a) -
 dev(b)), so they give those formulas' bits and floating-point warnings
 without the field-sized temporaries.
+The yielding points' row gathers of constitutive's closed-form tangent
+follow the gather rule of the fem module docstring (``np.take``, the
+same bits).
 """
 
 from __future__ import annotations

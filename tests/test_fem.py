@@ -108,6 +108,64 @@ def test_sym_gradient_quadratic_matches_analytic_derivative():
     np.testing.assert_allclose(strain[..., 0], expected, atol=1e-13)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _layouts(f, rng):
+    """f itself, and the same values as a history row, every other row of
+    a taller array, a column-strided view and a Fortran-order copy."""
+    hist = rng.standard_normal((3,) + f.shape)
+    hist[1] = f
+    tall = rng.standard_normal((2 * f.shape[0], f.shape[1]))
+    tall[::2] = f
+    wide = rng.standard_normal((f.shape[0], 2 * f.shape[1]))
+    wide[:, ::2] = f
+    return {"C": f, "history row": hist[1], "every other row": tall[::2],
+            "column stride": wide[:, ::2], "Fortran": np.asfortranarray(f)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
+def test_gathers_keep_the_fancy_index_bits(d, n, mode):
+    # the row gathers of sym_gradient, gradient and h1_norm_sq give the
+    # bits of their fancy-index formulas, signed zeros, inf and nan
+    # included, whatever the memory layout of u
+    g = build_grid(Geometry(d=d, mode=mode), n)
+    rng = np.random.default_rng(25)
+    finite = rng.standard_normal((g.nnodes, d))
+    finite.flat[rng.choice(finite.size, 8, replace=False)] = [0.0, -0.0] * 4
+    special = finite.copy()
+    special.flat[rng.choice(special.size, 6, replace=False)] = [
+        np.inf, -np.inf, np.nan, np.inf, -0.0, np.nan]
+    cells = np.append(rng.permutation(g.ncells)[:g.ncells // 3], -1)
+    with np.errstate(all="ignore"):
+        for f in (finite, special):
+            for layout, u in _layouts(f, rng).items():
+                assert np.array_equal(u, f, equal_nan=True), layout
+                oracle = np.einsum("qmai,cai->cqm", g.B, u[g.cell_nodes],
+                                   optimize=True)
+                assert _same_bits(g.sym_gradient(u), oracle), layout
+                for c in (None, cells):
+                    nodes = g.cell_nodes if c is None else g.cell_nodes[c]
+                    oracle = np.einsum("qaj,cai->cqij", g.shape_grads,
+                                       u[nodes], optimize=True)
+                    assert _same_bits(g.gradient(u, c), oracle), layout
+                    out = np.full_like(oracle, np.nan)
+                    assert g.gradient(u, c, out=out) is out
+                    assert _same_bits(out, oracle), layout
+                uc = u[g.cell_nodes.T].reshape(len(g.h1_gram), -1)
+                quad = np.einsum("ab,bk->ak", g.h1_gram, uc)
+                quad *= uc
+                assert _same_bits(g.h1_norm_sq(u), float(quad.sum())), layout
+    with pytest.raises(ValueError, match="does not match grid"):
+        g.sym_gradient(finite[:-1])
+    with pytest.raises(IndexError):
+        g.gradient(finite, np.array([0, g.ncells]))
+
+
 def test_constant_stress_field_in_equilibrium():
     # constant sigma, f = 0, matching traction: residual vanishes identically
     g = build_grid(Geometry(d=2, mode="mixed"), 4)
