@@ -16,18 +16,11 @@ through damped_newton, the Newton loop the global Rothe step (evolution)
 runs too; every failed solve raises SolverFailure.
 
 A ConstitutiveState is never written in place: an update returns a new
-state.  So yield_excess measures a state once per MaterialParams and
-keeps the read-only result on it, which the Rothe step's regime check,
-consistent_tangent and the energy accumulator share.  Where no trial
-point yields, the radial return is the elastic trial state: it returns
-(sigma_tr, xi_n, ep_n), sharing the xi and ep arrays of its input, with
-an all-zero excess already measured.  Otherwise it keeps on the state it
-returns its trial deviator and trial radius, keyed the same way, and the
-closed-form tangent (Simo & Taylor 1985) reads its flow direction and
-radius from them, once, instead of measuring the returned deviator
-again.  The radial return and the closed-form tangent form no
-field-sized temporaries, and give the bits of their plain array
-formulas (the kernel rule of tensors).
+state.  So what is measured on a state can be kept on it, keyed by the
+MaterialParams object and the identity of the state's sigma and xi
+arrays (_read_kept): the yield excess, which the Rothe step's regime
+check, consistent_tangent and the energy accumulator share, and the
+radial return's trial data, which the closed-form tangent reads.
 """
 
 from __future__ import annotations
@@ -206,9 +199,8 @@ def beta_of(state: ConstitutiveState, params: MaterialParams) -> np.ndarray:
 def yield_excess(state: ConstitutiveState, params: MaterialParams) -> np.ndarray:
     """(|beta| - kappa)_+ resp. (|dev sigma| - kappa - xi)_+, >= 0.
 
-    Read-only; measured once and kept on the state, for the params object
-    it was measured under (another params, or a state whose sigma or xi
-    was reassigned, is measured again).
+    Read-only, and kept on the state (see the module docstring): another
+    params, or a state whose sigma or xi was reassigned, is measured again.
     """
     kept = _read_kept(state._excess, state, params)
     if kept is not None:
@@ -248,10 +240,9 @@ def _fast_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
     broadcasting, returns the trial state with its zero excess kept.
     Otherwise the returned state keeps the trial radius b_tr and the
     trial deviator beta_tr (dev sigma_tr - dev xi_n, resp. dev sigma_tr),
-    read-only, for consistent_tangent.  Every field-sized array is formed
-    in one output array with the bits of the plain formula
-    (tensors.Tensor4Sym.apply with add=, tensors.dev_diff, and the
-    updates written into their products' buffers).
+    read-only, for consistent_tangent.  Follows the kernel rule of
+    tensors: each field-sized array is one output array, with the bits
+    of the plain formula.
     """
     sigma_tr = params.elastic.inverse().apply(deps, add=state.sigma)
     inv_a_dev = 1.0 / params.elastic.dev_modulus
@@ -407,18 +398,12 @@ def local_update(state: ConstitutiveState, deps: np.ndarray, dt: float,
                  params: MaterialParams) -> ConstitutiveState:
     """Advance the state by one backward-Euler step of the penalized flow rule.
 
-    Parameters
-    ----------
-    state : ConstitutiveState
-        State at the previous time level; arrays may carry leading batch axes.
-    deps : ndarray (..., m)
-        Strain increment E(u+) - E(u-) in Mandel components.
-    dt : float
-        Time step, > 0.
-    params : MaterialParams
-
-    Returns the unique solution of the implicit system with residual below
-    1e-12 (scaled).  Raises SolverFailure on non-convergence.
+    state is the state at the previous time level, its arrays possibly
+    with leading batch axes; deps (..., m) the strain increment E(u+) -
+    E(u-) in Mandel components; dt > 0 the time step (else ValueError).
+    Returns the unique solution of the implicit system, with scaled
+    residual below RESIDUAL_TOL.  Raises SolverFailure on
+    non-convergence.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -456,17 +441,17 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     """d sigma+ / d deps, batched over leading axes of deps; shape (..., m, m).
 
     Linearizes the implicit system at the converged state: in closed
-    form when params.is_fast, by a batched linear solve otherwise.  Points
-    within KINK_GUARD of the yield surface use the elastic branch (either
-    one-sided derivative keeps the global Newton convergent); the active
-    set and q come from yield_excess.  The closed form reads its flow
-    direction and trial radius from the trial data the radial return
-    kept on updated, and drops them from updated once read; it measures
-    the deviator of updated when none is kept for params and the state's
-    current sigma and xi.  It fills the m(m+1)/2 distinct entries A^-1_ij
-    - (n_i n_j c2 + c1 P_ij) over flat point columns from per-point c1,
-    c2 and n, zero on the inactive points: the bits of the (active
-    points, m, m) broadcast formula.
+    form (Simo & Taylor 1985) when params.is_fast, by a batched linear
+    solve otherwise.  Points within KINK_GUARD of the yield surface use
+    the elastic branch (either one-sided derivative keeps the global
+    Newton convergent); the active set and q come from yield_excess.
+    The closed form reads its flow direction and trial radius from the
+    trial data the radial return kept on updated, and drops them from
+    updated once read; it measures the deviator of updated when none is
+    kept for params and the state's current sigma and xi.  It follows
+    the kernel rule of tensors: the bits of the (points, m, m) broadcast
+    formula A^-1_ij - (n_i n_j c2 + c1 P_ij), with c1, c2 and n zero on
+    the inactive points.
     """
     deps = np.asarray(deps, dtype=float)
     if updated is None:
@@ -517,8 +502,8 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
         updated._flow = None
     c1_act = dt * inv_a**2 * q / b_tr
     c2_act = dt * inv_a**2 / (params.mu + dt * (inv_a + inv_h)) - c1_act
-    # per-point c1, c2 and n, zero on the inactive points, as flat point
-    # columns; there each entry below is A^-1_ij - (+0.0), i.e. A^-1_ij
+    # as flat point columns; an inactive point's entries are A^-1_ij -
+    # (+0.0), i.e. A^-1_ij
     npts = excess.size
     c1, c2 = np.zeros(npts), np.zeros(npts)
     c1[act], c2[act] = c1_act, c2_act
@@ -529,8 +514,7 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
     # c1 P_ij for each distinct entry of P_dev (0 off the deviatoric block)
     p_dev = dev_projector(params.d)
     c1_p = {v: np.multiply(c1, v) for v in np.unique(p_dev)}
-    # A^-1_ij - (n_i n_j c2 + c1 P_ij), the bits of the (m, m) broadcast
-    # formula, filled once per symmetric pair
+    # A^-1_ij - (n_i n_j c2 + c1 P_ij), filled once per symmetric pair
     out = np.empty(deps.shape[:-1] + (m, m))
     out_flat = out.reshape(npts, m, m)
     col = np.empty(npts)
@@ -544,28 +528,3 @@ def consistent_tangent(state: ConstitutiveState, deps: np.ndarray, dt: float,
                 np.subtract(a_inv[j, i], col, out=out_flat[:, j, i])
     return out
 
-
-def kkt_residual(state: ConstitutiveState, rate_ep: np.ndarray,
-                 params: MaterialParams) -> dict:
-    """Complementarity diagnostics; all three vanish as mu -> 0.
-
-    feasibility: yield-surface overshoot (.)_+
-    complementarity: |rate_ep| * |distance to yield surface|
-    alignment: norm of the component of rate_ep off the flow direction
-    """
-    rate_ep = np.asarray(rate_ep, dtype=float)
-    beta = beta_of(state, params)
-    b = norm(beta)
-    if params.model == KINEMATIC:
-        distance = b - params.kappa
-    else:
-        distance = b - params.kappa - state.xi
-    feasibility = np.maximum(distance, 0.0)
-    rate_norm = norm(rate_ep)
-    complementarity = rate_norm * np.abs(distance)
-    denom = np.where(b > 0, b, 1.0)
-    direction = beta / denom[..., None]
-    misfit = norm(rate_ep - rate_norm[..., None] * direction)
-    alignment = np.where(rate_norm > 0, np.where(b > 0, misfit, rate_norm), 0.0)
-    return {"feasibility": feasibility, "complementarity": complementarity,
-            "alignment": alignment}

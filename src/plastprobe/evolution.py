@@ -3,31 +3,15 @@
 Each step solves the nonlinear discrete equilibrium for the nodal
 displacement with the stress given by the pointwise backward-Euler
 update of the strain increment, by constitutive.damped_newton with the
-consistent tangent.  Newton starts from a predictor chosen by the
-regime of the converged state: from an elastic state, one exact solve
-with the elastic factors for the elastic trial stress (an elastic step
-needs no more), kept only if it lowers the residual; from a plastic
-state, the quadratic extrapolation 3 (u_n - u_{n-1}) + u_{n-2} through
-the last three levels (the linear 2 u_n - u_{n-1} of de Souza Neto,
-Peric & Owen 2008 while only two exist), kept if its residual is below
-the elastic trial stress's at the unpredicted start, so the unpredicted
-start's local update is only run when the extrapolation loses.  The
-residual scale is the internal force of that elastic trial stress,
-predictor or not.  Plastic tangents are solved by CG only as accurately
-as Newton needs, and never below half its tolerance (Eisenstat & Walker
-1996; Kelley 1995).  The Newton record counts linear solves, the
-elastic predictor's included, and the CG iterations.  A step starts from the strain its predecessor converged
-to, so each level's symmetric gradient is formed once.  A failed solve
-inside run() raises a SolverFailure marked with its step.
+consistent tangent, from a start chosen by the regime of the converged
+state (_Stepper.step).  A failed solve inside run() raises a
+SolverFailure marked with its step.
 
 Energy diagnostics mirroring the a-priori estimates (penalty energy,
 dissipation sums, suprema of the backward-difference rates) are
 accumulated during the run so that mu-sweeps do not have to keep full
 field histories; the velocity's H^1 norm is the quadratic form of the
 element Gram matrix (Grid.h1_norm_sq), so no gradient field is formed.
-A kept FieldHistory is read by the probes through FieldHistory.read
-alone: each probe field of SOURCE on a box of cells, its components
-flattened.
 """
 
 from __future__ import annotations
@@ -45,10 +29,7 @@ from .fem import CG_RTOL, Grid
 
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-10
-# cap of the inexact-Newton forcing term: a plastic tangent is solved to
-# eta = max(CG_RTOL, min(FORCING_MAX, max(|r| / scale,
-# 0.5 NEWTON_RTOL scale / |r|))) relative accuracy (Dembo, Eisenstat &
-# Steihaug 1982; Eisenstat & Walker 1996; the safeguard: Kelley 1995)
+# cap of the forcing term eta of a plastic CG solve (_Stepper.step)
 FORCING_MAX = 1e-2
 
 
@@ -254,23 +235,17 @@ def initial_state(grid: Grid, params: MaterialParams, data):
 
 
 def elastic_factor(grid: Grid, elastic):
-    """Factors (Grid.factorize) of the stiffness of the elastic
-    compliance tensor elastic on grid: its SuperLU factors, and the
-    float32 band preconditioner that its first plastic CG solve builds.
-    It does not depend on mu, so a sweep factors it once, builds the
-    band at most once, and hands it to each run."""
+    """Grid.factorize of the stiffness of the elastic compliance tensor
+    elastic; it does not depend on mu, so a sweep makes one for every
+    run."""
     return grid.factorize(np.linalg.inv(elastic.matrix))
 
 
 class _Stepper:
-    """Shared machinery for one Rothe step, around one elastic factorization.
-
-    The elastic stiffness is constant: its SuperLU factors
-    (elastic_factor, made here unless given) give the exact solve of
-    the elastic predictor and of an elastic Newton step, and its
-    single-precision band factor, built by the first plastic tangent's
-    CG solve and then kept, preconditions CG on the plastic tangents.
-    """
+    """Shared machinery for one Rothe step, around the elastic factor
+    (elastic_factor, made here unless given): its exact solve serves the
+    elastic predictor and elastic Newton steps, its preconditioner the
+    CG solves of plastic tangents."""
 
     def __init__(self, grid: Grid, params: MaterialParams, data,
                  factor=None):
@@ -288,43 +263,33 @@ class _Stepper:
 
         strain_n is sym_gradient(u_n), which the previous step returned.
         Returns (u, strain, state, iterations, cg_iterations, |r_free| /
-        scale), strain being sym_gradient(u) for the next step.  Let
-        u_start be u_n with the Dirichlet values of t_n + dt, and
-        r_trial the residual of the elastic trial stress sigma_n + A^-1
-        (E(u_start) - strain_n).  The residual scale is max(|load_free|,
-        |(r_trial + load)_free|, 1e-12), whatever start Newton takes.
-        Newton starts from a predictor chosen by the regime of state_n,
-        which run() reads off its streamed overshoot:
-        - elastic_n (state_n within KINK_GUARD of the yield surface): the
-          residual at u_start is formed, and unless it meets the
-          tolerance, the exact elastic predictor is one solve with the
-          elastic factors for -r_trial, kept only if it lowers |r_free|.
-          When no point of the start's update yields by more than
-          KINK_GUARD, its residual stands in for r_trial (the same bits
-          when no trial point yields), and the predictor is the step's
-          elastic Newton iteration.
-        - otherwise, given the previous displacement u_prev: the
-          extrapolation 3 (u_n - u_prev) + u_prev2 with the new Dirichlet
-          values, second order in dt, given a finite u_prev2 (the one
-          before u_prev), else 2 u_n - u_prev; it is kept if its
-          |r_free| is below |r_trial_free| (a NaN is not), and only
-          otherwise is the residual at u_start formed, to start from.
-        - otherwise Newton starts at u_start.
-        Plastic tangents are solved by CG to the safeguarded forcing term
-        eta = max(CG_RTOL, min(FORCING_MAX, max(|r| / scale, 0.5
-        NEWTON_RTOL scale / |r|))).  iterations counts the linear
-        solves: the elastic predictor's, kept or not, and one per Newton
-        correction; extrapolation costs no solve.  cg_iterations sums
-        the CG iterations of the plastic solves.  Raises SolverFailure
-        when |r_free| does not fall to NEWTON_RTOL scale within
-        NEWTON_MAX_ITER solves.
+        scale), strain being sym_gradient(u).  Let u_start be u_n with
+        the Dirichlet values of t_n + dt, and r_trial the residual of the
+        elastic trial stress sigma_n + A^-1 (E(u_start) - strain_n).  The
+        scale is max(|load_free|, |(r_trial + load)_free|, 1e-12) at any
+        start.  Newton starts from, by the regime of state_n:
+        - elastic_n (state_n within KINK_GUARD of yield): u_start, and
+          unless that meets the tolerance, the elastic predictor, one
+          exact solve for -r_trial, kept only if it lowers |r_free|.
+          Where the start's update stays within KINK_GUARD of yield,
+          its residual stands in for r_trial (the same bits when no
+          trial point yields).
+        - otherwise, given u_prev: the extrapolation 3 (u_n - u_prev) +
+          u_prev2 (2 u_n - u_prev without a finite u_prev2; de Souza
+          Neto, Peric & Owen 2008) with the new Dirichlet values, kept if
+          its |r_free| is below |r_trial_free| (a NaN is not).
+        - otherwise u_start.
+        A plastic tangent is solved by CG to the forcing term of
+        direction below.  iterations counts the linear solves, the
+        elastic predictor's included; cg_iterations sums the CG
+        iterations.  Raises SolverFailure when |r_free| is not finite or
+        does not fall to NEWTON_RTOL scale within NEWTON_MAX_ITER solves.
         """
         grid, params, data = self.grid, self.params, self.data
         t1 = t_n + dt
         u = u_n.copy()
         u[grid.dirichlet_nodes] = data.u0(t1, grid.dirichlet_points)
-        load = grid.load_vector(body_fn=data.body_force,
-                                sigma0_fn=data.sigma0, t=t1)
+        load = grid.load_vector(data, t1)
         free = grid.free_dofs
         cg_iterations = []
 
@@ -357,12 +322,13 @@ class _Stepper:
             r, strain, upd = res
             solve = self._elastic_solve
             if not is_elastic(upd):
-                # D gives the exact Jacobian K, so |K du + r| <= eta |r|
-                # with eta < 1 makes du a descent direction for |r|^2;
-                # Kelley's safeguard (1995, his constant 0.5) never asks
-                # CG for a linear residual below half the Newton
-                # tolerance; the tangent is freed on return, before the
-                # next is built
+                # inexact Newton (Dembo, Eisenstat & Steihaug 1982;
+                # Eisenstat & Walker 1996): D gives the exact Jacobian K,
+                # so |K du + r| <= eta |r| with eta < 1 makes du a
+                # descent direction for |r|^2; Kelley's safeguard (1995,
+                # his constant 0.5) never asks CG for a linear residual
+                # below half the Newton tolerance.  The tangent is freed
+                # on return, before the next is built
                 D = consistent_tangent(state_n, strain - strain_n, dt, params,
                                        updated=upd)
                 eta = max(CG_RTOL, min(FORCING_MAX, max(
@@ -443,7 +409,6 @@ def _accumulate_energy(acc, grid, params, state, state_prev=None, u=None,
     else:
         xidot_sq = xidot**2
     acc["xidot_l2"].append(np.sqrt(grid.integrate_qp(xidot_sq)))
-    # the Gauss-rule H^1 norm as a quadratic form of the nodal rate
     acc["udot_h1"].append(np.sqrt(grid.h1_norm_sq((u - u_prev) / dt)))
     prev = acc["dissipation_cum"][-1] if acc["dissipation_cum"] else 0.0
     acc["dissipation_cum"].append(
@@ -581,7 +546,6 @@ def weak_divergence_defect(grid: Grid, data, sigma0) -> float:
     div sigma0, given the initial stress at the quadrature points."""
     free = grid.free_dofs
     fint = grid.internal_force(sigma0)[free]
-    load = grid.load_vector(body_fn=data.body_force, sigma0_fn=data.sigma0,
-                            t=0.0)[free]
+    load = grid.load_vector(data, 0.0)[free]
     scale = max(np.linalg.norm(load), np.linalg.norm(fint), 1e-12)
     return float(np.linalg.norm(fint - load) / scale)

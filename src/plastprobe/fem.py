@@ -5,9 +5,7 @@ The bottom face x_d = 0 carries the interesting boundary data: in
 x_{d-1} > 0 (all remaining faces Dirichlet), "all-dirichlet" pins the
 whole boundary, and "all-neumann-bottom" makes the entire bottom face a
 traction boundary.  The grid is uniform with n cells per unit length,
-2^d Gauss points per cell, and identical element geometry everywhere,
-so shape-function derivatives and the H^1 element Gram matrix are
-computed once.
+2^d Gauss points per cell, and identical element geometry everywhere.
 
 Quadrature-point tensor fields are ndarrays of shape (ncells, nqp, m)
 in Mandel components; displacement fields are (nnodes, d).  The point
@@ -16,25 +14,16 @@ quadrature points, Dirichlet nodes) are built once and read-only, so a
 data generator may evaluate its profiles once per point set.
 
 Force and load vectors, and the products of the CG solver, are summed
-from per-cell contributions with ``bincount``.  A stiffness is assembled
-into a sparse matrix only to be LU factored (the elastic one, once per
-run or sweep), and the LU factors serve exact elastic solves only.  CG
-takes a tangent as its element matrices, which one matrix product of a
-per-grid table with the modulus field gives, and is preconditioned by a
-single-precision banded Cholesky factor of the same elastic stiffness,
-scattered straight from its one element matrix on the first plastic
-solve.
+from per-cell contributions with ``bincount``.  The linear solves are
+those of make_solver, with a StiffnessFactor (factorize).
 
-The row gathers of node and point fields on a step's path (a
-displacement's rows at the cell corners here, the yielding points' rows
-in constitutive's closed-form tangent) go through
-``np.take(..., axis=0)``, not fancy indexing: numpy copies each 16-48
-byte row of a fancy index through its generic subspace loop, and at
-n = 32 ``u[cell_nodes]`` took 91-94 us against 8 us for the take (2-core
-x86-64 VM, numpy 2.4), most of a ``sym_gradient``.  A take copies the
-same values into the same C-order layout, so every product and sum
-downstream sees the same operands and no output bit depends on which of
-the two does the copy.
+Row gathers of node and point fields on a step's path (a displacement's
+rows at the cell corners here, the yielding points' rows in
+constitutive.consistent_tangent) use ``np.take(..., axis=0)``: fancy
+indexing copies each 16-48 byte row through numpy's generic subspace
+loop, which is slower (timings: BENCH_row_gathers.json).  A take copies
+the same values into the same C-order layout, so no output bit depends
+on which of the two does the copy.
 """
 
 from __future__ import annotations
@@ -53,13 +42,7 @@ from .constitutive import SolverFailure
 
 MODES = ("mixed", "all-dirichlet", "all-neumann-bottom")
 
-# default and floor of the CG relative tolerance; the inexact-Newton
-# forcing term of evolution asks for |r| / scale > NEWTON_RTOL > CG_RTOL,
-# and its safeguard never for less than sqrt(0.5 NEWTON_RTOL), about
-# 7.1e-6, in a plastic Newton step.  CG's own float64 recurrences reach
-# any of them; a single-precision preconditioner (unit round-off 6e-8)
-# only has to keep K0^-1 K well conditioned, which a float32 K0 factor
-# does (mixed-precision preconditioning: Higham & Mary 2022)
+# default and floor of the relative tolerance of make_solver's CG
 CG_RTOL = 1e-11
 
 
@@ -300,23 +283,20 @@ class Grid:
         return np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
                            minlength=self.nnodes * self.d)
 
-    def load_vector(self, body_fn=None, t: float = 0.0,
-                    sigma0_fn=None) -> np.ndarray:
-        """External load: int f . v plus the bottom-face traction integral.
-
-        sigma0_fn(t, x) gives the Neumann stress data; the traction is
-        sigma0 . n with n the outward normal of the bottom face.
-        """
+    def load_vector(self, data, t: float) -> np.ndarray:
+        """External load at time t: int f . v, f = data.body_force(t, x),
+        plus the Neumann-face integral of the traction sigma0 . n,
+        sigma0 = data.sigma0(t, x) and n the outward normal of the
+        bottom face."""
         out = np.zeros(self.nnodes * self.d)
-        if body_fn is not None:
-            fq = body_fn(t, self.qp_points)
-            fq = np.asarray(fq).reshape(self.ncells, self.nqp, self.d)
-            fc = np.einsum("qa,cqi->cai", self.shape_values, fq, optimize=True)
-            fc *= self.qp_weight
-            out += np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
-                               minlength=self.nnodes * self.d)
-        if self.neumann_cells.size and sigma0_fn is not None:
-            s0 = sigma0_fn(t, self.face_qp_points)
+        fq = data.body_force(t, self.qp_points)
+        fq = np.asarray(fq).reshape(self.ncells, self.nqp, self.d)
+        fc = np.einsum("qa,cqi->cai", self.shape_values, fq, optimize=True)
+        fc *= self.qp_weight
+        out += np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
+                           minlength=self.nnodes * self.d)
+        if self.neumann_cells.size:
+            s0 = data.sigma0(t, self.face_qp_points)
             mats = tensors.to_matrix(np.asarray(s0))
             gq = (mats @ self.face_normal).reshape(
                 len(self.neumann_cells), -1, self.d)
@@ -347,13 +327,10 @@ class Grid:
                                  shape=(ndof, ndof)).tocsr()
 
     def factorize(self, modulus: np.ndarray) -> StiffnessFactor:
-        """Factors of the free block K0_ff of the stiffness K0 of the
-        constant SPD modulus (m, m) (see StiffnessFactor).
-
-        K0 is assemble_tangent of the modulus on every quadrature point,
-        LU factored by scipy's SuperLU here; the band preconditioner is
-        left to its first use.  Raises SolverFailure when SuperLU finds
-        K0_ff singular.
+        """StiffnessFactor of the free block K0_ff of the stiffness K0 of
+        the constant SPD modulus (m, m): assemble_tangent of the modulus
+        on every quadrature point, LU factored by scipy's SuperLU.
+        Raises SolverFailure when SuperLU finds K0_ff singular.
         """
         free = self.free_dofs
         if free.size == 0:
@@ -373,12 +350,13 @@ class Grid:
         the stiffness of the constant modulus (m, m).
 
         The free dofs in their natural order (normal axis fastest) give
-        a band of half-bandwidth kd, 67 at d = 2, n = 32.  Every cell
-        has the one element matrix element_table @ tile(modulus), which
-        is scattered straight into LAPACK's upper band storage, a
-        Fortran-order float32 (kd+1, n_free) array, and factored there
-        by spbtrf.  Raises SolverFailure when a pivot is not positive
-        (a singular or indefinite modulus).
+        a band whose half-bandwidth kd is the widest spread of free dofs
+        within one cell.  Every cell has the one element matrix
+        element_table @ tile(modulus), which is scattered straight into
+        LAPACK's upper band storage, a Fortran-order float32 (kd+1,
+        n_free) array, and factored there by spbtrf.  Raises
+        SolverFailure when a pivot is not positive (a singular or
+        indefinite modulus).
         """
         d, nloc = self.d, self.shape_values.shape[1]
         ke = self.element_table @ np.tile(np.ravel(modulus), self.nqp)
@@ -389,7 +367,6 @@ class Grid:
         index = np.full(self.nnodes * d, -1)
         index[self.free_dofs] = np.arange(self.free_dofs.size)
         local = index[self.cell_dofs]               # -1 on Dirichlet dofs
-        # kd: the widest spread of free indices within one cell
         lowest = np.where(local < 0, local.max(), local).min(axis=1)
         kd = int((local.max(axis=1) - lowest).max())
         band = np.zeros((kd + 1, self.free_dofs.size), np.float32, order="F")
@@ -409,23 +386,17 @@ class Grid:
                     rtol: float = CG_RTOL, iterations: list | None = None):
         """Reusable solver on the free dofs (full-size in/out vectors).
 
-        factor holds the factors (``factorize``) of an SPD matrix K0.
-        With D_qp None the solver is factor.solve, the exact SuperLU
-        solve with K0, and rtol and iterations are unused.  Otherwise CG
+        With D_qp None the solver is factor.solve, the exact solve with
+        factor's K0, and rtol and iterations are unused.  Otherwise CG
         solves with the stiffness K of the modulus field D_qp (as
-        ``assemble_tangent`` would build it), preconditioned by
+        assemble_tangent would build it), preconditioned by
         factor.precondition, until |(K x - rhs)_free| <= rtol
         |rhs_free|, and a solve that does not get there raises
         SolverFailure.  Each successful solve appends its CG iterations
-        to the list iterations, if given: its products K x, one per
-        iteration, as cg starts from x = 0.  CG needs only products K x,
-        which are summed element by element from the element matrices
-        (Hughes, Levit & Winget 1983), so K is never assembled; the
-        element matrices are one product (a GEMM) of element_table with
-        D_qp.  A hardening tangent stays spectrally close to the elastic
-        stiffness, so with K0 as preconditioner CG needs few
-        iterations, and a float32 factor of K0 needs as few as an exact
-        one at the accuracies Newton asks for (see CG_RTOL).
+        (its products K x, as cg starts from x = 0) to the list
+        iterations, if given.  K is never assembled: its products are
+        summed element by element (Hughes, Levit & Winget 1983) from the
+        element matrices, one GEMM of element_table with D_qp.
         """
         free = self.free_dofs
 
@@ -482,17 +453,19 @@ class Grid:
 
 class StiffnessFactor:
     """Factors of the free block K0_ff of the stiffness of a constant SPD
-    modulus, made by Grid.factorize (the elastic stiffness of a run or
-    sweep).
+    modulus (Grid.factorize; the elastic stiffness of a run or sweep).
 
     solve(rhs_free) is the exact solve with K0_ff by its SuperLU
-    factors.  precondition(rhs_free) applies the single-precision
-    banded Cholesky factor of Grid.band_cholesky by LAPACK spbtrs, rhs
-    rounded to float32 and a float32 result, which make_solver writes
-    into its float64 vector; it only preconditions CG (see CG_RTOL for
-    why single precision suffices).  The band is built on the first
-    call and then kept, so a run that solves no plastic tangent never
-    builds it, and a sweep, which shares one factor, builds it once.
+    factors.  precondition(rhs_free) applies the float32 banded
+    Cholesky factor of Grid.band_cholesky by LAPACK spbtrs to rhs
+    rounded to float32, and only preconditions CG: a hardening tangent
+    K stays spectrally close to K0, and while CG's float64 recurrences
+    reach any tolerance Newton asks for, a float32 factor (unit
+    round-off 6e-8) keeps K0^-1 K as well conditioned as an exact one
+    (mixed-precision preconditioning: Higham & Mary 2022).  The band is
+    built on the first call and then kept, so a run that solves no
+    plastic tangent never builds it, and a sweep, which shares one
+    factor, builds it once.
     """
 
     def __init__(self, grid: Grid, modulus: np.ndarray, lu):

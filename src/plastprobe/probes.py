@@ -5,17 +5,15 @@ The Nikolskii-style quantity attached to a trajectory field w is
     S(h) = aggregate over t of  int_Omega |phi * Delta^h w|^2 dx
 
 with Delta^h the shift difference along the time axis, a tangential
-axis, or the normal axis x_d.  Every table takes its shifts from
-shift_ladder, the one rule: h, 2h, ... up to 1/2 on every space axis and
-dt, 2 dt, ... up to T/2 in time.  Shifts are whole multiples of the cell
-size (or time step), taken between quadrature points at the same
-intra-cell offset, so no interpolation enters.  The cutoff phi sits
-outside the difference, evaluated at the unshifted point, on every
-spatial axis (so tangential differences of fields depending only on
-x_d vanish identically); on the time axis it is baked into the field,
-which is the same thing since phi does not depend on t.  A bound
-S(h) <= C h^{2s} shows up as a log-log slope 2s, so fitted exponents
-are slope/2.
+axis, or the normal axis x_d, by the shifts of shift_ladder.  Shifts are
+whole multiples of the cell size (or time step), taken between
+quadrature points at the same intra-cell offset, so no interpolation
+enters.  The cutoff phi sits outside the difference, evaluated at the
+unshifted point, on every spatial axis (so tangential differences of
+fields depending only on x_d vanish identically); on the time axis it is
+baked into the field, which is the same thing since phi does not depend
+on t.  A bound S(h) <= C h^{2s} shows up as a log-log slope 2s, so
+fitted exponents are slope/2.
 
 A table is built in one blocked, in-place pass that touches only the
 cells where phi can be nonzero, the box Cutoff.support.  For each
@@ -31,22 +29,15 @@ C-contiguous row, so the sum adds the same values in the same order and
 the tables are bitwise equal to that formula; no sum may be reordered.
 
 A table reads its field through FieldHistory.read, the one way a probe
-reads a history, on a read region (read_region): the support box,
-widened on a space axis by the ladder's largest shift along that axis.
-On a space axis a stored field is only viewed there, and a rate is
-formed one block of levels at a time into a second block-sized buffer,
-with the same elementwise (w[k+1] - w[k]) / dt.  A time-axis table
-holds phi * w on the support box, its only array the size of its read
-region.  A table is its ladder h and, per rung, the per-level
+reads a history, on its read_region, which the boxes of record_plan
+hold.  On a space axis a stored field is only viewed there, and a rate
+is formed one block of levels at a time into a second block-sized
+buffer, with the same elementwise (w[k+1] - w[k]) / dt.  A time-axis
+table holds phi * w on the support box, its only array the size of its
+read region.  A table is its ladder h and, per rung, the per-level
 integrals; SeminormTable.values(mode) aggregates them over t, so a
 probe's sup or integral and the ratio check's integral of the same
 (axis, field) come from one table.
-
-The tables read a recorded box, not the whole grid: record_plan gives
-evolution.run, for each recorded field, the bounding box of the read
-regions of the tables run_probes builds (table_keys) that read it
-(evolution.SOURCE), and FieldHistory.read raises on a read outside it.
-ep is read by no table and not recorded.
 """
 
 from __future__ import annotations
@@ -72,12 +63,11 @@ def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
                   grid, out: np.ndarray | None = None) -> np.ndarray:
     """Shift difference w(. + h) - w(.) over the valid index range.
 
-    field_arr is (Nt, ncells, nqp, K), or cell-shaped (Nt, *cells, nqp,
-    K) over any box of cells; axis is "time", "tangential-j" or
-    "normal"; steps is the shift in grid/time units.  The returned array
-    has the shrunken extent along the differenced axis; on a space axis
-    flat cells come back as grid.cell_counts.  A given out (of the
-    returned shape, possibly a strided view) receives the difference.
+    field_arr is cell-shaped, (Nt, *cells, nqp, K) over any box of
+    cells; axis is "time", "tangential-j" or "normal"; steps is the
+    shift in grid/time units.  The returned array has the shrunken
+    extent along the differenced axis.  A given out (of the returned
+    shape, possibly a strided view) receives the difference.
     """
     if steps < 1:
         raise ValueError("shift must be a positive number of steps")
@@ -86,9 +76,6 @@ def diff_quotient(field_arr: np.ndarray, axis: str, steps: int,
             raise ValueError("time shift exceeds the trajectory length")
         return np.subtract(field_arr[steps:], field_arr[:-steps], out=out)
     ax = _space_axis(axis, grid.d)
-    if field_arr.ndim == 4:                     # cells flat
-        field_arr = field_arr.reshape((field_arr.shape[0],) + grid.cell_counts
-                                      + field_arr.shape[2:])
     moved = np.moveaxis(field_arr, 1 + ax, 1)
     if steps >= moved.shape[1]:
         raise ValueError(f"shift {steps} cells exceeds the domain extent")
@@ -490,10 +477,9 @@ def record_plan(scenario) -> dict | None:
 
     Each recorded field is kept on the bounding box of the read regions
     (on the scenario's grid and cutoff) of the tables (table_keys) that
-    read it: sigma for sigma and sigma_dot, xi for xi and xi_dot, and u,
-    on the whole grid, for grad_u_dot.  A field no table reads, ep among
-    them, gets an empty box.  None (record nothing) when no table is
-    built; the cutoff is then not built either.
+    read it (evolution.SOURCE), u on the whole grid.  A field no table
+    reads, ep among them, gets an empty box.  None (record nothing) when
+    no table is built; the cutoff is then not built either.
     """
     keys = table_keys(scenario.probes, scenario.N)
     if not keys:
@@ -601,13 +587,12 @@ def mu_sweep(scenario):
     """Run the scenario once per mu and compare the uniform quantities.
 
     Spread ratios are max/min over the sweep; the overshoot decay slope
-    is the log-log fit of the final-time overshoot against mu.  The
-    elastic stiffness does not depend on mu: it is factored once, and
-    every run is handed that factor, which the sweep drops on return.
-    Failed runs are recorded as partial entries; a failed factorization
-    fails every mu.  A run records the fields its probe tables read
-    (record_plan), and nothing without probes; an entry keeps its run's
-    ProbeReport (exponents and interpolation check).
+    is the log-log fit of the final-time overshoot against mu.  Every
+    run is handed one evolution.elastic_factor, which the sweep drops on
+    return.  Failed runs are recorded as partial entries; a failed
+    factorization fails every mu.  A run records the fields its probe
+    tables read (record_plan), and nothing without probes; an entry
+    keeps its run's ProbeReport (exponents and interpolation check).
     """
     mus = sorted((float(m) for m in scenario.mu_list), reverse=True)
     record = record_plan(scenario)

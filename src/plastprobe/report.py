@@ -28,6 +28,8 @@ def _float_fmt(reproducible: bool) -> str:
 
 
 def _jsonify(obj):
+    """obj as plain JSON data: containers and numpy values converted, and
+    every non-finite float (numpy's too) written as null."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -35,7 +37,7 @@ def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonify(obj.item())
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj

@@ -4,12 +4,7 @@ A scenario is a JSON document selecting the hardening model, grid,
 time discretization, penalty parameter(s), material tensors, a named
 closed-form data generator, the cutoff, and the probe selections.
 A Scenario builds its grid and cutoff once, for every caller.
-Validation runs the ellipticity, cutoff and declared fit-window checks
-and those of each probe axis (in range, with a nonempty shift ladder),
-then the safety-load, weak-divergence and initial-plastic-strain checks
-on one initial state (evolution.initial_state) and that no two mu values
-share a sweep directory (report.sweep_dir), and returns violations as
-data.
+validate returns the semantic violations of a scenario as data.
 """
 
 from __future__ import annotations

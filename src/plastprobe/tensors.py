@@ -12,23 +12,20 @@ deviators and eigenvalue computations on the m x m representation of
 fourth-order tensors are exact.  All functions broadcast over leading
 axes; the last axis is always the component axis.
 
-The per-point kernels (tr, dev, inner and everything built on them) run
-on every quadrature point of every Newton iteration, so they take no
-reduction over the 2-to-6-long component axis: they add component
-slices in the order numpy's ``sum`` does, starting from +0.0, which
-makes them bit-identical to ``vec[..., :d].sum(-1)`` and
+The kernel rule.  The per-point kernels (tr, dev, inner and everything
+built on them) run on every quadrature point of every Newton iteration,
+so they take no reduction over the 2-to-6-long component axis: they add
+component slices in the order numpy's ``sum`` does, starting from +0.0,
+which makes them bit-identical to ``vec[..., :d].sum(-1)`` and
 ``(a * b).sum(-1)`` (signed zeros and inf included; a nan stays a nan)
-at a fraction of the cost.  Keep that rule when editing them: a changed
-summation order moves the round-off of every stored trajectory.  The
-same rule makes the isotropic Tensor4Sym.apply and dev_diff fill one
-output array component by component with the operations, operand order
-included, of their plain array formulas (dev_modulus * dev(vec) +
-(vol_modulus / d) * tr(vec)[..., None] * identity(d), resp. dev(a) -
-dev(b)), so they give those formulas' bits and floating-point warnings
-without the field-sized temporaries.
-The yielding points' row gathers of constitutive's closed-form tangent
-follow the gather rule of the fem module docstring (``np.take``, the
-same bits).
+at a fraction of the cost.  A field-sized kernel (the isotropic
+Tensor4Sym.apply, dev_diff, and constitutive's radial return and
+closed-form tangent) fills one output array component by component with
+the operations, operand order included, of the plain array formula its
+docstring names, so it gives that formula's bits and floating-point
+warnings without field-sized temporaries.  Keep the rule when editing
+them: a changed summation order moves the round-off of every stored
+trajectory.
 """
 
 from __future__ import annotations
@@ -119,7 +116,7 @@ def dev(vec: np.ndarray) -> np.ndarray:
 
 
 def dev_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dev(a) - dev(b), with its bits, in one output array."""
+    """dev(a) - dev(b), with its bits (the kernel rule)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = mandel_dim(a.shape[-1])
@@ -188,20 +185,13 @@ def penalty(beta: np.ndarray, kappa: float, mu: float) -> np.ndarray:
     return scale[..., None] * beta
 
 
-def penalty_energy(beta: np.ndarray, kappa: float, mu: float) -> np.ndarray:
-    """Convex potential mu^-1 * (|beta| - kappa)_+^2 / 2 whose gradient is penalty()."""
-    excess = np.maximum(norm(beta) - kappa, 0.0)
-    return 0.5 * excess**2 / mu
-
-
 @dataclass(frozen=True)
 class Tensor4Sym:
     """Major-symmetric fourth-order tensor acting on Mandel vectors.
 
     Stored as a dense m x m matrix.  Isotropic maps (two moduli: one on
     deviators, one on the volumetric part) carry their moduli so callers
-    can take scalar fast paths.  The matrix is never written in place,
-    so inverse() builds the inverse map once per tensor.
+    can take scalar fast paths.  The matrix is never written in place.
     """
 
     matrix: np.ndarray
@@ -237,8 +227,7 @@ class Tensor4Sym:
               ) -> np.ndarray:
         """Apply the map to components (..., m); given add, add + that.
 
-        An isotropic map fills one output array component by component
-        (the kernel rule of the module docstring): the bits of
+        An isotropic map follows the kernel rule: the bits of
         dev_modulus * dev(vec) + (vol_modulus / d) * tr(vec)[..., None]
         * identity(d), and of add + that.
         """

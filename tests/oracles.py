@@ -1,4 +1,4 @@
-"""Independent brute-force solvers used to cross-check the package.
+"""Independent brute-force solvers and diagnostics to check the package.
 
 Everything here deliberately avoids the code paths of the package
 implementation: dense full-matrix tensor algebra, MINPACK root finding,
@@ -33,6 +33,38 @@ def _penalty_vec(beta, kappa, mu):
     if b <= kappa:
         return np.zeros_like(beta)
     return (b - kappa) / mu * beta / b
+
+
+def penalty_energy(beta, kappa, mu) -> float:
+    """Convex potential mu^-1 (|beta| - kappa)_+^2 / 2 of one point, whose
+    gradient is tensors.penalty."""
+    return 0.5 * max(np.linalg.norm(beta) - kappa, 0.0) ** 2 / mu
+
+
+def kkt_residual(state, rate_ep, params) -> dict:
+    """Complementarity diagnostics of a penalized state, batched over the
+    leading axes; all three vanish as mu -> 0.
+
+    feasibility: yield-surface overshoot (.)_+
+    complementarity: |rate_ep| * |distance to yield surface|
+    alignment: norm of the component of rate_ep off the flow direction
+    """
+    if params.model == KINEMATIC:
+        beta = tensors.dev(state.sigma) - tensors.dev(state.xi)
+        hardening = 0.0
+    else:
+        beta = tensors.dev(state.sigma)
+        hardening = state.xi
+    b = np.linalg.norm(beta, axis=-1)
+    distance = b - params.kappa - hardening
+    rate_ep = np.asarray(rate_ep, dtype=float)
+    rate = np.linalg.norm(rate_ep, axis=-1)
+    direction = beta / np.where(b > 0, b, 1.0)[..., None]
+    misfit = np.linalg.norm(rate_ep - rate[..., None] * direction, axis=-1)
+    return {"feasibility": np.maximum(distance, 0.0),
+            "complementarity": rate * np.abs(distance),
+            "alignment": np.where(rate > 0, np.where(b > 0, misfit, rate),
+                                  0.0)}
 
 
 def local_system_residual(z, sigma0, xi0, deps, dt, params):

@@ -15,10 +15,10 @@ from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, ConstitutiveState,
                                      local_update)
 from plastprobe.probes import fit_exponent, seminorm_table
 from plastprobe.scenario import BENCHMARKS, load_benchmark
-from plastprobe.tensors import Tensor4Sym, penalty, penalty_energy
+from plastprobe.tensors import Tensor4Sym, penalty
 
 from oracles import (fd_gradient, fd_jacobian, integrate_pointwise_ode,
-                     oracle_local_update, random_spd_tensor4)
+                     oracle_local_update, penalty_energy, random_spd_tensor4)
 
 pytestmark = pytest.mark.slow
 

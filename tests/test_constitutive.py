@@ -7,12 +7,13 @@ from plastprobe import tensors
 from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
                                      ConstitutiveState, MaterialParams,
                                      SolverFailure, consistent_tangent,
-                                     damped_newton, kkt_residual,
-                                     local_update, yield_excess)
+                                     damped_newton, local_update,
+                                     yield_excess)
 from plastprobe.tensors import Tensor4Sym, from_matrix, inner, norm
 
-from oracles import (fd_jacobian, local_system_residual, oracle_local_update,
-                     oracle_radial_bisection, random_spd_tensor4)
+from oracles import (fd_jacobian, kkt_residual, local_system_residual,
+                     oracle_local_update, oracle_radial_bisection,
+                     random_spd_tensor4)
 from test_tensors import SPECIAL, assert_same_bits, recorded_warnings
 
 

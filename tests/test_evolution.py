@@ -14,7 +14,7 @@ from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
                                      yield_excess)
 from plastprobe.scenario import load_benchmark
 
-from oracles import integrate_pointwise_ode
+from oracles import integrate_pointwise_ode, kkt_residual
 
 
 def test_stationary_affine_data_keeps_state():
@@ -278,8 +278,7 @@ def test_plastic_solves_follow_forcing_term(monkeypatch):
         # u_prev2
         elastic_n = yield_excess(state, params).max() <= KINK_GUARD
         t1 = times[k] + dt
-        load = grid.load_vector(body_fn=data.body_force,
-                                sigma0_fn=data.sigma0, t=t1)
+        load = grid.load_vector(data, t1)
         strain_n = grid.sym_gradient(u)
 
         def force(sigma):
@@ -534,8 +533,7 @@ def test_elastic_run_is_the_documented_elastic_step():
     dt = scn.T / scn.N
     for k in range(scn.N):
         t1 = hist.times[k] + dt
-        load = grid.load_vector(body_fn=data.body_force,
-                                sigma0_fn=data.sigma0, t=t1)
+        load = grid.load_vector(data, t1)
         strain_n = grid.sym_gradient(u)
 
         def residual(v):
@@ -837,7 +835,6 @@ def test_run_single_step_equals_step():
 
 def test_kkt_residual_small_on_solver_output():
     # KKT diagnostics of the penalized solution vanish with mu
-    from plastprobe.constitutive import kkt_residual
     scn = load_benchmark("mixed-boundary-kinematic", n=6, N=400, mu=1e-3)
     grid = scn.grid()
     params = scn.material()

@@ -172,10 +172,14 @@ def test_constant_stress_field_in_equilibrium():
     sig_mat = np.array([[1.3, 0.4], [0.4, -0.2]])
     sigma = np.broadcast_to(from_matrix(sig_mat), (g.ncells, g.nqp, 3)).copy()
 
-    def sigma0_fn(t, x):
-        return np.broadcast_to(from_matrix(sig_mat), x.shape[:-1] + (3,))
+    class ConstantStress:
+        def body_force(self, t, x):
+            return np.zeros(x.shape)
 
-    r = g.internal_force(sigma) - g.load_vector(sigma0_fn=sigma0_fn)
+        def sigma0(self, t, x):
+            return np.broadcast_to(from_matrix(sig_mat), x.shape[:-1] + (3,))
+
+    r = g.internal_force(sigma) - g.load_vector(ConstantStress(), 0.0)
     assert np.abs(r[g.free_dofs]).max() <= 1e-13
 
 
@@ -185,8 +189,7 @@ def _elastic_solve(grid, elastic, data, t):
     u = np.zeros((grid.nnodes, grid.d))
     u[grid.dirichlet_nodes] = data.u0(t, grid.nodes[grid.dirichlet_nodes])
     sigma = np.einsum("mn,cqn->cqm", a_inv, grid.sym_gradient(u))
-    r = grid.internal_force(sigma) - grid.load_vector(
-        body_fn=data.body_force, sigma0_fn=data.sigma0, t=t)
+    r = grid.internal_force(sigma) - grid.load_vector(data, t)
     du = grid.make_solver(None, grid.factorize(a_inv))(-r)
     return u + du.reshape(grid.nnodes, grid.d)
 

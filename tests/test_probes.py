@@ -44,7 +44,7 @@ def _normal_tables(hist, cutoff):
 
 def test_diff_quotient_constant_field_zero():
     grid, _ = _grid_and_cutoff()
-    arr = np.ones((5, grid.ncells, grid.nqp, 3))
+    arr = np.ones((5,) + grid.cell_counts + (grid.nqp, 3))
     for axis in ("time", "tangential-1", "normal"):
         out = diff_quotient(arr, axis, 1, grid)
         assert np.abs(out).max() == 0.0
@@ -63,7 +63,7 @@ def test_diff_quotient_linear_normal_field():
     grid, _ = _grid_and_cutoff(n=4)
     slope = 3.0
     vals = slope * grid.qp_coords[..., 1]
-    arr = vals[None, ..., None]
+    arr = vals.reshape(grid.cell_counts + (grid.nqp,))[None, ..., None]
     out = diff_quotient(arr, "normal", 2, grid)
     np.testing.assert_allclose(out, slope * 2 / 4, atol=1e-13)
 
@@ -72,7 +72,7 @@ def test_diff_quotient_telescoping():
     # Delta^{2h} = shift(Delta^h, h) + Delta^h, exactly on stored fields
     rng = np.random.default_rng(40)
     grid, _ = _grid_and_cutoff()
-    arr = rng.standard_normal((6, grid.ncells, grid.nqp, 3))
+    arr = rng.standard_normal((6,) + grid.cell_counts + (grid.nqp, 3))
     d1 = diff_quotient(arr, "time", 1, grid)
     d2 = diff_quotient(arr, "time", 2, grid)
     np.testing.assert_allclose(d2, d1[1:] + d1[:-1], atol=1e-12)
@@ -85,7 +85,7 @@ def test_diff_quotient_telescoping():
 
 def test_diff_quotient_shift_too_large():
     grid, _ = _grid_and_cutoff()
-    arr = np.zeros((4, grid.ncells, grid.nqp, 1))
+    arr = np.zeros((4,) + grid.cell_counts + (grid.nqp, 1))
     with pytest.raises(ValueError):
         diff_quotient(arr, "normal", grid.n, grid)
     with pytest.raises(ValueError):
@@ -489,6 +489,7 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
     cutoff = make_cutoff(grid, eps0=0.15, h0=0.1)
     rng = np.random.default_rng(42)
     sigma = rng.standard_normal((5, grid.ncells, grid.nqp, grid.m))
+    cells = sigma.reshape((5,) + grid.cell_counts + sigma.shape[2:])
     hist = _history(grid, sigma, np.linspace(0, 1, 5))
     phi = cutoff.qp_values.reshape(grid.cell_counts + (grid.nqp,))
     table = seminorm_table(hist, axis, "sigma", cutoff)
@@ -496,7 +497,7 @@ def test_seminorm_axes_are_weighted_diff_quotients(d, axis):
     for mode in ("sup", "integral"):
         for h, value in zip(table.h, table.values(mode)):
             k = int(round(h / table.h[0]))
-            dq = diff_quotient(sigma, axis, k, grid)
+            dq = diff_quotient(cells, axis, k, grid)
             if axis == "time":
                 w = phi
             else:

@@ -116,6 +116,20 @@ def test_roundtrip_config_echo(tmp_path):
     assert scn2.config == scn.config
 
 
+def test_report_json_writes_non_finite_numpy_scalars_as_null(tmp_path):
+    # json.dump writes a float nan or inf as NaN or Infinity, not JSON
+    payload = {"nan": np.float64("nan"), "inf": [np.float32("-inf")],
+               "x": np.float64(1.5), "k": np.int64(3), "y": float("nan")}
+    report._write_json(tmp_path / "r.json", payload)
+
+    def reject(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    data = json.loads((tmp_path / "r.json").read_text(),
+                      parse_constant=reject)
+    assert data == {"nan": None, "inf": [None], "x": 1.5, "k": 3, "y": None}
+
+
 def test_emit_probe_report_files(tmp_path):
     scn = load_benchmark("elastic-only", n=6, N=4)
     grid = scn.grid()

@@ -5,10 +5,10 @@ import pytest
 
 from plastprobe import tensors
 from plastprobe.tensors import (Tensor4Sym, check_ellipticity, dev, from_matrix,
-                                identity, inner, norm, penalty, penalty_energy,
-                                to_matrix, tr)
+                                identity, inner, norm, penalty, to_matrix, tr)
 
-from oracles import fd_gradient, frobenius_inner_dense, random_spd_tensor4
+from oracles import (fd_gradient, frobenius_inner_dense, penalty_energy,
+                     random_spd_tensor4)
 
 
 def test_round_trip_matrix():
