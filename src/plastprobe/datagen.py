@@ -148,7 +148,13 @@ class DataGenerator:
         self.elastic = elastic
         self.d = elastic.d
         self._a_inv = elastic.inverse()
-        self._a_inv_full = self._a_inv.as_full_tensor()
+        d = self.d
+        # body_force's tables: A^-1_ijkl at row (k l j), column i, and the
+        # flat Hessian's column (l k j) for each column (k l j)
+        self._a_inv_klji = self._a_inv.as_full_tensor().transpose(
+            2, 3, 1, 0).reshape(d ** 3, d)
+        self._a_inv_klji.flags.writeable = False
+        self._swap = np.arange(d ** 3).reshape(d, d, d).swapaxes(0, 1).ravel()
         self._memo = {}                     # (kind, id(x)) -> (x, values)
 
     def _profiles(self, kind, x):
@@ -191,9 +197,12 @@ class DataGenerator:
         return self._a_inv.apply(self.strain0(t, x, tder))
 
     def body_force(self, t, x):
-        """f = -div sigma0, exact (second derivatives of the profiles)."""
+        """f = -div sigma0, exact (second derivatives of the profiles),
+        by the matmul of einsum's plan (kernel rule: fem docstring)."""
         H = self.hess_u0(t, x)              # H[..., i, j, k] = d2 u_i / dx_j dx_k
+        Hf = H.reshape(-1, self.d ** 3)
         # dE[..., k, l, j] = d_j E_kl; uses Hessian symmetry in (j, k)
-        dE = 0.5 * (np.swapaxes(H, -3, -2) + H)
-        return -np.einsum("ijkl,...klj->...i", self._a_inv_full, dE,
-                          optimize=True)
+        dE = np.take(Hf, self._swap, axis=1)
+        dE += Hf
+        dE *= 0.5
+        return -(dE @ self._a_inv_klji).reshape(H.shape[:-2])

@@ -24,6 +24,12 @@ indexing copies each 16-48 byte row through numpy's generic subspace
 loop, which is slower (timings: BENCH_row_gathers.json).  A take copies
 the same values into the same C-order layout, so no output bit depends
 on which of the two does the copy.
+
+Each contraction of a step (sym_gradient, gradient, internal_force,
+load_vector) is the one matmul of ``np.einsum(..., optimize=True)``'s
+plan, which einsum re-plans on every call: the field on the left, the
+constant operand a read-only per-grid table in the plan's C order.  A
+flipped or Fortran-ordered operand moves the last bit.
 """
 
 from __future__ import annotations
@@ -115,8 +121,8 @@ class Grid:
 
     def _q1_rule(self, cells, face=False):
         """Gauss points (+-1/sqrt(3) per axis) of the reference cell, or of
-        its face xi_d = -1 if face, as (pts, Q1 shape values (npts, 2^d),
-        read-only physical coordinates in cells (len(cells), npts, d))."""
+        its face xi_d = -1 if face, as (pts, read-only Q1 shape values
+        (npts, 2^d) and physical coordinates (len(cells), npts, d))."""
         d, h = self.d, self.h
         g = 1.0 / np.sqrt(3.0)
         pts = np.array(list(itertools.product((-g, g), repeat=d - face)))
@@ -128,7 +134,7 @@ class Grid:
             N *= (1.0 + pts[:, None, j] * signs[None, :, j]) / 2.0
         origins = self.nodes[self.cell_nodes[cells, 0]]
         local = (pts + 1.0) / 2.0 * h
-        return pts, N, _read_only(origins[:, None, :] + local[None, :, :])
+        return pts, _read_only(N), _read_only(origins[:, None, :] + local)
 
     def _build_quadrature(self):
         d, h = self.d, self.h
@@ -159,7 +165,11 @@ class Grid:
                     outer = np.zeros((d, d))
                     outer[i, :] = gradN[q, a, :]
                     B[q, :, a, i] = tensors.from_matrix(0.5 * (outer + outer.T))
-        self.B = B
+        self.B = _read_only(B)
+        # right operands of the step's matmuls (module docstring)
+        self._force_op = B.reshape(nqp * self.m, -1)
+        self._strain_op = _read_only(self._force_op.T.copy())
+        self._grad_op = _read_only(gradN.transpose(1, 0, 2).reshape(nloc, -1))
         table = np.einsum("qmai,qnbj->ijabqmn", B, B)
         table *= self.qp_weight
         self.element_table = _read_only(
@@ -243,7 +253,8 @@ class Grid:
         if u.shape != (self.nnodes, self.d):
             raise ValueError(f"displacement shape {u.shape} does not match grid")
         u_cells = np.take(u, self.cell_nodes, axis=0)
-        return np.einsum("qmai,cai->cqm", self.B, u_cells, optimize=True)
+        strain = u_cells.reshape(self.ncells, -1) @ self._strain_op
+        return strain.reshape(self.ncells, self.nqp, self.m)
 
     def gradient(self, u: np.ndarray, cells=None, out=None) -> np.ndarray:
         """Full gradient du_i/dx_j of a nodal field, (ncells, nqp, d, d).
@@ -255,8 +266,13 @@ class Grid:
         nodes = (self.cell_nodes if cells is None
                  else np.take(self.cell_nodes, cells, axis=0))
         u_cells = np.take(u, nodes, axis=0)
-        return np.einsum("qaj,cai->cqij", self.shape_grads, u_cells,
-                         optimize=True, out=out)
+        rows = np.reshape(u_cells.transpose(0, 2, 1), (-1, u_cells.shape[1]))
+        grad = (rows @ self._grad_op).reshape(
+            len(nodes), self.d, self.nqp, self.d).transpose(0, 2, 1, 3)
+        if out is None:
+            return grad
+        out[...] = grad
+        return out
 
     def h1_norm_sq(self, u: np.ndarray) -> float:
         """Squared H^1 norm of a nodal field by the Gauss rule: the sum
@@ -278,7 +294,9 @@ class Grid:
 
     def internal_force(self, sigma_qp: np.ndarray) -> np.ndarray:
         """Nodal vector of int sigma : E(v_i); shape (nnodes*d,)."""
-        fc = np.einsum("qmai,cqm->cai", self.B, sigma_qp, optimize=True)
+        if np.shape(sigma_qp) != (self.ncells, self.nqp, self.m):
+            raise ValueError(f"stress {np.shape(sigma_qp)} does not match grid")
+        fc = np.reshape(sigma_qp, (self.ncells, -1)) @ self._force_op
         fc *= self.qp_weight
         return np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
                            minlength=self.nnodes * self.d)
@@ -288,25 +306,28 @@ class Grid:
         plus the Neumann-face integral of the traction sigma0 . n,
         sigma0 = data.sigma0(t, x) and n the outward normal of the
         bottom face."""
-        out = np.zeros(self.nnodes * self.d)
-        fq = data.body_force(t, self.qp_points)
-        fq = np.asarray(fq).reshape(self.ncells, self.nqp, self.d)
-        fc = np.einsum("qa,cqi->cai", self.shape_values, fq, optimize=True)
-        fc *= self.qp_weight
-        out += np.bincount(self.cell_dofs.ravel(), weights=fc.ravel(),
-                           minlength=self.nnodes * self.d)
+        out = self._corner_load(data.body_force(t, self.qp_points),
+                                self.shape_values, self.qp_weight,
+                                self.cell_dofs)
         if self.neumann_cells.size:
             s0 = data.sigma0(t, self.face_qp_points)
-            mats = tensors.to_matrix(np.asarray(s0))
-            gq = (mats @ self.face_normal).reshape(
-                len(self.neumann_cells), -1, self.d)
-            fc = np.einsum("qa,cqi->cai", self.face_shape_values, gq,
-                           optimize=True)
-            fc *= self.face_qp_weight
-            dofs = self.cell_dofs[self.neumann_cells]
-            out += np.bincount(dofs.ravel(), weights=fc.ravel(),
-                               minlength=self.nnodes * self.d)
+            gq = tensors.to_matrix(np.asarray(s0)) @ self.face_normal
+            out += self._corner_load(gq, self.face_shape_values,
+                                     self.face_qp_weight,
+                                     self.cell_dofs[self.neumann_cells])
         return out
+
+    def _corner_load(self, f, N, weight, dofs):
+        """Nodal vector of weight sum_q N[q, a] f[c, q, i] at dof i of
+        corner a of cell c, f given as point rows (cells nq, d)."""
+        cells, nq, d = len(dofs), len(N), self.d
+        if np.shape(f) != (cells * nq, d):
+            raise ValueError(f"load shape {np.shape(f)} does not match grid")
+        f = np.reshape(f, (cells, nq, d)).transpose(0, 2, 1)
+        fc = np.reshape(f, (-1, nq)) @ N
+        fc *= weight
+        fc = fc.reshape(cells, d, -1).transpose(0, 2, 1).ravel()
+        return np.bincount(dofs.ravel(), weights=fc, minlength=self.nnodes * d)
 
     def assemble_tangent(self, D_qp: np.ndarray) -> sparse.csr_matrix:
         """Stiffness from a quadrature-point modulus field (ncells, nqp, m, m).

@@ -15,6 +15,29 @@ from plastprobe import tensors
 from plastprobe.constitutive import KINEMATIC
 
 
+def assert_same_bits(got, ref, label=""):
+    """got has ref's shape, dtype and bytes: NaN positions and payloads
+    and the signs of zeros included."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype, label
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref), label)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref), label)
+    assert got.tobytes() == ref.tobytes(), label
+
+
+def layouts(f, rng):
+    """f itself, and the same values as a history row, every other row of
+    a taller array, a last-axis-strided view and a Fortran-order copy."""
+    hist = rng.standard_normal((3,) + f.shape)
+    hist[1] = f
+    tall = rng.standard_normal((2 * f.shape[0],) + f.shape[1:])
+    tall[::2] = f
+    wide = rng.standard_normal(f.shape[:-1] + (2 * f.shape[-1],))
+    wide[..., ::2] = f
+    return {"C": f, "history row": hist[1], "every other row": tall[::2],
+            "column stride": wide[..., ::2], "Fortran": np.asfortranarray(f)}
+
+
 def frobenius_inner_dense(a_mat: np.ndarray, b_mat: np.ndarray) -> float:
     """Full-matrix double contraction sum_ij a_ij b_ij."""
     return float(np.sum(a_mat * b_mat))

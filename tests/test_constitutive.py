@@ -11,10 +11,10 @@ from plastprobe.constitutive import (ISOTROPIC, KINEMATIC, KINK_GUARD,
                                      yield_excess)
 from plastprobe.tensors import Tensor4Sym, from_matrix, inner, norm
 
-from oracles import (fd_jacobian, kkt_residual, local_system_residual,
-                     oracle_local_update, oracle_radial_bisection,
-                     random_spd_tensor4)
-from test_tensors import SPECIAL, assert_same_bits, recorded_warnings
+from oracles import (assert_same_bits, fd_jacobian, kkt_residual,
+                     local_system_residual, oracle_local_update,
+                     oracle_radial_bisection, random_spd_tensor4)
+from test_tensors import SPECIAL, recorded_warnings
 
 
 def make_params(model=KINEMATIC, d=2, kappa=1.0, mu=1.0, elastic=None,
@@ -737,8 +737,8 @@ def _special_batches(model, d, rng):
 @pytest.mark.parametrize("model", [KINEMATIC, ISOTROPIC])
 def test_radial_return_kernels_are_the_array_formulas(model, d):
     # the radial return and the closed-form tangent, built without
-    # field-sized temporaries, give the bits (a NaN compared as a NaN)
-    # and the floating-point warnings of their array formulas
+    # field-sized temporaries, give the bits and the floating-point
+    # warnings of their array formulas
     rng = np.random.default_rng(80 + d)
     elastic = Tensor4Sym.isotropic(d, 0.8, 1.7)
     params = make_params(model, d=d, kappa=1.0, mu=0.05, elastic=elastic,

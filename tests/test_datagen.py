@@ -9,6 +9,8 @@ from plastprobe.datagen import (DataGenerator, PolyProfile, SineProfile,
 from plastprobe.scenario import load_benchmark
 from plastprobe.tensors import Tensor4Sym
 
+from oracles import assert_same_bits, layouts, random_spd_tensor4
+
 TIMES = (0.0, 0.37, 1.0)
 TPOLYS = ([0.0, 1.3, -0.4], [0.2, -0.7, 0.9])
 
@@ -34,11 +36,6 @@ def _frozen_points(rng, d, count=97):
     return x
 
 
-def _same_bits(got, ref):
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    assert got.tobytes() == ref.tobytes()
-
-
 def _term_sum(gen, kind, t, x, tder):
     """The sum over the terms as evaluated before the memo, term by term."""
     out = None
@@ -62,15 +59,62 @@ def test_cached_evaluation_is_bit_identical(kind, d):
                                 ("hess_u0", "hess")):
                 ref = _term_sum(gen, kind_, t, fresh, tder)
                 for _ in range(3):        # first call fills, then hits
-                    _same_bits(getattr(gen, name)(t, x, tder), ref)
-                _same_bits(getattr(gen, name)(t, fresh, tder), ref)
+                    assert_same_bits(getattr(gen, name)(t, x, tder), ref)
+                assert_same_bits(getattr(gen, name)(t, fresh, tder), ref)
             for name in ("strain0", "sigma0"):
                 ref = getattr(gen, name)(t, fresh, tder)
                 for _ in range(3):
-                    _same_bits(getattr(gen, name)(t, x, tder), ref)
+                    assert_same_bits(getattr(gen, name)(t, x, tder), ref)
         ref = gen.body_force(t, fresh)
         for _ in range(3):
-            _same_bits(gen.body_force(t, x), ref)
+            assert_same_bits(gen.body_force(t, x), ref)
+
+
+class _HessianTable:
+    """A profile whose Hessian is a fixed table of point rows."""
+
+    def __init__(self, H):
+        self.H = H
+
+    def hess(self, x):
+        return self.H
+
+
+def _body_force_formula(gen, t, x):
+    """-A^-1_ijkl d_j E_kl by np.einsum(..., optimize=True)."""
+    H = gen.hess_u0(t, x)
+    dE = 0.5 * (np.swapaxes(H, -3, -2) + H)
+    full = gen.elastic.inverse().as_full_tensor()
+    return -np.einsum("ijkl,...klj->...i", full, dE, optimize=True)
+
+
+@pytest.mark.parametrize("kind", ["poly", "sine"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_body_force_is_its_einsum_formula(kind, d):
+    # the bits of the einsum formula with the shipped isotropic A and a
+    # random SPD one, at point sets in any memory layout and at a single
+    # point; a table of Hessians brings inf, nan, subnormals and
+    # magnitudes from 1e-8 to 1e8 (no -0: the term sum starts at +0)
+    rng = np.random.default_rng(70 + d)
+    points = rng.uniform(-1.0, 1.0, (61, d))
+    H = rng.standard_normal((61, d, d, d)) * 10.0 ** rng.integers(
+        -8, 9, (61, d, d, d))
+    H.flat[rng.choice(H.size, 7, replace=False)] = [
+        np.inf, -np.inf, np.nan, 5e-324, -5e-324, 0.0, np.nan]
+    for elastic in (None, random_spd_tensor4(rng, d)):
+        gen = _generator(kind, d, rng)
+        if elastic is not None:
+            gen = DataGenerator(gen.terms, elastic)
+        for t in TIMES:
+            for layout, x in layouts(points, rng).items():
+                assert_same_bits(gen.body_force(t, x),
+                                 _body_force_formula(gen, t, x), layout)
+            assert_same_bits(gen.body_force(t, points[0]),
+                             _body_force_formula(gen, t, points[0]))
+        table = DataGenerator([([1.0], _HessianTable(H))], gen.elastic)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(table.body_force(0.5, points),
+                             _body_force_formula(table, 0.5, points))
 
 
 def _count_calls(gen, kind):
@@ -114,8 +158,8 @@ def test_each_read_only_array_gets_its_own_values():
     assert not np.array_equal(x, y)
     ux = gen.u0(1.0, x)
     uy = gen.u0(1.0, y)
-    _same_bits(uy, gen.u0(1.0, y.copy()))
-    _same_bits(ux, gen.u0(1.0, x))
+    assert_same_bits(uy, gen.u0(1.0, y.copy()))
+    assert_same_bits(ux, gen.u0(1.0, x))
     assert not np.array_equal(ux, uy)
 
 

@@ -366,6 +366,36 @@ def test_plastic_state_step_updates_once_per_solve(monkeypatch):
         np.testing.assert_array_equal(u, hist.u[k + 1])
 
 
+def test_steps_call_no_planned_einsum(monkeypatch):
+    # a step's contractions are the matmuls of einsum's plans, with no
+    # einsum (which re-plans on every call); only the unplanned ones stay
+    # (h1_norm_sq, the CG product).  The stepper is built first: its
+    # factorization assembles the stiffness by a planned einsum
+    scn = load_benchmark("mixed-boundary-kinematic", n=4, N=4, mu=0.2,
+                         allow_coarse_dt=True)
+    grid, params, data = scn.grid(), scn.material(), scn.data
+    hist, energy = evolution.run(grid, params, data, scn.T, scn.N)
+    # level 0 is elastic and level 3 plastic
+    assert energy.overshoot_linf[0] <= KINK_GUARD < energy.overshoot_linf[3]
+    stepper = evolution._Stepper(grid, params, data)
+    real = np.einsum
+
+    def unplanned(*operands, optimize=False, **kwargs):
+        if optimize:
+            raise AssertionError("planned einsum in a step")
+        return real(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", unplanned)
+    for k, kwargs in ((0, dict(elastic_n=True)),
+                      (3, dict(u_prev=hist.u[2], u_prev2=hist.u[1]))):
+        u, _, state, _, cg, _ = stepper.step(
+            hist.u[k], grid.sym_gradient(hist.u[k]), hist.state_at(k),
+            hist.times[k], hist.dt, **kwargs)
+        assert (cg > 0) == (k == 3)
+        np.testing.assert_array_equal(u, hist.u[k + 1])
+        np.testing.assert_array_equal(state.sigma, hist.sigma[k + 1])
+
+
 def test_cg_iterations_are_recorded_per_step(monkeypatch):
     # the recorded CG iterations are the iterations scipy's cg reports
     # through its callback, step by step; elastic steps take none

@@ -10,7 +10,10 @@ from plastprobe.constitutive import (ConstitutiveState, MaterialParams,
 from plastprobe.datagen import DataGenerator, PolyProfile, SineProfile
 from plastprobe.fem import (CG_RTOL, MODES, Geometry, build_grid,
                             make_cutoff)
-from plastprobe.tensors import Tensor4Sym, dev_projector, from_matrix
+from plastprobe.tensors import (Tensor4Sym, dev_projector, from_matrix,
+                                to_matrix)
+
+from oracles import assert_same_bits, layouts
 
 
 def test_node_and_cell_counts_2d():
@@ -108,62 +111,130 @@ def test_sym_gradient_quadratic_matches_analytic_derivative():
     np.testing.assert_allclose(strain[..., 0], expected, atol=1e-13)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
-def _layouts(f, rng):
-    """f itself, and the same values as a history row, every other row of
-    a taller array, a column-strided view and a Fortran-order copy."""
-    hist = rng.standard_normal((3,) + f.shape)
-    hist[1] = f
-    tall = rng.standard_normal((2 * f.shape[0], f.shape[1]))
-    tall[::2] = f
-    wide = rng.standard_normal((f.shape[0], 2 * f.shape[1]))
-    wide[:, ::2] = f
-    return {"C": f, "history row": hist[1], "every other row": tall[::2],
-            "column stride": wide[:, ::2], "Fortran": np.asfortranarray(f)}
+def _bit_samples(shape, rng):
+    """A finite field of magnitudes 1e-8 to 1e8 with signed zeros and the
+    smallest subnormal, and a copy with infs and NaNs sprinkled in."""
+    finite = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    finite.flat[rng.choice(finite.size, 9, replace=False)] = [
+        0.0, -0.0] * 4 + [5e-324]
+    special = finite.copy()
+    special.flat[rng.choice(special.size, 6, replace=False)] = [
+        np.inf, -np.inf, np.nan, np.inf, -0.0, np.nan]
+    return finite, special
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
 def test_gathers_keep_the_fancy_index_bits(d, n, mode):
-    # the row gathers of sym_gradient, gradient and h1_norm_sq give the
-    # bits of their fancy-index formulas, signed zeros, inf and nan
-    # included, whatever the memory layout of u
+    # sym_gradient, gradient and h1_norm_sq give the bits of their
+    # fancy-index einsum formulas, signed zeros, subnormals, inf and nan
+    # included, whatever the memory layout of u; gradient also returns
+    # the formula's (c, q, i, j) view of its product
     g = build_grid(Geometry(d=d, mode=mode), n)
     rng = np.random.default_rng(25)
-    finite = rng.standard_normal((g.nnodes, d))
-    finite.flat[rng.choice(finite.size, 8, replace=False)] = [0.0, -0.0] * 4
-    special = finite.copy()
-    special.flat[rng.choice(special.size, 6, replace=False)] = [
-        np.inf, -np.inf, np.nan, np.inf, -0.0, np.nan]
+    finite, special = _bit_samples((g.nnodes, d), rng)
     cells = np.append(rng.permutation(g.ncells)[:g.ncells // 3], -1)
     with np.errstate(all="ignore"):
         for f in (finite, special):
-            for layout, u in _layouts(f, rng).items():
+            for layout, u in layouts(f, rng).items():
                 assert np.array_equal(u, f, equal_nan=True), layout
                 oracle = np.einsum("qmai,cai->cqm", g.B, u[g.cell_nodes],
                                    optimize=True)
-                assert _same_bits(g.sym_gradient(u), oracle), layout
-                for c in (None, cells):
+                assert_same_bits(g.sym_gradient(u), oracle, layout)
+                for c in (None, cells, cells[:1]):
                     nodes = g.cell_nodes if c is None else g.cell_nodes[c]
                     oracle = np.einsum("qaj,cai->cqij", g.shape_grads,
                                        u[nodes], optimize=True)
-                    assert _same_bits(g.gradient(u, c), oracle), layout
+                    grad = g.gradient(u, c)
+                    assert_same_bits(grad, oracle, layout)
+                    assert grad.strides == oracle.strides, layout
                     out = np.full_like(oracle, np.nan)
                     assert g.gradient(u, c, out=out) is out
-                    assert _same_bits(out, oracle), layout
+                    assert_same_bits(out, oracle, layout)
                 uc = u[g.cell_nodes.T].reshape(len(g.h1_gram), -1)
                 quad = np.einsum("ab,bk->ak", g.h1_gram, uc)
                 quad *= uc
-                assert _same_bits(g.h1_norm_sq(u), float(quad.sum())), layout
+                assert_same_bits(g.h1_norm_sq(u), float(quad.sum()), layout)
     with pytest.raises(ValueError, match="does not match grid"):
         g.sym_gradient(finite[:-1])
     with pytest.raises(IndexError):
         g.gradient(finite, np.array([0, g.ncells]))
+
+
+class _FixedData:
+    """Data whose body force and sigma0 are fixed arrays of point rows."""
+
+    def __init__(self, f, s0):
+        self.f, self.s0 = f, s0
+
+    def body_force(self, t, x):
+        return self.f
+
+    def sigma0(self, t, x):
+        return self.s0
+
+
+def _load_formula(g, f, s0):
+    """load_vector by its einsum formulas (optimize=True)."""
+    ndof, d = g.nnodes * g.d, g.d
+    fc = np.einsum("qa,cqi->cai", g.shape_values,
+                   np.reshape(f, (g.ncells, g.nqp, d)), optimize=True)
+    fc *= g.qp_weight
+    out = np.zeros(ndof)
+    out += np.bincount(g.cell_dofs.ravel(), weights=fc.ravel(),
+                       minlength=ndof)
+    if g.neumann_cells.size:
+        gq = (to_matrix(s0) @ g.face_normal).reshape(
+            len(g.neumann_cells), -1, d)
+        fc = np.einsum("qa,cqi->cai", g.face_shape_values, gq, optimize=True)
+        fc *= g.face_qp_weight
+        out += np.bincount(g.cell_dofs[g.neumann_cells].ravel(),
+                           weights=fc.ravel(), minlength=ndof)
+    return out
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 2)])
+def test_force_kernels_are_their_einsum_formulas(d, n, mode):
+    # internal_force and load_vector give the bits of their einsum
+    # formulas, signed zeros, subnormals, inf and nan included, whatever
+    # the memory layout of the stress or the body force rows
+    g = build_grid(Geometry(d=d, mode=mode), n)
+    rng = np.random.default_rng(26)
+    ndof = g.nnodes * d
+    faces = np.zeros((len(g.face_qp_points), g.m))
+    with np.errstate(all="ignore"):
+        for field in _bit_samples((g.ncells, g.nqp, g.m), rng):
+            for layout, sigma in layouts(field, rng).items():
+                fc = np.einsum("qmai,cqm->cai", g.B, sigma, optimize=True)
+                fc *= g.qp_weight
+                oracle = np.bincount(g.cell_dofs.ravel(), weights=fc.ravel(),
+                                     minlength=ndof)
+                assert_same_bits(g.internal_force(sigma), oracle, layout)
+        for f, s0 in zip(_bit_samples((g.ncells * g.nqp, d), rng),
+                         _bit_samples(faces.shape, rng) if faces.size
+                         else (faces, faces)):
+            for layout, rows in layouts(f, rng).items():
+                assert_same_bits(g.load_vector(_FixedData(rows, s0), 0.0),
+                                 _load_formula(g, rows, s0), layout)
+
+
+def test_force_kernels_reject_fields_off_the_grid():
+    # a field with the right size but not (ncells, nqp, .) is refused,
+    # as the einsum formulas refused it
+    g = build_grid(Geometry(d=2, mode="mixed"), 4)
+    nf = len(g.face_qp_points)
+    for sigma in (np.zeros((g.nqp, g.ncells, g.m)),
+                  np.zeros((g.ncells, g.nqp * g.m)),
+                  np.zeros((g.ncells, g.nqp, g.m, 1))):
+        with pytest.raises(ValueError, match="does not match grid"):
+            g.internal_force(sigma)
+    rows, faces = np.zeros((g.ncells * g.nqp, 2)), np.zeros((nf, g.m))
+    for f, s0 in ((np.zeros((g.nqp, g.ncells, 2)), faces),
+                  (rows.T, faces),
+                  (rows, np.zeros((nf // 2, 2, g.m)))):
+        with pytest.raises(ValueError, match="does not match grid"):
+            g.load_vector(_FixedData(f, s0), 0.0)
 
 
 def test_constant_stress_field_in_equilibrium():
@@ -171,15 +242,9 @@ def test_constant_stress_field_in_equilibrium():
     g = build_grid(Geometry(d=2, mode="mixed"), 4)
     sig_mat = np.array([[1.3, 0.4], [0.4, -0.2]])
     sigma = np.broadcast_to(from_matrix(sig_mat), (g.ncells, g.nqp, 3)).copy()
-
-    class ConstantStress:
-        def body_force(self, t, x):
-            return np.zeros(x.shape)
-
-        def sigma0(self, t, x):
-            return np.broadcast_to(from_matrix(sig_mat), x.shape[:-1] + (3,))
-
-    r = g.internal_force(sigma) - g.load_vector(ConstantStress(), 0.0)
+    data = _FixedData(np.zeros(g.qp_points.shape), np.broadcast_to(
+        from_matrix(sig_mat), (len(g.face_qp_points), 3)))
+    r = g.internal_force(sigma) - g.load_vector(data, 0.0)
     assert np.abs(r[g.free_dofs]).max() <= 1e-13
 
 
