@@ -73,6 +73,15 @@ def _box_str(box) -> str:
     return "[" + ", ".join(f"{s.start}:{s.stop}" for s in box) + "]"
 
 
+def _level_range(levels: slice, count: int) -> tuple:
+    """(start, stop) of the unit-step slice levels of range(count),
+    clipped as slice.indices does; raises ValueError on another step."""
+    start, stop, step = levels.indices(count)
+    if step != 1:
+        raise ValueError("levels takes a unit-step slice")
+    return start, max(start, stop)
+
+
 @dataclass
 class FieldHistory:
     """Space-time record of a run on the Rothe grid.
@@ -154,10 +163,10 @@ class FieldHistory:
 
     def rate(self, name: str, region=None, levels=slice(None), out=None):
         """Backward-difference rate of the stored field name on region
-        (see on_cells) at the rate levels levels (a slice of range(N)),
-        written into out or a fresh array."""
+        (see on_cells) at the rate levels levels (a unit-step slice of
+        range(N)), written into out or a fresh array."""
         arr = self.on_cells(name, region)
-        start, stop, _ = levels.indices(arr.shape[0] - 1)
+        start, stop = _level_range(levels, arr.shape[0] - 1)
         out = np.subtract(arr[start + 1:stop + 1], arr[start:stop], out=out)
         out /= self.dt
         return out
@@ -180,7 +189,8 @@ class FieldHistory:
         if out is not None:
             out = out.reshape(out.shape[:-1] + comps)
         if name == source:
-            arr = self.on_cells(name, region)[levels]
+            start, stop = _level_range(levels, len(self.times))
+            arr = self.on_cells(name, region)[start:stop]
         elif source == "u":
             arr = self.grad_u_dot(region, levels, out)
         else:
@@ -203,7 +213,7 @@ class FieldHistory:
                 grid.cell_box(region)]
             box = cells.shape
             cells = cells.ravel()
-        start, stop, _ = levels.indices(len(self.times) - 1)
+        start, stop = _level_range(levels, len(self.times) - 1)
         if out is None:
             out = np.empty((stop - start,) + box
                            + (grid.nqp, grid.d, grid.d))
@@ -257,8 +267,8 @@ class _Stepper:
         self._factor = factor
         self._elastic_solve = grid.make_solver(None, factor)
 
-    def step(self, u_n, strain_n, state_n, t_n, dt, elastic_n=False,
-             u_prev=None, u_prev2=None):
+    def step(self, u_n, strain_n, state_n, t_n, dt, u_prev=None,
+             u_prev2=None):
         """One backward-Euler step from (u_n, state_n) at t_n.
 
         strain_n is sym_gradient(u_n), which the previous step returned.
@@ -267,8 +277,9 @@ class _Stepper:
         the Dirichlet values of t_n + dt, and r_trial the residual of the
         elastic trial stress sigma_n + A^-1 (E(u_start) - strain_n).  The
         scale is max(|load_free|, |(r_trial + load)_free|, 1e-12) at any
-        start.  Newton starts from, by the regime of state_n:
-        - elastic_n (state_n within KINK_GUARD of yield): u_start, and
+        start.  Newton starts from, by the regime read off state_n's kept
+        yield excess:
+        - an elastic state_n (within KINK_GUARD of yield): u_start, and
           unless that meets the tolerance, the elastic predictor, one
           exact solve for -r_trial, kept only if it lowers |r_free|.
           Where the start's update stays within KINK_GUARD of yield,
@@ -338,6 +349,7 @@ class _Stepper:
             return solve(-r).reshape(grid.nnodes, grid.d)
 
         strain = grid.sym_gradient(u)
+        elastic_n = is_elastic(state_n)
         if elastic_n:
             res = residual_at(strain)
             r_trial = res[0] if is_elastic(res[2]) else trial_force(strain)
@@ -453,11 +465,10 @@ def run(grid: Grid, params: MaterialParams, data, T: float, N: int,
 
     u_prev = u_prev2 = None
     for k in range(N):
-        elastic_n = acc["overshoot_linf"][-1] <= constitutive.KINK_GUARD
         try:
             u_new, strain, state_new, iters, cg, rel = stepper.step(
-                u, strain, state, times[k], dt, elastic_n=elastic_n,
-                u_prev=u_prev, u_prev2=u_prev2)
+                u, strain, state, times[k], dt, u_prev=u_prev,
+                u_prev2=u_prev2)
         except SolverFailure as exc:
             exc.step_index = k
             raise
@@ -520,14 +531,9 @@ def energy_diagnostics(history: FieldHistory) -> EnergyReport:
     return _energy_report(acc, history.times)
 
 
-@dataclass
-class SafetyReport:
-    passed: bool
-    margin: float
-
-
-def safety_load_check(sigma0, params: MaterialParams) -> SafetyReport:
-    """Strict feasibility of the safety load, checked once at t = 0.
+def safety_load_check(sigma0, params: MaterialParams) -> float:
+    """Margin of the safety load, checked once at t = 0: strictly
+    feasible when the margin is > 0, which a NaN margin is not.
 
     sigma0 is the initial stress at the quadrature points (the sigma of
     initial_state).  The translated hardening data xi0(t) = sigma0(t) -
@@ -537,8 +543,7 @@ def safety_load_check(sigma0, params: MaterialParams) -> SafetyReport:
     margin = kappa - sup_x |dev sigma0(0, x)| > 0 covers the whole run.
     """
     dev0 = tensors.norm(tensors.dev(sigma0))
-    margin = params.kappa - float(dev0.max())
-    return SafetyReport(passed=margin > 0.0, margin=margin)
+    return params.kappa - float(dev0.max())
 
 
 def weak_divergence_defect(grid: Grid, data, sigma0) -> float:

@@ -347,13 +347,12 @@ def target_exponents(d: int, model: str, boundary: str) -> ExponentTargets:
         raise ValueError("boundary must be dirichlet, neumann or mixed")
     a = float(alpha_exponent(d))
     if model == KINEMATIC or boundary == "dirichlet":
-        return ExponentTargets(model=model, boundary=boundary, d=d,
-                               sigma_normal=0.6, sigdot_time=0.5,
-                               sigdot_tangential=0.5, sigdot_normal=0.2,
-                               alpha=a)
+        sigma_normal, sigdot_normal = 0.6, 0.2
+    else:
+        sigma_normal, sigdot_normal = a, a / 3.0
     return ExponentTargets(model=model, boundary=boundary, d=d,
-                           sigma_normal=a, sigdot_time=0.5,
-                           sigdot_tangential=0.5, sigdot_normal=a / 3.0,
+                           sigma_normal=sigma_normal, sigdot_time=0.5,
+                           sigdot_tangential=0.5, sigdot_normal=sigdot_normal,
                            alpha=a)
 
 
@@ -532,8 +531,7 @@ def run_probes(scenario, history: FieldHistory | None) -> ProbeReport:
 @dataclass
 class SweepEntry:
     mu: float
-    energy_summary: dict
-    newton: dict | None
+    energy: evolution.EnergyReport | None    # None: the run failed
     probes: ProbeReport | None
     failure: str | None
 
@@ -592,7 +590,7 @@ def mu_sweep(scenario):
     return.  Failed runs are recorded as partial entries; a failed
     factorization fails every mu.  A run records the fields its probe
     tables read (record_plan), and nothing without probes; an entry
-    keeps its run's ProbeReport (exponents and interpolation check).
+    keeps its run's EnergyReport and ProbeReport.
     """
     mus = sorted((float(m) for m in scenario.mu_list), reverse=True)
     record = record_plan(scenario)
@@ -612,18 +610,18 @@ def mu_sweep(scenario):
                 grid, params, scenario.data, scenario.T, scenario.N,
                 record=record, factor=factor)
         except SolverFailure as exc:
-            entries.append(SweepEntry(mu=mu, energy_summary={}, newton=None,
-                                      probes=None, failure=str(exc)))
+            entries.append(SweepEntry(mu=mu, energy=None, probes=None,
+                                      failure=str(exc)))
             failures.append({"mu": mu, "error": str(exc)})
             continue
         entries.append(SweepEntry(
-            mu=mu, energy_summary=energy_summary(report),
-            newton=newton_summary(report), failure=None,
+            mu=mu, energy=report, failure=None,
             probes=None if record is None else run_probes(scenario, history)))
-    ok = [e for e in entries if e.failure is None]
+    ok = [(e.mu, energy_summary(e.energy)) for e in entries
+          if e.energy is not None]
     spreads = {}
     for key in _SWEEP_QUANTITIES:
-        vals = np.array([e.energy_summary[key] for e in ok])
+        vals = np.array([summary[key] for _, summary in ok])
         if vals.size == 0:
             continue
         if vals.max() == 0.0:
@@ -634,8 +632,8 @@ def mu_sweep(scenario):
             spreads[key] = float(vals.max() / vals.min())
     slopes = {}
     for key in ("overshoot_l2_final", "overshoot_linf_final"):
-        pts = [(e.mu, e.energy_summary[key]) for e in ok
-               if e.energy_summary.get(key, 0.0) > 0.0]
+        pts = [(mu, summary[key]) for mu, summary in ok
+               if summary[key] > 0.0]
         if len(pts) >= 2:
             lm = np.log([p[0] for p in pts])
             lo = np.log([p[1] for p in pts])

@@ -118,32 +118,32 @@ def _write_meta(out: Path, reproducible: bool,
     })
 
 
+def run_results(energy: EnergyReport | None,
+                probe_report: ProbeReport | None) -> dict:
+    """The energy_summary, newton, exponents and interpolation blocks of a
+    run's report.json; a failed run (energy None) gets {}, None, None
+    and None, and a block a run did not compute is None."""
+    interp = None if probe_report is None else probe_report.interpolation
+    return {
+        "energy_summary": {} if energy is None else energy_summary(energy),
+        "newton": None if energy is None else newton_summary(energy),
+        "exponents": None if probe_report is None else probe_report.summary(),
+        "interpolation": None if interp is None else {
+            "delta": interp.delta, "window": list(interp.window),
+            "spread": interp.spread, "degenerate": interp.degenerate,
+            "flagged_h": interp.flagged, "rows": interp.as_rows(),
+        },
+    }
+
+
 def run_report_payload(scenario, energy: EnergyReport,
                        probe_report: ProbeReport | None) -> dict:
-    payload = {
-        "config": scenario.config,
-        "energy_summary": energy_summary(energy),
-        "newton": newton_summary(energy),
-        "exponents": None,
-        "targets": None,
-        "interpolation": None,
-    }
-    if probe_report is not None:
-        payload["exponents"] = probe_report.summary()
-        payload["targets"] = asdict(probe_report.targets)
-        payload["interpolation"] = _interpolation_payload(probe_report)
-    return payload
-
-
-def _interpolation_payload(probe_report: ProbeReport) -> dict | None:
-    """The interpolation block of a report.json; None without the check."""
-    rep = probe_report.interpolation
-    if rep is None:
-        return None
+    """report.json of a run: its config and targets, and run_results."""
     return {
-        "delta": rep.delta, "window": list(rep.window),
-        "spread": rep.spread, "degenerate": rep.degenerate,
-        "flagged_h": rep.flagged, "rows": rep.as_rows(),
+        "config": scenario.config,
+        "targets": (None if probe_report is None
+                    else asdict(probe_report.targets)),
+        **run_results(energy, probe_report),
     }
 
 
@@ -179,15 +179,9 @@ def emit_sweep_report(out_dir: str | Path, scenario,
     entries = []
     for entry in uniformity.entries:
         sub = _make_dir(out / sweep_dir(entry.mu))
-        probes = entry.probes
         _write_json(sub / "report.json", {
-            "mu": entry.mu,
-            "energy_summary": entry.energy_summary,
-            "newton": entry.newton,
-            "exponents": None if probes is None else probes.summary(),
-            "interpolation": (None if probes is None
-                              else _interpolation_payload(probes)),
-            "failure": entry.failure,
+            "mu": entry.mu, "failure": entry.failure,
+            **run_results(entry.energy, entry.probes),
         })
         entries.append({"mu": entry.mu, "dir": sub.name,
                         "failure": entry.failure})

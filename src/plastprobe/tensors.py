@@ -229,7 +229,9 @@ class Tensor4Sym:
 
         An isotropic map follows the kernel rule: the bits of
         dev_modulus * dev(vec) + (vol_modulus / d) * tr(vec)[..., None]
-        * identity(d), and of add + that.
+        * identity(d), and of add + that, save the sign of a NaN where a
+        NaN of add meets one of the map (numpy's add keeps either operand's
+        NaN, by loop).
         """
         vec = np.asarray(vec, dtype=float)
         m = self.matrix.shape[0]

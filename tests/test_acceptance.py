@@ -186,7 +186,8 @@ def test_criterion_4_feasibility_decay(feasibility_sweep):
     slope = uni.overshoot_l2_slope
     ok = (not uni.failures) and slope is not None and slope >= 0.45 \
         and elapsed < 600.0
-    overshoots = [e.energy_summary.get("overshoot_l2_final") for e in uni.entries]
+    overshoots = [None if e.energy is None else e.energy.overshoot_l2[-1]
+                  for e in uni.entries]
     _report(4, "feasibility decay rate", ok,
             f"slope {slope:.3f} (theory 0.5, floor 0.45), overshoots "
             f"{['%.2e' % o for o in overshoots]}, sweep {elapsed:.0f}s")

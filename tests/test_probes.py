@@ -396,7 +396,9 @@ def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
     # a CG or local solve made to fail where it arises, in the run at
     # mu = 0.001 only, leaves run() as a SolverFailure marked with its
     # step; the sweep records it and goes on.  The one factorization of
-    # the sweep, before any run, fails every mu, with no step
+    # the sweep, before any run, fails every mu, with no step.  The
+    # partial report gives a failed mu its failure and empty results,
+    # and a run that did not fail the blocks of a lone run at its mu
     kind, step = error
     config = dict(n=4, N=2, probes=[], mu=[0.1, 0.001], allow_coarse_dt=True)
     scn = load_benchmark("mixed-boundary-kinematic", **config)
@@ -410,27 +412,42 @@ def test_mu_sweep_records_linear_and_local_failures(error, solver_fault,
     monkeypatch.setattr(evolution, "run", tracked_run)
     if kind == "splu":
         message = solver_fault(kind)
-        rep = mu_sweep(scn)
-        assert rep.failures == [{"mu": mu, "error": message}
-                                for mu in (0.1, 0.001)]
-        assert [(e.mu, e.failure, e.newton) for e in rep.entries] \
-            == [(0.1, message, None), (0.001, message, None)]
-        assert runs == []
-        # sweep still writes its partial report and exits 3
-        with open(benchmark_path("mixed-boundary-kinematic")) as fh:
-            cfg = {**json.load(fh), **config}
-        scn_file = tmp_path / "scn.json"
-        scn_file.write_text(json.dumps(cfg))
-        out = tmp_path / "sweep"
-        assert cli_main(["sweep", str(scn_file), "--out", str(out)]) == 3
-        summary = json.loads((out / "sweep_summary.json").read_text())
-        assert [e["failure"] for e in summary["entries"]] == [message] * 2
-        assert "partial" in capsys.readouterr().err
-        return
-    message = solver_fault(kind, armed=lambda: runs[-1] < 0.01)
+        failed = {0.1: message, 0.001: message}
+    else:
+        message = solver_fault(kind, armed=lambda: runs[-1] < 0.01)
+        failed = {0.001: f"step {step}: {message}"}
     rep = mu_sweep(scn)
-    assert rep.failures == [{"mu": 0.001, "error": f"step {step}: {message}"}]
-    assert [e.mu for e in rep.entries if e.failure is None] == [0.1]
+    assert rep.failures == [{"mu": mu, "error": failure}
+                            for mu, failure in failed.items()]
+    assert [(e.mu, e.failure, e.energy is None) for e in rep.entries] \
+        == [(mu, failed.get(mu), mu in failed) for mu in (0.1, 0.001)]
+    if kind == "splu":
+        assert runs == []
+    # sweep still writes its partial report and exits 3
+    with open(benchmark_path("mixed-boundary-kinematic")) as fh:
+        cfg = {**json.load(fh), **config}
+    scn_file = tmp_path / "scn.json"
+    scn_file.write_text(json.dumps(cfg))
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", str(scn_file), "--out", str(out)]) == 3
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [e["failure"] for e in summary["entries"]] \
+        == [failed.get(mu) for mu in (0.1, 0.001)]
+    assert "partial" in capsys.readouterr().err
+    monkeypatch.undo()
+    for entry in summary["entries"]:
+        mu = entry["mu"]
+        if mu in failed:
+            results = {"energy_summary": {}, "newton": None}
+        else:
+            _, alone = evolution.run(scn.grid(), scn.material(mu), scn.data,
+                                     scn.T, scn.N, record=None)
+            results = {"energy_summary": probes.energy_summary(alone),
+                       "newton": probes.newton_summary(alone)}
+        got = json.loads((out / entry["dir"] / "report.json").read_text())
+        assert got == json.loads(json.dumps({
+            "mu": mu, "failure": failed.get(mu), "exponents": None,
+            "interpolation": None, **results}))
 
 
 def test_mu_sweep_factors_once_and_runs_as_a_lone_run(monkeypatch):
@@ -475,8 +492,7 @@ def test_mu_sweep_factors_once_and_runs_as_a_lone_run(monkeypatch):
         for f in fields(evolution.EnergyReport):
             got, ref = getattr(swept, f.name), getattr(alone, f.name)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        assert entry.newton == probes.newton_summary(alone)
-        assert entry.energy_summary == probes.energy_summary(alone)
+        assert entry.energy is swept
 
 
 @pytest.mark.parametrize("d, axis", [

@@ -84,11 +84,14 @@ def test_validate_benchmarks_clean():
 
 
 def test_validate_flags_safety_load():
-    cfg = minimal_config()
-    cfg["data"]["terms"][0]["tpoly"] = [8.0, 1.0]   # huge initial stress
-    scn = parse_scenario_dict(cfg)
-    violations = validate(scn)
-    assert any("safety load" in v for v in violations)
+    # a huge initial stress, and a NaN one: a NaN margin is no margin
+    for tpoly, margin in (([8.0, 1.0], "margin -"),
+                          ([np.nan, 1.0], "margin nan")):
+        cfg = minimal_config()
+        cfg["data"]["terms"][0]["tpoly"] = tpoly
+        scn = parse_scenario_dict(cfg)
+        violations = validate(scn)
+        assert any("safety load" in v and margin in v for v in violations)
 
 
 def test_validate_flags_coarse_dt():
